@@ -63,6 +63,8 @@ class SimConfig:
             raise InvalidArgument("e0 must be a positive integer")
         if self.t_max < 1:
             raise InvalidArgument("t_max must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise InvalidArgument("seed must be a non-negative integer")
         make_phi(self.phi, self.phi_e_ref)  # validate the tag eagerly
 
     @property

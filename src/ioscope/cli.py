@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,13 +24,12 @@ from .series import TimeSeries, ScaleField, deseasonalize_weekly, smooth
 from . import agentsim, correlation, fractal, netimpact, rankfuse
 from . import spectral, templates, wavelet
 
-ANALYZE_OPS = ("sma", "ewma", "deseason", "acf", "ccf", "dft", "gabor",
-               "filter", "cwt", "scalogram", "coherence", "wcc", "hurst",
-               "hurst-profile", "dl", "mfdfa", "wtmm", "leaders")
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OPFAIL = 3
+
+Q_MFDFA = np.arange(-5.0, 5.01, 0.5)
+Q_WAVELET = np.arange(-2.0, 4.01, 0.5)
 
 
 class OpFailure(IoscopeError):
@@ -74,42 +73,111 @@ def write_matrix_csv(path: Path, fld: ScaleField) -> None:
                  f"splot '{path.name}' nonuniform matrix with image notitle\n")
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of an input file; a file that cannot be opened or
+    decoded is an InvalidArgument."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise InvalidArgument(f"{path}: {exc.strerror or exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidArgument(f"{path}:{lineno}: not UTF-8 text") from None
+
+
+def _read_rows(path: Path, sep: str, parse: Callable[[List[str]], object]) -> list:
+    """Parse every row of a delimited input file with ``parse``.
+
+    Blank lines and '#' lines are skipped and fields are trimmed. A row
+    that does not parse (ValueError) is skipped on line 1, as a header,
+    and is an error on any other line; an out-of-range value
+    (InvalidArgument) is an error on every line. Errors name path:lineno.
+    """
+    rows = []
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append(parse([f.strip() for f in line.split(sep)]))
+        except ValueError as exc:
+            if lineno > 1:
+                raise InvalidArgument(f"{path}:{lineno}: {exc}") from None
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
+def _fields(layout: str, *types: Callable, optional: int = 0) -> Callable:
+    """Row parser for ``layout``: one field per type, the last
+    ``optional`` of which may be missing, each converted by its type."""
+    def parse(fields: List[str]) -> list:
+        if not len(types) - optional <= len(fields) <= len(types):
+            raise ValueError(f"want {layout}")
+        return [t(f) for t, f in zip(types, fields)]
+    return parse
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise InvalidArgument(f"{value} is not a positive integer")
+    return value
+
+
 def read_series_csv(path: Path) -> TimeSeries:
     """One `value` column, or `timestamp,value` with uniform spacing."""
-    values: List[float] = []
-    stamps: List[float] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) == 1:
-                    values.append(float(parts[0]))
-                elif len(parts) == 2:
-                    stamps.append(float(parts[0]))
-                    values.append(float(parts[1]))
-                else:
-                    raise ValueError("too many columns")
-            except ValueError as exc:
-                if lineno == 1:  # tolerate a header line
-                    continue
-                raise InvalidArgument(f"{path}:{lineno}: {exc}") from exc
-    if len(values) < 2:
+    rows = _read_rows(path, ",", _fields("value or timestamp,value", float, float,
+                                         optional=1))
+    if len(rows) < 2:
         raise InvalidArgument(f"{path}: need at least 2 samples")
+    if len({len(r) for r in rows}) > 1:
+        raise InvalidArgument(f"{path}: mixed column counts")
     step, origin = 1.0, None
-    if stamps:
-        if len(stamps) != len(values):
-            raise InvalidArgument(f"{path}: mixed column counts")
+    if len(rows[0]) == 2:
+        stamps = [r[0] for r in rows]
         diffs = np.diff(stamps)
-        if diffs.size and (np.any(diffs <= 0)
-                           or np.max(np.abs(diffs - diffs[0])) > 1e-9 * max(1.0, abs(diffs[0]))):
+        if (np.any(diffs <= 0)
+                or np.max(np.abs(diffs - diffs[0])) > 1e-9 * max(1.0, abs(diffs[0]))):
             raise InvalidArgument(f"{path}: timestamps not uniformly spaced")
-        step = float(diffs[0]) if diffs.size else 1.0
-        origin = float(stamps[0])
-    return TimeSeries(np.array(values), step=step, origin=origin,
+        step, origin = float(diffs[0]), float(stamps[0])
+    return TimeSeries(np.array([r[-1] for r in rows]), step=step, origin=origin,
                       label=path.stem)
+
+
+def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
+    per_source: Dict[str, Dict[str, int]] = {}
+    parse = _fields("source,alternative,rank", str, str, _positive_int)
+
+    def row(fields: List[str]) -> None:
+        src, alt, rank = parse(fields)
+        items = per_source.setdefault(src, {})
+        if alt in items:
+            raise InvalidArgument(f"alternative {alt!r} repeated in source {src!r}")
+        items[alt] = rank
+
+    _read_rows(path, ",", row)
+    if not per_source:
+        raise InvalidArgument(f"{path}: no rankings found")
+    return [rankfuse.Ranking(tuple(items.items()), source=src)
+            for src, items in sorted(per_source.items())]
+
+
+def _load_template_dir(dir_path: Path) -> List[templates.Template]:
+    if not dir_path.is_dir():
+        raise InvalidArgument(f"{dir_path} is not a directory")
+    bank = []
+    for p in sorted(dir_path.glob("*.csv")):
+        samples = np.ravel(_read_rows(p, ",", _fields("one sample", float)))
+        try:
+            bank.append(templates.Template(samples, name=p.stem))
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"{p}: {exc}") from None
+    if not bank:
+        raise InvalidArgument(f"no template CSV files in {dir_path}")
+    return bank
 
 
 def _fingerprint(paths: Sequence[Path]) -> str:
@@ -131,7 +199,6 @@ def _write_report(out_dir: Path, command: str, inputs: Sequence[Path],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "input_fingerprint": _fingerprint(inputs),
         "seed": seed,
-        "threads": os.environ.get("IOSCOPE_THREADS"),
         "preprocessing": preprocessing,
         "results": results,
         "warnings": warnings,
@@ -154,34 +221,45 @@ def _parse_scales(text: str) -> List[int]:
     return list(range(a, b + 1, step))
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """key=value config entries fill in flags still at their defaults."""
+def _parse_ops(text: str, known) -> List[str]:
+    ops = [op.strip() for op in text.split(",") if op.strip()]
+    if not ops:
+        raise InvalidArgument("empty ops list")
+    for op in ops:
+        if op not in known:
+            raise InvalidArgument(f"unknown op {op!r}")
+    return ops
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """key=value config entries fill in flags still at their defaults,
+    converted and checked as the flag itself would be. Every bad entry is
+    an InvalidArgument, so line 1 is never taken for a header."""
     if not getattr(args, "config", None):
         return
-    path = Path(args.config)
-    if not path.exists():
-        raise InvalidArgument(f"config file {path} not found")
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidArgument(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if not hasattr(args, key):
-            raise InvalidArgument(f"{path}:{lineno}: unknown key {key!r}")
-        default = getattr(args, "_subparser", parser).get_default(key)
-        if getattr(args, key) == default:
-            if isinstance(default, bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(default, int):
-                setattr(args, key, int(value))
-            elif isinstance(default, float):
-                setattr(args, key, float(value))
-            else:
-                setattr(args, key, value)
+    actions = {a.dest: a for a in args._subparser._actions if a.dest != "help"}
+
+    def entry(fields: List[str]) -> None:
+        if len(fields) < 2:
+            raise InvalidArgument("expected key=value")
+        key, value = fields[0].replace("-", "_"), "=".join(fields[1:])
+        action = actions.get(key)
+        if action is None:
+            raise InvalidArgument(f"unknown key {key!r}")
+        if getattr(args, key) != action.default:
+            return
+        if isinstance(action.default, bool):
+            setattr(args, key, value.lower() in ("1", "true", "yes"))
+            return
+        try:
+            typed = (action.type or str)(value)
+        except ValueError:
+            raise InvalidArgument(f"bad value {value!r} for {key}") from None
+        if action.choices and typed not in action.choices:
+            raise InvalidArgument(f"{key} must be one of " + ", ".join(action.choices))
+        setattr(args, key, typed)
+
+    _read_rows(Path(args.config), "=", entry)
 
 
 def _curve_json(x: TimeSeries) -> Dict:
@@ -196,15 +274,87 @@ def _mf_json(res: fractal.MultifractalResult) -> Dict:
     return out
 
 
-def cmd_analyze(args, parser) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ops = [op.strip() for op in args.ops.split(",") if op.strip()]
-    if not ops:
-        parser.error("empty ops list")
-    for op in ops:
-        if op not in ANALYZE_OPS:
-            parser.error(f"unknown op {op!r}")
+def _cwt(r, *series: TimeSeries) -> List[ScaleField]:
+    """Transforms of the given series on the first one's default grid."""
+    w = wavelet.get_wavelet(r.args.wavelet)
+    scales = wavelet.default_scale_grid(series[0])
+    return [wavelet.cwt(s, w, scales) for s in series]
+
+
+def _op_acf(r) -> Dict:
+    curve = correlation.autocorrelation(r.x)
+    return {"lags": curve.lags, "values": curve.values, "se": curve.se_band}
+
+
+def _op_ccf(r) -> Dict:
+    curve = correlation.cross_correlation(r.x, r.y, len(r.x) // 4)
+    return {"lags": curve.lags, "values": curve.values,
+            "argmax_lag": curve.argmax_lag}
+
+
+def _op_dft(r) -> Dict:
+    spec = spectral.dft(r.x)
+    return {"freqs": spec.freqs, "amplitude": spec.amplitude}
+
+
+def _op_gabor(r) -> ScaleField:
+    x, n = r.x, len(r.x)
+    freqs = np.linspace(1.0 / n, 0.5, 32) / x.step
+    return spectral.gabor(x, x.times[n // 8: n - n // 8],
+                          r.args.gabor_width * x.step, freqs)
+
+
+def _op_wcc(r) -> Dict:
+    wx, wy = _cwt(r, r.x, r.y)
+    return {"scales": wx.rows, "values": wavelet.wcc_measure(wx, wy)}
+
+
+def _op_hurst(r) -> Dict:
+    if len(r.x) < 200:
+        r.warnings.append("hurst: series shorter than 200 samples")
+    res = fractal.hurst_rs(r.x)
+    return {"H": res.exponent, "window_sizes": res.window_sizes,
+            "rs": res.rs_values}
+
+
+def _op_mfdfa(r) -> Dict:
+    series = r.x
+    if r.args.aggregated:
+        series = series.with_values(np.diff(series.values))
+        r.steps.append("disaggregate")
+    return _mf_json(fractal.mfdfa(series, Q_MFDFA))
+
+
+# op -> (needs --input2, kernel). A kernel takes the run context and
+# returns a JSON block, or a ScaleField written as a matrix artifact.
+# Kernels look module functions up when they run, so that wrappers
+# installed on the modules (profilers, tracers) see every call.
+ANALYZE_OPS: Dict[str, Tuple[bool, Callable]] = {
+    "sma": (False, lambda r: _curve_json(smooth(r.x, "sma", r.args.window))),
+    "ewma": (False, lambda r: _curve_json(smooth(r.x, "ewma", r.args.alpha))),
+    "deseason": (False, lambda r: _curve_json(deseasonalize_weekly(r.x))),
+    "acf": (False, _op_acf),
+    "ccf": (True, _op_ccf),
+    "dft": (False, _op_dft),
+    "gabor": (False, _op_gabor),
+    "filter": (False, lambda r: _curve_json(spectral.sinusoid_filter(r.x, r.args.bin))),
+    "cwt": (False, lambda r: _cwt(r, r.x)[0]),
+    "scalogram": (False, lambda r: wavelet.scalogram(_cwt(r, r.x)[0])),
+    "coherence": (True, lambda r: wavelet.wavelet_coherence(*_cwt(r, r.x, r.y))),
+    "wcc": (True, _op_wcc),
+    "hurst": (False, _op_hurst),
+    "hurst-profile": (False, lambda r: _curve_json(fractal.hurst_profile(r.x))),
+    "dl": (False, lambda r: fractal.delta_l_field(r.x)),
+    "mfdfa": (False, _op_mfdfa),
+    "wtmm": (False, lambda r: _mf_json(fractal.wtmm(r.x, Q_WAVELET,
+                                                    wavelet=r.args.wavelet))),
+    "leaders": (False, lambda r: _mf_json(fractal.wavelet_leaders(
+        r.x, Q_WAVELET, wavelet=r.args.wavelet))),
+}
+
+
+def cmd_analyze(args, out_dir: Path) -> int:
+    ops = _parse_ops(args.ops, ANALYZE_OPS)
     x = read_series_csv(Path(args.input))
     inputs = [Path(args.input)]
     y = None
@@ -226,101 +376,30 @@ def cmd_analyze(args, parser) -> int:
         ok = np.isfinite(x.values)
         x = x.with_values(x.values[ok])
         preprocessing["steps"].append("deseasonalize-weekly")
+    run = SimpleNamespace(x=x, y=y, args=args, warnings=[],
+                          steps=preprocessing["steps"])
     results: Dict = {}
-    warnings: List[str] = []
     artifacts: List[str] = []
-
-    def emit(name: str, fld: ScaleField) -> None:
-        path = out_dir / f"{name}.csv"
-        write_matrix_csv(path, fld)
-        artifacts.extend([path.name, path.with_suffix(".gnuplot").name])
-        results[name] = {"artifact": path.name, "kind": fld.kind}
-
-    try:
-        for op in ops:
-            if op == "sma":
-                results[op] = _curve_json(smooth(x, "sma", args.window))
-            elif op == "ewma":
-                results[op] = _curve_json(smooth(x, "ewma", args.alpha))
-            elif op == "deseason":
-                results[op] = _curve_json(deseasonalize_weekly(x))
-            elif op == "acf":
-                curve = correlation.autocorrelation(x)
-                results[op] = {"lags": curve.lags, "values": curve.values,
-                               "se": curve.se_band}
-            elif op == "ccf":
-                if y is None:
-                    raise InvalidArgument("ccf needs --input2")
-                curve = correlation.cross_correlation(x, y)
-                results[op] = {"lags": curve.lags, "values": curve.values,
-                               "argmax_lag": curve.argmax_lag}
-            elif op == "dft":
-                spec = spectral.dft(x)
-                results[op] = {"freqs": spec.freqs, "amplitude": spec.amplitude}
-            elif op == "gabor":
-                n = len(x)
-                centers = x.times[n // 8: n - n // 8]
-                freqs = np.linspace(1.0 / n, 0.5, 32) / x.step
-                emit(op, spectral.gabor(x, centers, args.gabor_width * x.step, freqs))
-            elif op == "filter":
-                filt = spectral.sinusoid_filter(x, args.bin)
-                results[op] = _curve_json(filt)
-            elif op in ("cwt", "scalogram"):
-                w = wavelet.get_wavelet(args.wavelet)
-                fld = wavelet.cwt(x, w, wavelet.default_scale_grid(x))
-                emit(op, fld if op == "cwt" else wavelet.scalogram(fld))
-            elif op in ("coherence", "wcc"):
-                if y is None:
-                    raise InvalidArgument(f"{op} needs --input2")
-                w = wavelet.get_wavelet(args.wavelet)
-                scales = wavelet.default_scale_grid(x)
-                wx = wavelet.cwt(x, w, scales)
-                wy = wavelet.cwt(y, w, scales)
-                if op == "coherence":
-                    emit(op, wavelet.wavelet_coherence(wx, wy))
-                else:
-                    results[op] = {"scales": scales,
-                                   "values": wavelet.wcc_measure(wx, wy)}
-            elif op == "hurst":
-                if len(x) < 200:
-                    warnings.append("hurst: series shorter than 200 samples")
-                res = fractal.hurst_rs(x)
-                results[op] = {"H": res.exponent,
-                               "window_sizes": res.window_sizes,
-                               "rs": res.rs_values}
-            elif op == "hurst-profile":
-                results[op] = _curve_json(fractal.hurst_profile(x))
-            elif op == "dl":
-                emit(op, fractal.delta_l_field(x))
-            elif op == "mfdfa":
-                q = np.arange(-5.0, 5.01, 0.5)
-                series = x
-                if args.aggregated:
-                    vals = np.diff(x.values)
-                    series = x.with_values(vals)
-                    preprocessing["steps"].append("disaggregate")
-                results[op] = _mf_json(fractal.mfdfa(series, q))
-            elif op == "wtmm":
-                q = np.arange(-2.0, 4.01, 0.5)
-                results[op] = _mf_json(fractal.wtmm(x, q, wavelet=args.wavelet))
-            elif op == "leaders":
-                q = np.arange(-2.0, 4.01, 0.5)
-                results[op] = _mf_json(fractal.wavelet_leaders(x, q,
-                                                               wavelet=args.wavelet))
-    except OpFailure:
-        raise
-    except IoscopeError as exc:
-        raise OpFailure(op, exc) from exc
-    _write_report(out_dir, "analyze", inputs, results, warnings,
+    for op in ops:
+        needs_y, kernel = ANALYZE_OPS[op]
+        try:
+            if needs_y and y is None:
+                raise InvalidArgument(f"{op} needs --input2")
+            out = kernel(run)
+        except IoscopeError as exc:
+            raise OpFailure(op, exc) from exc
+        if isinstance(out, ScaleField):
+            path = out_dir / f"{op}.csv"
+            write_matrix_csv(path, out)
+            artifacts.extend([path.name, path.with_suffix(".gnuplot").name])
+            out = {"artifact": path.name, "kind": out.kind}
+        results[op] = out
+    _write_report(out_dir, "analyze", inputs, results, run.warnings,
                   artifacts, args.seed, preprocessing)
     return EXIT_OK
 
 
-def cmd_scan(args, parser) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not (0.0 < args.threshold <= 1.0):
-        parser.error("threshold must lie in (0, 1]")
+def cmd_scan(args, out_dir: Path) -> int:
     x = read_series_csv(Path(args.input))
     if args.templates == "builtin":
         bank = templates.builtin_bank()
@@ -355,30 +434,12 @@ def cmd_scan(args, parser) -> int:
     return EXIT_OK
 
 
-def _load_template_dir(dir_path: Path) -> List[templates.Template]:
-    if not dir_path.is_dir():
-        raise InvalidArgument(f"{dir_path} is not a directory")
-    bank = []
-    for p in sorted(dir_path.glob("*.csv")):
-        vals = [float(line.strip()) for line in p.read_text().splitlines()
-                if line.strip()]
-        bank.append(templates.Template(np.array(vals), name=p.stem))
-    if not bank:
-        raise InvalidArgument(f"no template CSV files in {dir_path}")
-    return bank
-
-
-def cmd_simulate(args, parser) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = agentsim.SimConfig(p_l0=args.pl, p_d0=args.pd, p_r0=args.pr,
-                                 p_link0=args.plink, p_s=args.ps,
-                                 e0=args.e0, phi=args.phi,
-                                 phi_e_ref=args.phi_e_ref,
-                                 t_max=args.ticks, seed=args.seed)
-    except IoscopeError as exc:
-        parser.error(str(exc))
+def cmd_simulate(args, out_dir: Path) -> int:
+    cfg = agentsim.SimConfig(p_l0=args.pl, p_d0=args.pd, p_r0=args.pr,
+                             p_link0=args.plink, p_s=args.ps,
+                             e0=args.e0, phi=args.phi,
+                             phi_e_ref=args.phi_e_ref,
+                             t_max=args.ticks, seed=args.seed)
     outcome = agentsim.simulate_population(cfg, args.ticks)
     csv_path = out_dir / "population.csv"
     with open(csv_path, "w") as fh:
@@ -420,104 +481,49 @@ def cmd_simulate(args, parser) -> int:
     return EXIT_OK
 
 
-def _read_edges_tsv(path: Path) -> List[Tuple[str, str]]:
-    citations: List[Tuple[str, str]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) == 2:
-            citations.append((parts[0], parts[1]))
-        elif len(parts) == 3:
-            citations.extend([(parts[0], parts[1])] * int(parts[2]))
-        else:
-            raise InvalidArgument(f"{path}:{lineno}: want from<TAB>to[<TAB>count]")
-    return citations
-
-
-def _read_ratings_csv(path: Path) -> Dict[str, float]:
-    ratings: Dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        node, _, value = line.partition(",")
-        try:
-            ratings[node.strip()] = float(value)
-        except ValueError as exc:
-            if lineno == 1:
-                continue
-            raise InvalidArgument(f"{path}:{lineno}: bad rating") from exc
-    return ratings
-
-
-def cmd_graph(args, parser) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ops = [op.strip() for op in args.ops.split(",") if op.strip()]
-    for op in ops:
-        if op not in ("stats", "hits", "ioscore"):
-            parser.error(f"unknown op {op!r}")
-    if not ops:
-        parser.error("empty ops list")
-    edges_path = Path(args.edges)
-    citations = _read_edges_tsv(edges_path)
-    inputs = [edges_path]
-    ratings = None
-    if args.ratings:
-        ratings = _read_ratings_csv(Path(args.ratings))
-        inputs.append(Path(args.ratings))
-    g = netimpact.build_impact_graph(citations, ratings=ratings)
-    results: Dict = {"n": g.n, "m": g.m,
-                     "dropped_self_loops": g.dropped_self_loops}
-    for op in ops:
-        if op == "stats":
-            results["stats"] = network_stats_json(g)
-        elif op == "hits":
-            auth, hub = netimpact.hits(g)
-            results["hits"] = {"authority": auth, "hub": hub,
-                               "out_degree": {str(n): sum(
-                                   c for u, _, c in g.edges if u == n)
-                                   for n in g.nodes}}
-        elif op == "ioscore":
-            results["ioscore"] = netimpact.io_scenario_score(g)
-    _write_report(out_dir, "graph", inputs, results, [], [], None)
-    return EXIT_OK
-
-
 def network_stats_json(g: netimpact.ImpactGraph) -> Dict:
     stats = netimpact.network_stats(g)
     stats["per_node"] = {str(k): v for k, v in stats["per_node"].items()}
     return stats
 
 
-def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
-    per_source: Dict[str, List[Tuple[str, int]]] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InvalidArgument(f"{path}:{lineno}: want source,alternative,rank")
-        src, alt, rank = (p.strip() for p in parts)
-        try:
-            rank_val = int(rank)
-        except ValueError as exc:
-            if lineno == 1:
-                continue
-            raise InvalidArgument(f"{path}:{lineno}: bad rank") from exc
-        per_source.setdefault(src, []).append((alt, rank_val))
-    if not per_source:
-        raise InvalidArgument(f"{path}: no rankings found")
-    return [rankfuse.Ranking(tuple(items), source=src)
-            for src, items in sorted(per_source.items())]
+def _hits_json(g: netimpact.ImpactGraph) -> Dict:
+    auth, hub = netimpact.hits(g)
+    return {"authority": auth, "hub": hub,
+            "out_degree": {str(n): sum(c for u, _, c in g.edges if u == n)
+                           for n in g.nodes}}
 
 
-def cmd_fuse(args, parser) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+GRAPH_OPS: Dict[str, Callable] = {
+    "stats": lambda g: network_stats_json(g),
+    "hits": _hits_json,
+    "ioscore": lambda g: netimpact.io_scenario_score(g),
+}
+
+
+def cmd_graph(args, out_dir: Path) -> int:
+    ops = _parse_ops(args.ops, GRAPH_OPS)
+    edges_path = Path(args.edges)
+    citations: List[Tuple[str, str]] = []
+    for a, b, *count in _read_rows(edges_path, "\t", _fields(
+            "from<TAB>to[<TAB>count]", str, str, _positive_int, optional=1)):
+        citations += [(a, b)] * (count[0] if count else 1)
+    inputs = [edges_path]
+    ratings = None
+    if args.ratings:
+        ratings = dict(_read_rows(Path(args.ratings), ",",
+                                  _fields("node,rating", str, float)))
+        inputs.append(Path(args.ratings))
+    g = netimpact.build_impact_graph(citations, ratings=ratings)
+    results: Dict = {"n": g.n, "m": g.m,
+                     "dropped_self_loops": g.dropped_self_loops}
+    for op in ops:
+        results[op] = GRAPH_OPS[op](g)
+    _write_report(out_dir, "graph", inputs, results, [], [], None)
+    return EXIT_OK
+
+
+def cmd_fuse(args, out_dir: Path) -> int:
     rankings = _read_rankings_csv(Path(args.rankings))
     inputs = [Path(args.rankings)]
     weights = None
@@ -527,16 +533,7 @@ def cmd_fuse(args, parser) -> int:
             raise InvalidArgument("weighting needs --estimates")
         est_path = Path(args.estimates)
         inputs.append(est_path)
-        estimates: Dict[str, float] = {}
-        for raw in est_path.read_text().splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            src, _, value = line.partition(",")
-            try:
-                estimates[src.strip()] = float(value)
-            except ValueError:
-                continue
+        estimates = dict(_read_rows(est_path, ",", _fields("source,E", str, float)))
         alt_lists = {r.source: (estimates.get(r.source, 0.0),
                                 list(r.alternatives)) for r in rankings}
         profile = rankfuse.source_weights(alt_lists, mode=args.weighting)
@@ -642,28 +639,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, parser)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except InvalidArgument as exc:
-        print(f"ioscope: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args, parser)
+        _apply_config(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return args.func(args, out_dir)
     except SystemExit as exc:
         return int(exc.code or 0)
     except OpFailure as exc:
         print(f"ioscope: {exc}", file=sys.stderr)
         return EXIT_OPFAIL
-    except InvalidArgument as exc:
+    except (InvalidArgument, OSError) as exc:
         print(f"ioscope: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IoscopeError as exc:
         print(f"ioscope: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_OPFAIL
-    except FileNotFoundError as exc:
-        print(f"ioscope: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

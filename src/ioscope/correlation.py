@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidArgument
-from .series import ScaleField, TimeSeries
+from .series import TimeSeries
+from .templates import correlation_diagram as pattern_correlation_field
 
 __all__ = [
     "LagCurve",
@@ -103,59 +104,3 @@ def autocorrelation(x: TimeSeries, max_lag: Optional[int] = None) -> LagCurve:
     lags = np.arange(0, max_lag + 1)
     vals = np.array([_gamma_xy(xs, xs, int(k)) for k in lags]) / g0
     return LagCurve(lags, vals, se_band=1.0 / np.sqrt(T))
-
-
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    am = a - a.mean()
-    bm = b - b.mean()
-    na = np.sqrt(np.sum(am * am))
-    nb = np.sqrt(np.sum(bm * bm))
-    if na == 0 or nb == 0:
-        return np.nan
-    return float(np.sum(am * bm) / (na * nb))
-
-
-def pattern_correlation_field(x: TimeSeries, pattern,
-                              k_range: Sequence[int]) -> ScaleField:
-    """Correlation C(l, k) between series windows and a pattern resampled
-    to each window length k.
-
-    Cells are undefined where the window overruns the series or either
-    side is constant. ``pattern`` is a Template from the templates module
-    (anything with a ``samples`` attribute and resample support works).
-    """
-    from .templates import resample_template
-
-    ks = [int(k) for k in k_range]
-    if not ks:
-        raise InvalidArgument("empty window-length range")
-    if sorted(set(ks)) != ks:
-        ks = sorted(set(ks))
-    T = len(x)
-    xs = x.values
-    cells = np.full((len(ks), T), np.nan)
-    mask = np.zeros((len(ks), T), dtype=bool)
-    for r, k in enumerate(ks):
-        if k < 3:
-            raise InvalidArgument("window length must be >= 3")
-        if k > T:
-            continue
-        p = resample_template(pattern, k).samples
-        pm = p - p.mean()
-        npnorm = np.sqrt(np.sum(pm * pm))
-        if npnorm == 0:
-            continue
-        win = np.lib.stride_tricks.sliding_window_view(xs, k)
-        wc = win - win.mean(axis=1, keepdims=True)
-        wnorm = np.sqrt(np.sum(wc * wc, axis=1))
-        dot = wc @ pm
-        denom = wnorm * npnorm
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.where(denom > 0, dot / denom, np.nan)
-        starts = np.arange(T - k + 1)
-        cells[r, starts] = corr
-        mask[r, starts] = np.isfinite(corr)
-    cells = np.where(mask, cells, np.nan)
-    return ScaleField(rows=np.asarray(ks, dtype=float),
-                      cols=np.arange(T, dtype=float),
-                      cells=cells, mask=mask, kind="corr-diagram")

@@ -113,6 +113,22 @@ class MultifractalResult:
             return np.where(self.q != 0, (self.tau + 1) / self.q, np.nan)
 
 
+def _q_grid(q: Sequence[float]) -> np.ndarray:
+    qs = np.asarray(q, dtype=float)
+    if qs.size < 3 or np.any(np.diff(qs) <= 0):
+        raise InvalidArgument("q must be increasing with at least 3 values")
+    return qs
+
+
+def _log_moments(qs: np.ndarray, lg: np.ndarray,
+                 offset: float = 0.0) -> np.ndarray:
+    """offset + log(sum(exp(q * lg))) for every q, shifted by the largest
+    term so that large |q| cannot overflow."""
+    v = np.outer(qs, lg)
+    m = v.max(axis=1)
+    return offset + m + np.log(np.sum(np.exp(v - m[:, None]), axis=1))
+
+
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -227,9 +243,7 @@ def mfdfa(x: TimeSeries, q: Sequence[float], order: int = 1,
     with tau(q) = q h(q) - 1 and the spectrum by a numerical Legendre
     transform.
     """
-    qs = np.asarray(q, dtype=float)
-    if qs.size < 3 or np.any(np.diff(qs) <= 0):
-        raise InvalidArgument("q must be increasing with at least 3 values")
+    qs = _q_grid(q)
     if not np.any(qs == 0):
         raise InvalidArgument("q grid must contain 0")
     vals = np.asarray(x.values, dtype=float)
@@ -300,7 +314,7 @@ def find_skeleton(fld: ScaleField, min_length: int = 3) -> Skeleton:
     lines spanning fewer than ``min_length`` rows are discarded.
     """
     mod = np.abs(fld.cells)
-    step = float(fld.cols[1] - fld.cols[0]) if fld.cols.size > 1 else 1.0
+    step = fld.col_step
     maxima = [_modulus_maxima(mod[r]) for r in range(fld.rows.size)]
     lines: List[List[Tuple[int, int]]] = [[(0, int(c))] for c in maxima[0]]
     open_lines = list(range(len(lines)))
@@ -363,9 +377,7 @@ def wtmm(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
     the boundary cone of influence (``coi`` scale-widths from either
     edge) are excluded.
     """
-    qs = np.asarray(q, dtype=float)
-    if qs.size < 3 or np.any(np.diff(qs) <= 0):
-        raise InvalidArgument("q must be increasing with at least 3 values")
+    qs = _q_grid(q)
     if scales is None:
         n = len(x)
         smax = max(8.0, n / 33.0) * x.step
@@ -392,10 +404,7 @@ def wtmm(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
         counts[r] = col.size
         if col.size == 0:
             continue
-        lg = np.log(col)
-        for i, qv in enumerate(qs):
-            m = np.max(qv * lg)
-            logZ[i, r] = m + np.log(np.sum(np.exp(qv * lg - m)))
+        logZ[:, r] = _log_moments(qs, np.log(col))
     usable = counts >= 3
     if np.count_nonzero(usable) < 4:
         raise InsufficientStructure("too few scales carry maxima lines")
@@ -415,9 +424,7 @@ def wavelet_leaders(x: TimeSeries, q: Sequence[float],
     structure functions use the scale-proportional weight s/T and tau(q)
     is the log-log slope minus one.
     """
-    qs = np.asarray(q, dtype=float)
-    if qs.size < 3 or np.any(np.diff(qs) <= 0):
-        raise InvalidArgument("q must be increasing with at least 3 values")
+    qs = _q_grid(q)
     n = len(x)
     span = n * x.step
     scales = []
@@ -443,11 +450,7 @@ def wavelet_leaders(x: TimeSeries, q: Sequence[float],
             lo, hi = max(0, c - half), min(n, c + half + 1)
             leaders[i] = np.max(mod[rows_upto, lo:hi])
         leaders = np.maximum(leaders, 1e-300)
-        lg = np.log(leaders)
-        for i, qv in enumerate(qs):
-            m = np.max(qv * lg)
-            logZ[i, j] = (np.log(sj / span) + m
-                          + np.log(np.sum(np.exp(qv * lg - m))))
+        logZ[:, j] = _log_moments(qs, np.log(leaders), np.log(sj / span))
     ok = np.all(np.isfinite(logZ), axis=0)
     if np.count_nonzero(ok) < 3:
         raise InsufficientScales("too few usable dyadic scales")

@@ -118,6 +118,11 @@ class ScaleField:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.cells)
 
+    @property
+    def col_step(self) -> float:
+        """Spacing of the location axis (1.0 when there is one column)."""
+        return float(self.cols[1] - self.cols[0]) if self.cols.size > 1 else 1.0
+
     def same_grid(self, other: "ScaleField") -> bool:
         return (self.rows.size == other.rows.size
                 and self.cols.size == other.cols.size
@@ -125,31 +130,15 @@ class ScaleField:
                 and np.allclose(self.cols, other.cols))
 
 
-def _sma(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centered simple moving average; returns (values, defined-mask)."""
-    T = x.size
-    out = np.full(T, np.nan)
-    mask = np.zeros(T, dtype=bool)
-    kernel = np.ones(w) / w
-    valid = np.convolve(x, kernel, mode="valid")  # length T - w + 1
-    # value for window starting at i sits at its center i + floor(w/2)
-    centers = np.arange(T - w + 1) + w // 2
-    out[centers] = valid
-    mask[centers] = True
-    return out, mask
-
-
-def _wma(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _wma(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Centered weighted moving average, NaN where the window does not fit."""
     w = weights.size
     T = x.size
     out = np.full(T, np.nan)
-    mask = np.zeros(T, dtype=bool)
-    # weights apply as a_i * x_{t-i}: index runs backwards over the window
-    valid = np.convolve(x, weights, mode="valid")
-    centers = np.arange(T - w + 1) + w // 2
-    out[centers] = valid
-    mask[centers] = True
-    return out, mask
+    # weights apply as a_i * x_{t-i}: index runs backwards over the window;
+    # the value for the window starting at i sits at its center i + floor(w/2)
+    out[w // 2: T - w + 1 + w // 2] = np.convolve(x, weights, mode="valid")
+    return out
 
 
 def _ewma(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -176,8 +165,7 @@ def smooth(series: TimeSeries, method: str,
             raise InvalidArgument("window width must be >= 1")
         if w > T:
             raise InvalidArgument(f"window {w} larger than series length {T}")
-        out, _ = _sma(x, w)
-        return series.with_values(out, allow_undefined=True)
+        return series.with_values(_wma(x, np.ones(w) / w), allow_undefined=True)
     if method == "wma":
         weights = np.asarray(param, dtype=float)
         if weights.ndim != 1 or weights.size < 1:
@@ -186,8 +174,7 @@ def smooth(series: TimeSeries, method: str,
             raise InvalidArgument("weight vector longer than series")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise InvalidArgument("WMA weights must sum to 1")
-        out, _ = _wma(x, weights)
-        return series.with_values(out, allow_undefined=True)
+        return series.with_values(_wma(x, weights), allow_undefined=True)
     if method == "ewma":
         alpha = float(param)
         if not (0.0 < alpha <= 1.0):

@@ -139,11 +139,47 @@ def resample_template(t: Template, k: int) -> Template:
 
 def correlation_diagram(x: TimeSeries, t: Template,
                         k_range: Sequence[int]) -> ScaleField:
-    """Correlation coefficients of the series against the template
-    resampled to every window length in ``k_range``."""
-    from .correlation import pattern_correlation_field
+    """Correlation C(l, k) between each series window of length k
+    starting at l and the template resampled to k, for every k in
+    ``k_range`` (also exported as
+    ``correlation.pattern_correlation_field``).
 
-    return pattern_correlation_field(x, t, k_range)
+    Cells are undefined where the window overruns the series or either
+    side is constant.
+    """
+    ks = [int(k) for k in k_range]
+    if not ks:
+        raise InvalidArgument("empty window-length range")
+    if sorted(set(ks)) != ks:
+        ks = sorted(set(ks))
+    T = len(x)
+    xs = x.values
+    cells = np.full((len(ks), T), np.nan)
+    mask = np.zeros((len(ks), T), dtype=bool)
+    for r, k in enumerate(ks):
+        if k < 3:
+            raise InvalidArgument("window length must be >= 3")
+        if k > T:
+            continue
+        p = resample_template(t, k).samples
+        pm = p - p.mean()
+        npnorm = np.sqrt(np.sum(pm * pm))
+        if npnorm == 0:
+            continue
+        win = np.lib.stride_tricks.sliding_window_view(xs, k)
+        wc = win - win.mean(axis=1, keepdims=True)
+        wnorm = np.sqrt(np.sum(wc * wc, axis=1))
+        dot = wc @ pm
+        denom = wnorm * npnorm
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.where(denom > 0, dot / denom, np.nan)
+        starts = np.arange(T - k + 1)
+        cells[r, starts] = corr
+        mask[r, starts] = np.isfinite(corr)
+    cells = np.where(mask, cells, np.nan)
+    return ScaleField(rows=np.asarray(ks, dtype=float),
+                      cols=np.arange(T, dtype=float),
+                      cells=cells, mask=mask, kind="corr-diagram")
 
 
 @dataclass(frozen=True)

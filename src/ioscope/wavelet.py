@@ -182,7 +182,7 @@ def icwt(fld: ScaleField, w: Wavelet) -> TimeSeries:
     if not w.invertible:
         raise UnsupportedWavelet(f"{w.name} has no usable admissibility constant")
     scales = fld.rows
-    step = float(fld.cols[1] - fld.cols[0]) if fld.cols.size > 1 else 1.0
+    step = fld.col_step
     ds = np.gradient(scales)
     acc = np.zeros(fld.cols.size, dtype=complex)
     for i, si in enumerate(scales):
@@ -210,8 +210,7 @@ def energy_by_scale(fld: ScaleField, w: Wavelet) -> np.ndarray:
     """Energy distribution by scale E(s) = (1/C_g) sum_l |W(s,l)|^2 dl."""
     if fld.kind != "cwt":
         raise InvalidArgument("energy distribution requires a cwt field")
-    step = float(fld.cols[1] - fld.cols[0]) if fld.cols.size > 1 else 1.0
-    return np.sum(np.abs(fld.cells) ** 2, axis=1) * step / w.admissibility
+    return np.sum(np.abs(fld.cells) ** 2, axis=1) * fld.col_step / w.admissibility
 
 
 def compare_fields(wx: ScaleField, wy: ScaleField, metric: str) -> ScaleField:
@@ -308,7 +307,7 @@ def wavelet_coherence(wx: ScaleField, wy: ScaleField,
     (width ~ scale by default) and across 3 adjacent scales."""
     if not wx.same_grid(wy):
         raise InvalidArgument("fields are on different (scale, location) grids")
-    step = float(wx.cols[1] - wx.cols[0]) if wx.cols.size > 1 else 1.0
+    step = wx.col_step
     tw = None if time_widths is None else np.asarray(time_widths, dtype=int)
     if tw is not None and np.any(tw > wx.cols.size):
         raise InvalidArgument("smoothing window larger than the grid")

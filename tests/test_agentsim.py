@@ -37,6 +37,10 @@ class TestSimConfig:
         with pytest.raises(InvalidArgument):
             SimConfig(e0=0)
 
+    def test_seed_non_negative(self):
+        with pytest.raises(InvalidArgument):
+            SimConfig(seed=-3)
+
 
 class TestTransitionRow:
     def test_reference_case(self):

@@ -113,6 +113,18 @@ class TestAnalyze:
         assert main(["analyze", "--input", brownian_csv, "--ops", "ccf",
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_ccf_finds_delay(self, tmp_path, rng):
+        T, delay = 400, 5
+        z = rng.standard_normal(T + delay)
+        x = write_series_csv(tmp_path / "x.csv", z[delay:])
+        y = write_series_csv(tmp_path / "y.csv", z[:T])  # y[t] = x[t - 5]
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", x, "--input2", y, "--ops", "ccf",
+                     "--out", out]) == 0
+        block = load_report(out)["results"]["ccf"]
+        assert block["lags"] == list(range(-(T // 4), T // 4 + 1))
+        assert block["argmax_lag"] == delay
+
     def test_config_file_fills_defaults(self, tmp_path, rng):
         path = write_series_csv(tmp_path / "x.csv",
                                 rng.standard_normal(300))

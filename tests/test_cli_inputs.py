@@ -1,0 +1,190 @@
+"""Input contract of the CLI: every input file ends in exit 0, 2 or 3,
+and a failure prints one stderr line; a bad row names path:lineno."""
+
+import argparse
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ioscope.cli import build_parser, main
+
+SERIES = "value\n" + "".join(f"{np.sin(0.3 * i) + 0.01 * i:.6f}\n"
+                             for i in range(64))
+EDGES = "a\tb\nb\tc\t2\nc\ta\n"
+RATINGS = "node,rating\na,1\nb,2\nc,30\n"
+RANKINGS = "source,alternative,rank\ns1,a,1\ns1,b,2\ns2,b,1\ns2,a,2\n"
+ESTIMATES = "s1,1.0\ns2,2.0\n"
+
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def write(path, content):
+    path = Path(path)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
+def case_edge_count_not_integer(d):
+    return ["graph", "--edges", write(d / "e.tsv", "a\tb\nb\tc\t1.5\n")], "e.tsv:2:"
+
+
+def case_edge_count_zero(d):
+    return ["graph", "--edges", write(d / "e.tsv", "a\tb\nb\tc\t0\n")], "e.tsv:2:"
+
+
+def case_edge_count_negative_on_line_1(d):
+    return ["graph", "--edges", write(d / "e.tsv", "a\tb\t-3\nb\tc\n")], "e.tsv:1:"
+
+
+def case_template_sample_not_numeric(d):
+    (d / "bank").mkdir()
+    write(d / "bank" / "t.csv", "1\n2\nx\n3\n")
+    return ["scan", "--input", write(d / "x.csv", SERIES),
+            "--templates", str(d / "bank")], "t.csv:3:"
+
+
+def case_estimate_not_numeric(d):
+    return ["fuse", "--rankings", write(d / "r.csv", RANKINGS),
+            "--estimates", write(d / "est.csv", "source,E\ns1,2.0\ns2,abc\n"),
+            "--weighting", "density"], "est.csv:3:"
+
+
+def case_input_not_utf8(d):
+    return ["analyze", "--input", write(d / "x.csv", b"value\n1.0\n\xff\xfe\n2.0\n"),
+            "--ops", "sma"], "x.csv:3:"
+
+
+def case_input_is_directory(d):
+    (d / "dir.csv").mkdir()
+    return ["analyze", "--input", str(d / "dir.csv"), "--ops", "sma"], "dir.csv:"
+
+
+def case_config_value_wrong_type(d):
+    return ["analyze", "--input", write(d / "x.csv", SERIES), "--ops", "sma",
+            "--config", write(d / "c.cfg", "# defaults\nwindow=abc\n")], "c.cfg:2:"
+
+
+def case_duplicate_alternative(d):
+    rows = "source,alternative,rank\ns1,a,1\ns1,b,2\ns1,a,3\n"
+    return ["fuse", "--rankings", write(d / "r.csv", rows)], "r.csv:4:"
+
+
+BREACHES = [case_edge_count_not_integer, case_edge_count_zero,
+            case_edge_count_negative_on_line_1, case_template_sample_not_numeric,
+            case_estimate_not_numeric, case_input_not_utf8,
+            case_input_is_directory, case_config_value_wrong_type,
+            case_duplicate_alternative]
+
+
+@pytest.mark.parametrize("case", BREACHES, ids=lambda c: c.__name__[5:])
+def test_bad_input_exits_2_naming_the_line(tmp_path, case):
+    argv, where = case(tmp_path)
+    code, err = run(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert where in err
+
+
+# Fuzzed file contents: rows of plausible and arbitrary fields in the
+# format's separator, arbitrary lines, or arbitrary bytes.
+TOKENS = st.sampled_from(["", " ", "#", "0", "1", "2", "-3", "2.5", "1e400",
+                          "nan", "-inf", "x", "a b", "é", "s1", "a"])
+
+
+def contents(sep):
+    field = TOKENS | st.text(max_size=5)
+    row = st.lists(field, max_size=4).map(sep.join)
+    text = st.lists(row | st.text(max_size=15), max_size=10).map("\n".join)
+    return text.map(lambda t: t.encode()) | st.binary(max_size=40)
+
+
+# Config entries: options of the subcommand (plus keys no subcommand
+# takes) set to plausible or arbitrary values, then maybe a junk line.
+CONFIG_VALUES = (TOKENS | st.integers(min_value=-3, max_value=12).map(str)
+                 | st.floats().map(repr) | st.sampled_from(
+                     ["morlet", "haar", "saturating", "kemeny", "condorcet",
+                      "density", "dispersion", "stats,hits", "ioscore",
+                      "5:9:2", "true"]))
+
+
+def config_text(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    keys = [a.dest for a in sub._actions] + ["nope", "func", "_subparser"]
+    entry = st.tuples(st.sampled_from(keys), CONFIG_VALUES).map("=".join)
+    return st.tuples(st.lists(entry, max_size=5),
+                     st.lists(st.text(max_size=15), max_size=1)).map(
+        lambda t: "\n".join(t[0] + t[1]))
+
+
+# One cheap invocation per input format; `{F}` is the fuzzed file.
+INVOCATIONS = {
+    "series": ["analyze", "--input", "{F}", "--input2", "{F}", "--ops", "sma,ccf"],
+    "edges": ["graph", "--edges", "{F}", "--ratings", "{ratings}", "--ops", "stats"],
+    "ratings": ["graph", "--edges", "{edges}", "--ratings", "{F}", "--ops", "ioscore"],
+    "rankings": ["fuse", "--rankings", "{F}", "--method", "borda"],
+    "estimates": ["fuse", "--rankings", "{rankings}", "--estimates", "{F}",
+                  "--weighting", "density"],
+    "templates": ["scan", "--input", "{series}", "--templates", "{bank}",
+                  "--scales", "5:9:2"],
+}
+CONFIG_INVOCATIONS = [
+    ["analyze", "--input", "{series}", "--ops", "sma"],
+    ["scan", "--input", "{series}", "--scales", "5:9:2"],
+    ["simulate", "--ticks", "3", "--e0", "3"],
+    ["graph", "--edges", "{edges}", "--ops", "stats"],
+    ["fuse", "--rankings", "{rankings}", "--estimates", "{estimates}"],
+]
+
+
+def check_contract(argv, d):
+    code, err = run(argv + ["--out", str(d / "out")])
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.splitlines()) == 1, err
+
+
+def fixture_files(d):
+    (d / "bank").mkdir()
+    return {"series": write(d / "s.csv", SERIES), "edges": write(d / "e.tsv", EDGES),
+            "ratings": write(d / "r.csv", RATINGS),
+            "rankings": write(d / "rk.csv", RANKINGS),
+            "estimates": write(d / "est.csv", ESTIMATES), "bank": str(d / "bank")}
+
+
+@pytest.mark.parametrize("fmt", sorted(INVOCATIONS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_file(fmt, data):
+    content = data.draw(contents("\t" if fmt == "edges" else ","), label="content")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        files = fixture_files(d)
+        files["F"] = write(d / "bank" / "t.csv" if fmt == "templates"
+                           else d / f"fuzz.{fmt}", content)
+        check_contract([a.format(**files) for a in INVOCATIONS[fmt]], d)
+
+
+@pytest.mark.parametrize("argv", CONFIG_INVOCATIONS, ids=lambda a: a[0])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_file(argv, data):
+    config = data.draw(config_text(argv[0]), label="config")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        files = fixture_files(d)
+        cfg = write(d / "c.cfg", config)
+        check_contract([a.format(**files) for a in argv] + ["--config", cfg], d)
