@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidArgument, NoConvergence
 
@@ -296,8 +295,8 @@ def _like_count_mc(e0: int, cfg: SimConfig, t_max: int, n_mc: int) -> np.ndarray
 def weibull_mle(samples: Sequence[float], max_iter: int = 200) -> Tuple[float, float]:
     """Maximum-likelihood Weibull shape and scale (k, lambda).
 
-    The shape solves the standard profile-likelihood equation by
-    bracketed root finding; the scale then follows in closed form.
+    The shape solves the profile-likelihood equation, strictly rising in
+    k, by bisection; the scale then follows in closed form.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 30:
@@ -305,11 +304,12 @@ def weibull_mle(samples: Sequence[float], max_iter: int = 200) -> Tuple[float, f
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise InvalidArgument("samples must be positive and finite")
     logx = np.log(x)
-    mean_log = logx.mean()
+    dev = logx - logx.mean()  # centred, so equal samples give exactly -1/k
+    xr = x / x.max()  # x**k = max(x)**k * xr**k, and xr**k cannot overflow
 
     def profile(k: float) -> float:
-        xk = x ** k
-        return float(np.sum(xk * logx) / np.sum(xk) - 1.0 / k - mean_log)
+        xk = xr ** k
+        return float(np.sum(xk * dev) / np.sum(xk) - 1.0 / k)
 
     lo, hi = 1e-3, 1.0
     it = 0
@@ -318,9 +318,12 @@ def weibull_mle(samples: Sequence[float], max_iter: int = 200) -> Tuple[float, f
         it += 1
         if it > max_iter:
             raise NoConvergence("profile equation has no bracketed root")
-    try:
-        k = brentq(profile, lo, hi, xtol=1e-10, maxiter=max_iter)
-    except (ValueError, RuntimeError) as exc:
-        raise NoConvergence("shape root-find failed") from exc
-    lam = float(np.mean(x ** k) ** (1.0 / k))
+    for _ in range(max_iter):
+        k = 0.5 * (lo + hi)
+        lo, hi = (k, hi) if profile(k) < 0 else (lo, k)
+        if hi - lo <= 1e-10 + 4.0 * np.finfo(float).eps * hi:  # brentq's rule
+            break
+    else:
+        raise NoConvergence("shape root-find failed")
+    lam = float(x.max() * np.mean(xr ** k) ** (1.0 / k))
     return float(k), lam

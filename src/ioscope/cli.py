@@ -211,14 +211,16 @@ def _write_report(out_dir: Path, command: str, inputs: Sequence[Path],
     return path
 
 
-def _parse_scales(text: str) -> List[int]:
+def _parse_scales(text: str, limit: int) -> range:
+    """The window lengths a:b:step, with b clipped to ``limit`` (a longer
+    window never fits) but not below a."""
     try:
         a, b, step = (int(v) for v in text.split(":"))
     except ValueError as exc:
         raise InvalidArgument(f"bad scale range {text!r}; want a:b:step") from exc
     if a < 3 or b < a or step < 1:
         raise InvalidArgument(f"bad scale range {text!r}")
-    return list(range(a, b + 1, step))
+    return range(a, max(a, min(b, limit)) + 1, step)
 
 
 def _parse_ops(text: str, known) -> List[str]:
@@ -395,7 +397,7 @@ def cmd_analyze(args, out_dir: Path) -> int:
             out = {"artifact": path.name, "kind": out.kind}
         results[op] = out
     _write_report(out_dir, "analyze", inputs, results, run.warnings,
-                  artifacts, args.seed, preprocessing)
+                  artifacts, None, preprocessing)
     return EXIT_OK
 
 
@@ -405,7 +407,7 @@ def cmd_scan(args, out_dir: Path) -> int:
         bank = templates.builtin_bank()
     else:
         bank = _load_template_dir(Path(args.templates))
-    k_range = _parse_scales(args.scales)
+    k_range = _parse_scales(args.scales, len(x))
     hits_found = templates.scan_detect(x, bank, k_range, args.threshold)
     by_name = {t.name: t for t in bank}
     payload = {
@@ -430,7 +432,7 @@ def cmd_scan(args, out_dir: Path) -> int:
     _write_report(out_dir, "scan", [Path(args.input)],
                   {"detections": len(payload["detections"]),
                    "artifact": path.name},
-                  [], [path.name], args.seed)
+                  [], [path.name], None)
     return EXIT_OK
 
 
@@ -504,10 +506,8 @@ GRAPH_OPS: Dict[str, Callable] = {
 def cmd_graph(args, out_dir: Path) -> int:
     ops = _parse_ops(args.ops, GRAPH_OPS)
     edges_path = Path(args.edges)
-    citations: List[Tuple[str, str]] = []
-    for a, b, *count in _read_rows(edges_path, "\t", _fields(
-            "from<TAB>to[<TAB>count]", str, str, _positive_int, optional=1)):
-        citations += [(a, b)] * (count[0] if count else 1)
+    citations = _read_rows(edges_path, "\t", _fields(
+        "from<TAB>to[<TAB>count]", str, str, _positive_int, optional=1))
     inputs = [edges_path]
     ratings = None
     if args.ratings:
@@ -582,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--bin", type=int, default=1)
     pa.add_argument("--wavelet", default="mexican-hat")
     pa.add_argument("--gabor-width", type=float, default=16.0)
-    pa.add_argument("--seed", type=int, default=None)
     pa.add_argument("--aggregated", action="store_true")
     pa.add_argument("--deseason-first", action="store_true")
     pa.add_argument("--config", default=None)
@@ -594,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--threshold", type=float, default=0.9)
     ps.add_argument("--scales", default="5:60:1")
     ps.add_argument("--out", default="ioscope-out")
-    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--config", default=None)
     ps.set_defaults(_subparser=ps, func=cmd_scan)
 

@@ -63,24 +63,26 @@ class ImpactGraph:
         return g
 
 
-def build_impact_graph(citations: Sequence[Tuple[Hashable, Hashable]],
+def build_impact_graph(citations: Sequence[Tuple[Hashable, ...]],
                        ratings: Optional[Dict[Hashable, float]] = None
                        ) -> ImpactGraph:
     """Turn a citation list (A cites B) into an impact graph (B -> A).
 
-    Duplicate citations accumulate multiplicity; self-citations are
-    dropped and counted.
+    A row is (A, B) or (A, B, count) for count citations. Duplicate
+    citations accumulate multiplicity; self-citations are dropped and
+    counted.
     """
     counts: Dict[Tuple[Hashable, Hashable], int] = {}
     nodes: Dict[Hashable, None] = {}
     dropped = 0
-    for a, b in citations:
+    for a, b, *count in citations:
+        c = count[0] if count else 1
         nodes.setdefault(a)
         nodes.setdefault(b)
         if a == b:
-            dropped += 1
+            dropped += c
             continue
-        counts[(b, a)] = counts.get((b, a), 0) + 1
+        counts[(b, a)] = counts.get((b, a), 0) + c
     if ratings:
         for node in ratings:
             nodes.setdefault(node)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import InvalidArgument, UnsupportedWavelet
 from .series import ScaleField, TimeSeries
@@ -137,6 +136,17 @@ def _kernel(w: Wavelet, scale: float, step: float) -> np.ndarray:
     return w.evaluate(u / scale) / np.sqrt(scale)
 
 
+def _convolve(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Linear convolution of x with kern by an FFT zero-padded to a power
+    of two, cut to the len(x) samples from index (len(kern) - 1) // 2."""
+    n = 1 << (x.size + kern.size - 2).bit_length()
+    if np.iscomplexobj(x) or np.iscomplexobj(kern):
+        full = np.fft.ifft(np.fft.fft(x, n) * np.fft.fft(kern, n))
+    else:
+        full = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(kern, n), n)
+    return full[(kern.size - 1) // 2:][:x.size]
+
+
 def cwt(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
     """Continuous wavelet transform W(s, l) = (1/sqrt(s)) sum_t x_t
     psi*((t - l)/s) dt evaluated at every sample location."""
@@ -153,7 +163,7 @@ def cwt(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
     for i, si in enumerate(s):
         kern = np.conj(_kernel(w, si, x.step))
         # W(l) = sum_m x[m] * conj(psi)((m - l) dt / s) dt
-        row = fftconvolve(xs, kern[::-1], mode="same") * x.step
+        row = _convolve(xs, kern[::-1]) * x.step
         cells[i] = row if w.is_complex else row.real
     return ScaleField(rows=s, cols=x.times, cells=cells, kind="cwt")
 
@@ -187,7 +197,7 @@ def icwt(fld: ScaleField, w: Wavelet) -> TimeSeries:
     acc = np.zeros(fld.cols.size, dtype=complex)
     for i, si in enumerate(scales):
         kern = _kernel(w, si, step)
-        row = fftconvolve(fld.cells[i], kern, mode="same") * step
+        row = _convolve(fld.cells[i], kern) * step
         acc += row * ds[i] / si ** 2
     cg = w.admissibility
     if w.analytic:
@@ -288,8 +298,7 @@ def _smooth_local(cells: np.ndarray, scales: np.ndarray, step: float,
     for i in range(n_s):
         w = int(min(time_widths[i], n_l))
         kern = np.ones(w) / w
-        norm = fftconvolve(np.ones(n_l), kern, mode="same")
-        out[i] = fftconvolve(cells[i], kern, mode="same") / norm
+        out[i] = _convolve(cells[i], kern) / _convolve(np.ones(n_l), kern)
     if scale_width > 1 and n_s > 1:
         sm = np.empty_like(out)
         half = scale_width // 2

@@ -5,7 +5,7 @@ from ioscope.agentsim import (SimConfig, like_count_distribution,
                               lifespan_survival, make_phi,
                               simulate_population, transition_row,
                               weibull_mle)
-from ioscope.errors import InvalidArgument
+from ioscope.errors import InvalidArgument, NoConvergence
 
 BASE_CFG = SimConfig(p_l0=0.4, p_r0=0.1)
 
@@ -170,3 +170,33 @@ class TestWeibullMle:
     def test_rejects_small_sample(self):
         with pytest.raises(InvalidArgument):
             weibull_mle([1.0] * 10)
+
+    @pytest.mark.parametrize("k, lam, n, seed", [
+        (1.9, 3.8, 10000, 0), (0.4, 0.01, 200, 2), (7.0, 1e4, 100, 3),
+        (1.0, 2.0, 30, 4)])
+    def test_matches_brentq_oracle(self, k, lam, n, seed):
+        from scipy.optimize import brentq
+        x = self.sample(k, lam, n, seed)
+        logx = np.log(x)
+
+        def profile(kk):
+            xk = x ** kk
+            return np.sum(xk * logx) / np.sum(xk) - 1.0 / kk - logx.mean()
+
+        k_ref = brentq(profile, 1e-3, 64.0, xtol=1e-14, rtol=1e-15)
+        lam_ref = np.mean(x ** k_ref) ** (1.0 / k_ref)
+        k_hat, lam_hat = weibull_mle(x)
+        assert abs(k_hat - k_ref) <= 1e-9 * k_ref
+        assert abs(lam_hat - lam_ref) <= 1e-9 * lam_ref
+
+    def test_scale_invariant_shape_for_huge_samples(self):
+        x = self.sample(1.9, 3.8, 500, 5)
+        k, lam = weibull_mle(x)
+        k_big, lam_big = weibull_mle(x * 1e200)
+        assert k_big == pytest.approx(k, rel=1e-9)
+        assert lam_big == pytest.approx(lam * 1e200, rel=1e-9)
+
+    @pytest.mark.parametrize("value", [1.0, 5.0, 0.5])
+    def test_equal_samples_do_not_converge(self, value):
+        with pytest.raises(NoConvergence):
+            weibull_mle([value] * 40)

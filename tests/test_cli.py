@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -10,8 +13,18 @@ from ioscope.fractal import brownian
 
 from conftest import write_series_csv
 
-SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "src",
-                           "ioscope", "schema", "report.schema.json")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+SCHEMA_PATH = os.path.join(SRC, "ioscope", "schema", "report.schema.json")
+
+
+def traced_main(argv):
+    """main(argv) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def load_report(out_dir):
@@ -52,7 +65,7 @@ class TestAnalyze:
     def test_hurst_report(self, tmp_path, brownian_csv):
         out = str(tmp_path / "out")
         code = main(["analyze", "--input", brownian_csv, "--ops", "hurst",
-                     "--out", out, "--seed", "1"])
+                     "--out", out])
         assert code == 0
         report = load_report(out)
         h = report["results"]["hurst"]["H"]
@@ -182,6 +195,27 @@ class TestScan:
                 and abs(d["location"] - 80) <= 2]
         assert hits
 
+    def test_scale_range_clipped_to_series(self, tmp_path, rng):
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(100))
+        payloads = []
+        for name, scales in (("fit", "5:100:1"), ("huge", "5:200000:1")):
+            out = str(tmp_path / name)
+            code, peak = traced_main(["scan", "--input", path, "--threshold",
+                                      "0.5", "--scales", scales, "--out", out])
+            assert code == 0
+            assert peak < 50e6
+            with open(os.path.join(out, "detections.json")) as fh:
+                payloads.append(fh.read())
+        assert json.loads(payloads[0])["detections"]
+        assert payloads[0] == payloads[1]
+
+    def test_no_window_fits(self, tmp_path, rng):
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(100))
+        out = str(tmp_path / "out")
+        assert main(["scan", "--input", path, "--scales", "101:300:1",
+                     "--out", out]) == 0
+        assert load_report(out)["results"]["detections"] == 0
+
 
 class TestSimulate:
     def test_invalid_probability_exit_2(self, tmp_path):
@@ -249,6 +283,18 @@ class TestGraph:
         assert "authority" in block and "hub" in block
         assert "out_degree" in block
 
+    def test_edge_count_is_multiplicity(self, tmp_path):
+        path = write_edges(tmp_path / "e.tsv", [("a", "b", 3000000),
+                                                ("c", "c", 7)])
+        out = str(tmp_path / "out")
+        code, peak = traced_main(["graph", "--edges", path, "--ops", "hits",
+                                  "--out", out])
+        assert code == 0
+        assert peak < 5e6
+        results = load_report(out)["results"]
+        assert results["hits"]["out_degree"] == {"a": 0, "b": 3000000, "c": 0}
+        assert results["dropped_self_loops"] == 7
+
 
 class TestFuse:
     def test_single_source_echo(self, tmp_path):
@@ -289,3 +335,13 @@ class TestFuse:
         weights = load_report(out)["results"]["weights"]
         assert weights["s1"] == pytest.approx(0.25)
         assert weights["s2"] == pytest.approx(0.75)
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, ioscope.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -52,8 +52,24 @@ class TestCrossCorrelation:
             cross_correlation(TimeSeries(rng.standard_normal(64)),
                               TimeSeries(rng.standard_normal(65)), 3)
 
+    def test_huge_values_scale_exactly(self, rng):
+        x = TimeSeries(rng.standard_normal(300))
+        y = TimeSeries(np.roll(x.values, 4))
+        want = cross_correlation(x, y, 20).values
+        with np.errstate(all="raise"):
+            got = cross_correlation(x.with_values(x.values * 1e300),
+                                    y.with_values(y.values * 2.0 ** -900), 20)
+        assert got.argmax_lag == 4
+        np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-15)
+
 
 class TestAutocorrelation:
+    def test_huge_values_scale_exactly(self, noise_series):
+        big = noise_series.with_values(noise_series.values * 2.0 ** 600)
+        with np.errstate(all="raise"):
+            got = autocorrelation(big).values
+        np.testing.assert_array_equal(got, autocorrelation(noise_series).values)
+
     def test_lag_zero_is_one(self, noise_series):
         curve = autocorrelation(noise_series)
         assert curve.values[0] == pytest.approx(1.0)

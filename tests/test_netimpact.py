@@ -25,6 +25,12 @@ class TestBuildImpactGraph:
         g = build_impact_graph([("A", "B"), ("A", "B")])
         assert g.edges == (("B", "A", 2),)
 
+    def test_count_rows(self):
+        g = build_impact_graph([("A", "B", 3), ("C", "C", 2), ("A", "B")])
+        assert g.nodes == ("A", "B", "C")
+        assert g.edges == (("B", "A", 4),)
+        assert g.dropped_self_loops == 2
+
     def test_self_citation_dropped(self):
         g = build_impact_graph([("A", "A"), ("A", "B")])
         assert g.dropped_self_loops == 1

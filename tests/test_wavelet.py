@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from ioscope.errors import InvalidArgument, UnsupportedWavelet
 from ioscope.series import TimeSeries
-from ioscope.wavelet import (cwt, cwt_direct, compare_fields,
+from ioscope.wavelet import (_convolve, cwt, cwt_direct, compare_fields,
                              default_scale_grid, energy_by_scale, get_wavelet,
                              icwt, scalogram, wavelet_coherence, wcc_measure)
 
@@ -50,6 +50,26 @@ class TestWaveletFunctions:
         assert grid[0] == pytest.approx(2.0)
         assert grid[-1] == pytest.approx(100.0)
         assert np.all(np.diff(grid) > 0)
+
+
+class TestConvolve:
+    """The FFT convolution is np.convolve's full output cut to the len(x)
+    samples from index (len(kern) - 1) // 2."""
+
+    @pytest.mark.parametrize("n_x, n_k", [(64, 9), (64, 10), (20, 129),
+                                          (7, 8), (1, 1)])
+    @pytest.mark.parametrize("complex_side", [None, "x", "kern"])
+    def test_matches_np_convolve(self, n_x, n_k, complex_side, rng):
+        x, kern = rng.standard_normal(n_x), rng.standard_normal(n_k)
+        if complex_side == "x":
+            x = x + 1j * rng.standard_normal(n_x)
+        elif complex_side == "kern":
+            kern = kern + 1j * rng.standard_normal(n_k)
+        want = np.convolve(x, kern, "full")[(n_k - 1) // 2:][:n_x]
+        got = _convolve(x, kern)
+        assert got.shape == want.shape
+        assert np.iscomplexobj(got) == (complex_side is not None)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCwt:
