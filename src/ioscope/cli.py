@@ -40,10 +40,6 @@ class OpFailure(IoscopeError):
         self.op = op
 
 
-def _fmt(x: float) -> str:
-    return "" if not np.isfinite(x) else format(float(x), ".12g")
-
-
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return [None if (np.isreal(v) and not np.isfinite(v)) else
@@ -54,17 +50,25 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _csv_line(vals: list) -> str:
+    """Cells with 12 significant digits, nan cells empty."""
+    return ",".join(["" if v != v else format(v, ".12g") for v in vals]) + "\n"
+
+
 def write_matrix_csv(path: Path, fld: ScaleField) -> None:
     """First row: location axis; first column: scale axis; undefined
-    cells empty; 12 significant digits. Complex fields store modulus."""
+    cells empty; 12 significant digits. Complex fields store modulus.
+
+    The whole table, axes included, is built as one float matrix with
+    nan for every empty cell, then written one row at a time.
+    """
     cells = np.abs(fld.cells) if fld.is_complex else fld.cells
+    table = np.vstack([np.r_[np.nan, fld.cols],
+                       np.column_stack([fld.rows, np.where(fld.mask, cells, np.nan)])])
+    table[~np.isfinite(table)] = np.nan
     with open(path, "w") as fh:
-        fh.write("," + ",".join(_fmt(c) for c in fld.cols) + "\n")
-        for r in range(fld.rows.size):
-            row = [_fmt(fld.rows[r])]
-            for c in range(fld.cols.size):
-                row.append(_fmt(cells[r, c]) if fld.mask[r, c] else "")
-            fh.write(",".join(row) + "\n")
+        for row in table.tolist():
+            fh.write(_csv_line(row))
     gp = path.with_suffix(".gnuplot")
     with open(gp, "w") as fh:
         fh.write("set datafile separator ','\n"

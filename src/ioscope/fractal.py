@@ -142,6 +142,19 @@ def _rs_ladder(n: int, min_window: int, n_scales: int) -> np.ndarray:
     return sizes[sizes >= min_window]
 
 
+def _segment_rs(vals: np.ndarray, w: int) -> Tuple[np.ndarray, np.ndarray]:
+    """R/S of every whole segment of width w in vals, and whether the
+    segment has std > 0; the ratio is 0 where it does not."""
+    nseg = vals.size // w
+    seg = vals[: nseg * w].reshape(nseg, w)
+    dev = seg - seg.mean(axis=1, keepdims=True)
+    walk = np.cumsum(dev, axis=1)
+    rng = walk.max(axis=1) - walk.min(axis=1)
+    std = seg.std(axis=1)
+    ok = std > 0
+    return np.divide(rng, std, out=np.zeros(nseg), where=ok), ok
+
+
 def hurst_rs(x: TimeSeries, min_window: int = 8,
              n_scales: int = 16) -> HurstResult:
     """Rescaled-range Hurst exponent of a series of increments.
@@ -159,45 +172,97 @@ def hurst_rs(x: TimeSeries, min_window: int = 8,
         raise InsufficientScales("need at least 4 window sizes")
     rs = np.empty(sizes.size)
     for i, w in enumerate(sizes):
-        nseg = vals.size // w
-        seg = vals[: nseg * w].reshape(nseg, w)
-        dev = seg - seg.mean(axis=1, keepdims=True)
-        walk = np.cumsum(dev, axis=1)
-        rng = walk.max(axis=1) - walk.min(axis=1)
-        std = seg.std(axis=1)
-        ok = std > 0
+        ratio, ok = _segment_rs(vals, w)
         if not np.any(ok):
             raise DegenerateSignal("all segments constant at window "
                                    f"size {w}")
-        rs[i] = np.mean(rng[ok] / std[ok])
+        rs[i] = np.mean(ratio[ok])
     slope, intercept = _loglog_slope(sizes.astype(float), rs)
     return HurstResult(slope, sizes.astype(float), rs, intercept)
 
 
 def hurst_profile(x: TimeSeries, min_prefix: int = 32,
                   min_window: int = 8) -> TimeSeries:
-    """Hurst exponent of every growing prefix x[:t], t >= min_prefix.
+    """Hurst exponent of every growing prefix x[:t], t >= min_prefix, as
+    :func:`hurst_rs` would give it; nan where hurst_rs raises (constant
+    prefix, fewer than 4 window sizes, a size whose segments are all
+    constant, non-finite slope).
 
-    Prefixes whose ladder degenerates yield nan.
+    The segments of x[:t] at width w are the first t // w segments of x,
+    so each segment's R/S is computed once per width, and a prefix's
+    mean R/S per width comes from prefix sums over segments. The ladder
+    depends on t // 2 only. Cost: one O(n) segment pass per distinct
+    ladder width (about n / 2 of them) and one small closed-form
+    regression per ladder, where n full hurst_rs calls made up to 16
+    passes each.
     """
     vals = np.asarray(x.values, dtype=float)
-    if vals.size < min_prefix:
+    n = vals.size
+    if n < min_prefix:
         raise InvalidArgument("series shorter than the minimum prefix")
-    out = np.full(vals.size, np.nan)
-    for t in range(min_prefix, vals.size + 1):
-        try:
-            out[t - 1] = hurst_rs(x.with_values(vals[:t]),
-                                  min_window=min_window).exponent
-        except (InsufficientScales, DegenerateSignal, DegenerateVariance):
-            pass
+    out = np.full(n, np.nan)
+    ts = np.arange(n + 1)
+    nonconst = np.maximum.accumulate(vals) > np.minimum.accumulate(vals)
+    ladders = {}
+    for h in range(max(min_prefix // 2, min_window), n // 2 + 1):
+        sizes = _rs_ladder(2 * h, min_window, 16)  # hurst_rs's n_scales
+        if sizes.size >= 4:
+            ladders[h] = sizes
+    sums, counts = {}, {}
+    for w in {int(w) for sizes in ladders.values() for w in sizes}:
+        ratio, ok = _segment_rs(vals, w)
+        sums[w] = np.concatenate([[0.0], np.cumsum(ratio)])
+        counts[w] = np.concatenate([[0], np.cumsum(ok)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for h, sizes in ladders.items():
+            t = ts[max(2 * h, min_prefix): 2 * h + 2]
+            t = t[nonconst[t - 1]]
+            if t.size == 0:
+                continue
+            k = t[:, None] // sizes[None, :]
+            tot = np.stack([sums[w][k[:, i]] for i, w in enumerate(sizes)], 1)
+            cnt = np.stack([counts[w][k[:, i]] for i, w in enumerate(sizes)], 1)
+            lx = np.log(sizes.astype(float))
+            lx -= lx.mean()
+            ly = np.log(tot / cnt)
+            ly -= ly.mean(axis=1, keepdims=True)
+            slope = (ly @ lx) / (lx @ lx)
+            good = np.isfinite(slope)  # a size with cnt = 0 gives 0/0
+            out[t[good] - 1] = slope[good]
     return TimeSeries._with_undefined(
         out, step=x.step, origin=x.origin,
         label=f"hurst({x.label})" if x.label else "hurst")
 
 
+def _direct_rms(vals: np.ndarray, s: int,
+                starts: Optional[np.ndarray] = None) -> np.ndarray:
+    """RMS residual of the least-squares line over each window
+    vals[l:l+s], l in starts (default: every l), from the windows
+    themselves."""
+    win = np.lib.stride_tricks.sliding_window_view(vals, s)
+    if starts is not None:
+        win = win[starts]
+    tc = np.arange(s, dtype=float)
+    tc -= tc.mean()
+    wc = win - win.mean(axis=1, keepdims=True)
+    slope = (wc @ tc) / float(tc @ tc)
+    resid = wc - slope[:, None] * tc[None, :]
+    return np.sqrt(np.mean(resid * resid, axis=1))
+
+
 def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField:
     """Local linear-trend deviation Delta L(s, l): the RMS residual of a
-    least-squares line over the window of length s starting at l."""
+    least-squares line over the window of length s starting at l, stored
+    at the window centre l + s // 2.
+
+    Cost O(n * S) for S window sizes. On the series centred on its mean,
+    each window's sums S0 = sum v, S1 = sum j v (local index j) and
+    S2 = sum v^2 grow by one sample from length s to s + 1, and the
+    residual sum of squares is S2 - S0^2/s - (S1 - tbar S0)^2 / D with
+    tbar = (s - 1)/2, D = s(s^2 - 1)/12. That difference cancels on
+    near-linear windows: a cell whose residual is not above 1e9 times its
+    rounding bound (16 s eps S2) is recomputed from the window itself.
+    """
     vals = np.asarray(x.values, dtype=float)
     n = vals.size
     if max_window is None:
@@ -207,18 +272,30 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
     sizes = np.arange(3, max_window + 1)
     cells = np.zeros((sizes.size, n))
     mask = np.zeros((sizes.size, n), dtype=bool)
-    for r, s in enumerate(sizes):
-        win = np.lib.stride_tricks.sliding_window_view(vals, s)
-        t = np.arange(s, dtype=float)
-        tc = t - t.mean()
-        denom = float(tc @ tc)
-        wc = win - win.mean(axis=1, keepdims=True)
-        slope = (wc @ tc) / denom
-        resid = wc - slope[:, None] * tc[None, :]
-        rms = np.sqrt(np.mean(resid * resid, axis=1))
-        centers = np.arange(rms.size) + s // 2  # value sits at window center
-        cells[r, centers] = rms
-        mask[r, centers] = True
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = vals - vals.mean()
+        v2 = v * v
+        s0 = np.zeros(n)
+        s1 = np.zeros(n)
+        s2 = np.zeros(n)
+        for s in range(1, max_window + 1):
+            k = n - s + 1  # windows of length s start at 0..n-s
+            s0 = s0[:k] + v[s - 1:]
+            s1 = s1[:k] + (s - 1) * v[s - 1:]
+            s2 = s2[:k] + v2[s - 1:]
+            if s < 3:
+                continue
+            u = s1 - 0.5 * (s - 1) * s0
+            ss = s2 - s0 * s0 / s - u * u / (s * (s * s - 1) / 12.0)
+            rms = np.sqrt(ss / s)
+            redo = np.flatnonzero(~(ss > 1e9 * 16 * s * eps * s2))
+            if redo.size == k:
+                rms = _direct_rms(vals, s)
+            elif redo.size:
+                rms[redo] = _direct_rms(vals, s, redo)
+            cells[s - 3, s // 2: s // 2 + k] = rms
+            mask[s - 3, s // 2: s // 2 + k] = True
     rows = sizes.astype(float) * x.step
     return ScaleField(rows, x.times, cells, mask=mask, kind="deltaL")
 

@@ -58,7 +58,10 @@ def gabor(x: TimeSeries, centers: Sequence[float], width: float,
           freqs: Sequence[float]) -> ScaleField:
     """Windowed transform with a Gaussian window exp(-(t-tau)^2/s^2).
 
-    Returns a complex field with frequency rows and center columns.
+    Returns a complex field with frequency rows and center columns:
+    cells = ((waves * x) @ windows.T) * step, with the windows built a
+    block of centers at a time, so memory is O((F + B) * T) for F
+    frequencies, T samples and blocks of B <= 2**20 / T centers.
     """
     if not (width > 0):
         raise InvalidArgument("window width must be positive")
@@ -69,11 +72,13 @@ def gabor(x: TimeSeries, centers: Sequence[float], width: float,
     t = x.times
     if taus.min() < t[0] or taus.max() > t[-1]:
         raise InvalidArgument("window centers must lie within the series span")
-    xs = x.values
-    # windows[tau_i, t] and waves[nu_j, t]
-    windows = np.exp(-((t[None, :] - taus[:, None]) ** 2) / width ** 2)
-    waves = np.exp(-2j * np.pi * nus[:, None] * t[None, :])
-    cells = (waves[:, None, :] * windows[None, :, :] * xs[None, None, :]).sum(axis=2) * x.step
+    # waves[nu_j, t] * x[t], then one windows[tau_i, t] block at a time
+    wx = np.exp(-2j * np.pi * nus[:, None] * t[None, :]) * x.values
+    cells = np.empty((nus.size, taus.size), dtype=complex)
+    block = max(1, 2 ** 20 // t.size)
+    for lo in range(0, taus.size, block):
+        windows = np.exp(-((t[None, :] - taus[lo:lo + block, None]) ** 2) / width ** 2)
+        cells[:, lo:lo + block] = (wx @ windows.T) * x.step
     return ScaleField(rows=nus, cols=taus, cells=cells, kind="gabor")
 
 

@@ -8,8 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ioscope.cli import main
+from ioscope.cli import main, write_matrix_csv
 from ioscope.fractal import brownian
+from ioscope.series import ScaleField
 
 from conftest import write_series_csv
 
@@ -102,6 +103,17 @@ class TestAnalyze:
         assert main(["analyze", "--input", const, "--ops", "acf",
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_gabor_cli_grid_memory(self, tmp_path, rng):
+        # an F x C x T complex temporary would take ~6.4 GB at this size
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(4096))
+        out = tmp_path / "out"
+        code, peak = traced_main(["analyze", "--input", path, "--ops", "gabor",
+                                  "--out", str(out)])
+        assert code == 0
+        assert peak < 100e6
+        lines = (out / "gabor.csv").read_text().splitlines()
+        assert len(lines) == 33 and lines[1].count(",") == 4096 - 2 * 512
+
     def test_matrix_artifact_format(self, tmp_path, rng):
         path = write_series_csv(tmp_path / "x.csv",
                                 rng.standard_normal(300))
@@ -159,6 +171,49 @@ class TestAnalyze:
                      "--config", str(cfg), "--window", "5",
                      "--out", out]) == 0
         assert load_report(out)["preprocessing"]["window"] == 5
+
+
+def per_cell_write_matrix_csv(path, fld):
+    """The matrix CSV written one formatted cell at a time."""
+    def fmt(x):
+        return "" if not np.isfinite(x) else format(float(x), ".12g")
+
+    cells = np.abs(fld.cells) if fld.is_complex else fld.cells
+    with open(path, "w") as fh:
+        fh.write("," + ",".join(fmt(c) for c in fld.cols) + "\n")
+        for r in range(fld.rows.size):
+            row = [fmt(fld.rows[r])]
+            for c in range(fld.cols.size):
+                row.append(fmt(cells[r, c]) if fld.mask[r, c] else "")
+            fh.write(",".join(row) + "\n")
+
+
+class TestWriteMatrixCsv:
+    @staticmethod
+    def awkward_field(rng, complex_cells=False):
+        cells = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-8, 8, (6, 9))
+        cells[0, :5] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        cells[1, :4] = [1e300, -1e-300, 1.7976931348623157e308, 5e-324]
+        cells[2, :3] = [0.1234567890125, 2.0000000000005, 999999999999.5]
+        cells[3, :2] = [1e12, 123456789012345.0]
+        if complex_cells:
+            cells = cells + 1j * rng.standard_normal((6, 9))
+            cells[4, 0] = complex(3.0, 4.0)
+        mask = rng.random((6, 9)) > 0.2
+        mask[:3, :5] = True
+        rows = np.array([1e-300, 0.5, 1.0, 2.0000000000005, 1e300, 1e301])
+        return ScaleField(rows, np.arange(9) * 0.1 - 0.3, cells, mask=mask,
+                          kind="test")
+
+    @pytest.mark.parametrize("complex_cells", [False, True])
+    def test_bytes_match_per_cell_writer(self, tmp_path, rng, complex_cells):
+        fld = self.awkward_field(rng, complex_cells)
+        write_matrix_csv(tmp_path / "fast.csv", fld)
+        per_cell_write_matrix_csv(tmp_path / "ref.csv", fld)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "ref.csv").read_bytes()
+        assert b",," in fast
+        assert (b",-0," in fast) != complex_cells
 
 
 class TestScan:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from ioscope.errors import (DegenerateVariance, InsufficientScales,
-                            InsufficientStructure, InvalidArgument)
+from ioscope import fractal
+from ioscope.errors import (DegenerateSignal, DegenerateVariance,
+                            InsufficientScales, InsufficientStructure,
+                            InvalidArgument)
 from ioscope.fractal import (MultifractalResult, binomial_cascade,
                              binomial_cascade_tau, brownian, delta_l_field,
                              find_skeleton, hurst_profile, hurst_rs, mfdfa,
@@ -96,6 +98,128 @@ class TestHurstProfile:
         before = np.nanmean(prof.values[:n // 3])
         after = np.nanmean(prof.values[-n // 4:])
         assert after < before
+
+
+def reference_hurst_profile(x, min_prefix=32, min_window=8):
+    """One full hurst_rs call per prefix, nan where it raises."""
+    vals = np.asarray(x.values, dtype=float)
+    out = np.full(vals.size, np.nan)
+    for t in range(min_prefix, vals.size + 1):
+        try:
+            out[t - 1] = hurst_rs(TimeSeries(vals[:t]),
+                                  min_window=min_window).exponent
+        except (InsufficientScales, DegenerateSignal, DegenerateVariance):
+            pass
+    return out
+
+
+def reference_delta_l_field(vals, max_window):
+    """Every window of every size materialised, residual from the
+    centred window and its least-squares slope."""
+    n = vals.size
+    sizes = np.arange(3, max_window + 1)
+    cells = np.zeros((sizes.size, n))
+    mask = np.zeros((sizes.size, n), dtype=bool)
+    for r, s in enumerate(sizes):
+        win = np.lib.stride_tricks.sliding_window_view(vals, s)
+        t = np.arange(s, dtype=float)
+        tc = t - t.mean()
+        wc = win - win.mean(axis=1, keepdims=True)
+        slope = (wc @ tc) / float(tc @ tc)
+        resid = wc - slope[:, None] * tc[None, :]
+        centers = np.arange(win.shape[0]) + s // 2
+        cells[r, centers] = np.sqrt(np.mean(resid * resid, axis=1))
+        mask[r, centers] = True
+    return cells, mask
+
+
+def oracle_series(kind, n):
+    gen = np.random.default_rng(21)
+    t = np.arange(float(n))
+    if kind == "poisson":
+        return gen.poisson(4.0 + 3.0 * np.sin(t / 17.0)).astype(float)
+    if kind == "brownian":
+        return np.cumsum(gen.standard_normal(n))
+    if kind == "offset-trend":
+        return 1e6 + 0.5 * t + gen.normal(0.0, 1e-3, n)
+    if kind == "line":
+        return 2.0 * t + 5.0
+    if kind == "spiky":
+        return np.where(gen.random(n) < 0.03, 1e6, gen.standard_normal(n))
+    if kind == "sparse":
+        return gen.poisson(0.05, n).astype(float)
+    if kind == "constant-lead":
+        # 0.3 repeated 10 times has a rounded std above 0: only the
+        # constant-prefix test makes those prefixes nan
+        return np.concatenate([np.full(n // 3, 0.3),
+                               gen.standard_normal(n - n // 3)])
+    raise ValueError(kind)
+
+
+def assert_profile_matches_reference(x, *args):
+    want = reference_hurst_profile(x, *args)
+    got = hurst_profile(x, *args).values
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert ok.any()
+    np.testing.assert_allclose(got[ok], want[ok], rtol=0, atol=1e-12)
+    return want
+
+
+class TestHurstProfileOracle:
+    @pytest.mark.parametrize("kind", ["poisson", "brownian", "sparse",
+                                      "constant-lead"])
+    def test_matches_per_prefix_hurst_rs(self, kind):
+        assert_profile_matches_reference(TimeSeries(oracle_series(kind, 300)))
+
+    @pytest.mark.parametrize("kind,min_prefix,min_window", [
+        ("poisson", 16, 4), ("poisson", 17, 12), ("poisson", 64, 8),
+        ("constant-lead", 16, 10)])
+    def test_other_prefix_and_window(self, kind, min_prefix, min_window):
+        assert_profile_matches_reference(
+            TimeSeries(oracle_series(kind, 150)), min_prefix, min_window)
+
+    def test_nan_where_a_window_size_is_all_constant(self):
+        # one spike at 45: prefixes from t = 46 on are not constant, but
+        # stay nan until each ladder size has a whole segment holding it
+        vals = np.zeros(200)
+        vals[45] = 1.0
+        want = assert_profile_matches_reference(TimeSeries(vals))
+        assert np.isnan(want[45:65]).all() and np.isfinite(want[65:]).all()
+
+    def test_does_not_call_hurst_rs(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hurst_rs called")
+        monkeypatch.setattr(fractal, "hurst_rs", refuse)
+        assert np.isfinite(hurst_profile(TimeSeries(rng.standard_normal(128)))
+                           .values[-1])
+
+
+class TestDeltaLFieldOracle:
+    @pytest.mark.parametrize("kind", ["poisson", "brownian", "offset-trend",
+                                      "line", "spiky"])
+    def test_matches_all_windows_reference(self, kind):
+        vals = oracle_series(kind, 240)
+        fld = delta_l_field(TimeSeries(vals))
+        want, want_mask = reference_delta_l_field(vals, 60)
+        np.testing.assert_array_equal(fld.mask, want_mask)
+        np.testing.assert_allclose(fld.cells, want, rtol=1e-9, atol=0)
+        if kind == "line":
+            np.testing.assert_allclose(fld.cells[fld.mask], 0.0, atol=1e-10)
+
+    def test_falls_back_on_few_windows(self, monkeypatch):
+        # the running-sum residual serves ordinary data; only
+        # ill-conditioned windows are recomputed one by one
+        redone = []
+        direct = fractal._direct_rms
+
+        def counting(vals, s, starts=None):
+            redone.append(vals.size - s + 1 if starts is None else starts.size)
+            return direct(vals, s, starts)
+
+        monkeypatch.setattr(fractal, "_direct_rms", counting)
+        fld = delta_l_field(TimeSeries(oracle_series("brownian", 512)))
+        assert sum(redone) <= 0.01 * np.count_nonzero(fld.mask)
 
 
 class TestDeltaLField:

@@ -62,7 +62,30 @@ class TestDft:
         assert spec.freqs[-1] <= 0.5 + 1e-15
 
 
+def broadcast_gabor(x, centers, width, freqs):
+    """The F x C x T product summed over time, one frequency at a time."""
+    t, xs = x.times, x.values
+    windows = np.exp(-((t[None, :] - np.asarray(centers)[:, None]) ** 2)
+                     / width ** 2)
+    rows = []
+    for nu in freqs:
+        wave = np.exp(-2j * np.pi * nu * t)
+        rows.append((wave[None, :] * windows * xs[None, :]).sum(axis=1) * x.step)
+    return np.array(rows)
+
+
 class TestGabor:
+    @pytest.mark.parametrize("n,width,step", [(200, 16.0, 1.0),
+                                              (1500, 40.0, 0.5)])
+    def test_matches_broadcast_formulation(self, rng, n, width, step):
+        # n = 1500 makes the center blocks (2**20 // n = 699) split the grid
+        x = TimeSeries(rng.standard_normal(n), step=step)
+        centers = x.times[n // 8: n - n // 8]
+        freqs = np.linspace(1.0 / n, 0.5, 5) / step
+        fld = gabor(x, centers, width * step, freqs)
+        want = broadcast_gabor(x, centers, width * step, freqs)
+        assert np.max(np.abs(fld.cells - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_zero_series(self):
         fld = gabor(TimeSeries(np.zeros(64)), [16.0, 32.0], 8.0, [0.1, 0.2])
         np.testing.assert_allclose(np.abs(fld.cells), 0.0)
