@@ -4,11 +4,9 @@ source weights."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .errors import (DegenerateEstimates, DegenerateVariance, DimensionalityExceeded,
@@ -26,6 +24,7 @@ __all__ = [
 ]
 
 KEMENY_EXACT_LIMIT = 8
+_TIE_RTOL = 1e-9  # relative cost gap below which two orders tie
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,18 @@ def borda(rankings: Sequence[Ranking],
     """Weighted rank-sum rule: smaller total rank is better."""
     alts, padded = unify(rankings)
     w = _weights(rankings, weights)
-    sums = [float(sum(wj * r.ranks[a] for wj, r in zip(w, padded)))
-            for a in alts]
+    ranks = [r.ranks for r in padded]
+    sums = [float(sum(wj * rk[a] for wj, rk in zip(w, ranks))) for a in alts]
     return _dense_ranking(alts, sums, "borda")
 
 
+def _rank_vector(r: Ranking, alts: Sequence[str]) -> np.ndarray:
+    ranks = r.ranks
+    return np.array([ranks[a] for a in alts], dtype=float)
+
+
 def _sign_matrix(r: Ranking, alts: Sequence[str]) -> np.ndarray:
-    ranks = np.array([r.ranks[a] for a in alts], dtype=float)
+    ranks = _rank_vector(r, alts)
     return np.sign(ranks[None, :] - ranks[:, None])  # +1 where row beats col
 
 
@@ -143,14 +147,14 @@ def condorcet(rankings: Sequence[Ranking],
     majority = np.sign(acc)
     line_sums = majority.sum(axis=1)
     ranking = _dense_ranking(alts, [-s for s in line_sums], "condorcet")
-    tour = nx.DiGraph()
-    tour.add_nodes_from(alts)
-    for i, a in enumerate(alts):
-        for j, b in enumerate(alts):
-            if majority[i, j] > 0:
-                tour.add_edge(a, b)
-    cycles = [sorted(c) for c in nx.strongly_connected_components(tour)
-              if len(c) > 1]
+    # Warshall closure of strict majority; a cycle is a mutual-reachability
+    # class of more than one alternative.
+    reach = majority > 0
+    for k in range(len(alts)):
+        reach |= reach[:, k:k + 1] & reach[k]
+    mutual = reach & reach.T
+    cycles = {tuple(alts[j] for j in np.flatnonzero(row)) for row in mutual}
+    cycles = [list(c) for c in cycles if len(c) > 1]
     return ranking, sorted(cycles)
 
 
@@ -165,11 +169,63 @@ def kemeny_distance(r1: Ranking, r2: Ranking) -> int:
     return int(np.sum(np.abs(d1 - d2)))
 
 
-def _objective(order: Sequence[str], padded: Sequence[Ranking],
-               w: np.ndarray, alts: Sequence[str]) -> float:
-    cand = Ranking.from_order(order)
-    return float(sum(wj * kemeny_distance(cand, r)
-                     for wj, r in zip(w, padded)))
+def _pair_costs(padded: Sequence[Ranking], w: np.ndarray,
+                alts: Sequence[str]) -> np.ndarray:
+    """C[a, b]: weighted Kemeny cost of placing alts[a] before alts[b]."""
+    cost = np.zeros((len(alts), len(alts)))
+    for wj, r in zip(w, padded):
+        ranks = _rank_vector(r, alts)
+        cost += wj * (4.0 * (ranks[:, None] > ranks[None, :])
+                      + 2.0 * (ranks[:, None] == ranks[None, :]))
+    np.fill_diagonal(cost, 0.0)
+    return cost
+
+
+def _exact_order(cost: List[List[float]]) -> List[int]:
+    """Lexicographically earliest order within the tie tolerance of the
+    least total cost, by dynamic programming over subsets."""
+    n = len(cost)
+    full = (1 << n) - 1
+    # ahead[S][x]: cost of placing x before every member of S
+    ahead = [[0.0] * n]
+    for s in range(1, full + 1):
+        low = (s & -s).bit_length() - 1
+        ahead.append([c + row[low] for c, row in zip(ahead[s & (s - 1)], cost)])
+    # best[S]: least cost of ordering S after everything outside it
+    best = [0.0] * (full + 1)
+    for s in range(1, full + 1):
+        best[s] = min(ahead[s ^ 1 << x][x] + best[s ^ 1 << x]
+                      for x in range(n) if s >> x & 1)
+    budget = best[full] + _TIE_RTOL * max(1.0, best[full])
+    order, rest = [], full
+    while rest:
+        cands = [(x, ahead[rest ^ 1 << x][x] + best[rest ^ 1 << x])
+                 for x in range(n) if rest >> x & 1]
+        # the min always qualifies, so float drift cannot leave no candidate
+        limit = max(budget, min(c for _, c in cands))
+        x = next(x for x, c in cands if c <= limit)
+        budget -= ahead[rest ^ 1 << x][x]
+        rest ^= 1 << x
+        order.append(x)
+    return order
+
+
+def _swap_descent(order: List[int], cost: np.ndarray) -> List[int]:
+    """Left-to-right adjacent-swap sweeps until no swap gains more than
+    the tie tolerance."""
+    pos = np.argsort(order)
+    total = float(np.sum(cost, where=pos[:, None] < pos[None, :]))
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(order) - 1):
+            a, b = order[i], order[i + 1]
+            delta = cost[b, a] - cost[a, b]
+            if delta < -_TIE_RTOL * max(1.0, total):
+                order[i], order[i + 1] = b, a
+                total += delta
+                improved = True
+    return order
 
 
 def kemeny_median(rankings: Sequence[Ranking],
@@ -177,38 +233,41 @@ def kemeny_median(rankings: Sequence[Ranking],
                   mode: str = "exact") -> Tuple[Ranking, float]:
     """Strict ranking minimizing the weighted Kemeny distance total.
 
-    Exact mode enumerates all strict orders (universe size <= 8, ties
-    broken toward the lexicographically earlier order); heuristic mode
-    descends by adjacent transpositions from the Borda solution.
+    Both modes work on one pairwise-cost matrix of the unified rankings:
+    C[a, b] sums 4 w_j over the sources j that rank b strictly above a
+    and 2 w_j over those that tie them, and an order costs the sum of
+    C[a, b] over the pairs it puts a before b.
+
+    Exact mode (universe size <= 8) finds the optimum by dynamic
+    programming over subsets, in O(2^n n) time and memory, where best[S]
+    is the least cost of ordering S after everything outside it. Orders whose costs differ
+    by at most 1e-9 * max(1, optimum) are tied, and the lexicographically
+    earliest one wins. Heuristic mode starts from the Borda order and
+    sweeps left to right, swapping adjacent a, b while
+    delta = C[b, a] - C[a, b] is below -1e-9 * max(1, current cost).
+
+    The returned objective is sum_j w_j * kemeny_distance(median, r_j),
+    summed in source order.
     """
     alts, padded = unify(rankings)
     w = _weights(rankings, weights)
-    if mode == "exact":
-        if len(alts) > KEMENY_EXACT_LIMIT:
-            raise DimensionalityExceeded(
-                f"exact search limited to {KEMENY_EXACT_LIMIT} alternatives")
-        best_order = None
-        best = np.inf
-        for perm in itertools.permutations(sorted(alts)):
-            obj = _objective(perm, padded, w, alts)
-            if obj < best:
-                best, best_order = obj, perm
-        return Ranking.from_order(best_order, source="kemeny"), best
-    if mode != "heuristic":
+    if mode not in ("exact", "heuristic"):
         raise InvalidArgument(f"unknown mode {mode!r}")
-    order = borda(rankings, weights).order()
-    best = _objective(order, padded, w, alts)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(order) - 1):
-            trial = order[:]
-            trial[i], trial[i + 1] = trial[i + 1], trial[i]
-            obj = _objective(trial, padded, w, alts)
-            if obj < best:
-                order, best = trial, obj
-                improved = True
-    return Ranking.from_order(order, source="kemeny"), best
+    if mode == "exact" and len(alts) > KEMENY_EXACT_LIMIT:
+        raise DimensionalityExceeded(
+            f"exact search limited to {KEMENY_EXACT_LIMIT} alternatives")
+    cost = _pair_costs(padded, w, alts)
+    if mode == "exact":
+        order = _exact_order(cost.tolist())
+    else:
+        index = {a: i for i, a in enumerate(alts)}
+        order = _swap_descent([index[a] for a in borda(rankings, weights).order()],
+                              cost)
+    del cost  # n^2 floats, not needed by the per-source distances below
+    fused = Ranking.from_order([alts[i] for i in order], source="kemeny")
+    objective = float(sum(wj * kemeny_distance(fused, r)
+                          for wj, r in zip(w, padded)))
+    return fused, objective
 
 
 @dataclass(frozen=True)

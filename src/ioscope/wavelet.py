@@ -168,23 +168,6 @@ def cwt(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
     return ScaleField(rows=s, cols=x.times, cells=cells, kind="cwt")
 
 
-def cwt_direct(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
-    """Direct quadratic-time evaluation of the transform definition.
-
-    Reference path for correctness checks; O(T^2 |S|).
-    """
-    s = np.asarray(list(scales), dtype=float)
-    xs = x.values
-    t = x.times
-    dtype = complex if w.is_complex else float
-    cells = np.empty((s.size, xs.size), dtype=dtype)
-    for i, si in enumerate(s):
-        for j, l in enumerate(t):
-            v = np.sum(xs * np.conj(w.evaluate((t - l) / si))) * x.step / np.sqrt(si)
-            cells[i, j] = v if w.is_complex else v.real
-    return ScaleField(rows=s, cols=t, cells=cells, kind="cwt")
-
-
 def icwt(fld: ScaleField, w: Wavelet) -> TimeSeries:
     """Approximate inverse transform via the admissibility double integral."""
     if fld.kind != "cwt":

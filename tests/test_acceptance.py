@@ -28,9 +28,10 @@ from ioscope.spectral import sinusoid_filter
 from ioscope.templates import (KuntchenkoBasis, io_phase_template,
                                kuntchenko_efficiency, kuntchenko_fit,
                                resample_template, scan_detect)
-from ioscope.wavelet import cwt, cwt_direct, get_wavelet, icwt
+from ioscope.wavelet import cwt, get_wavelet, icwt
 
 from conftest import write_series_csv
+from references import cwt_direct
 
 MFDFA_SCALES = np.unique(np.geomspace(20, 120, 25).astype(int))
 DYADIC_SCALES = [512, 1024, 2048, 4096]

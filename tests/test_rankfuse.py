@@ -1,8 +1,11 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ioscope import rankfuse
 from ioscope.errors import (DegenerateEstimates, DimensionalityExceeded,
                             InvalidArgument, InvalidRanking)
 from ioscope.rankfuse import (Ranking, borda, condorcet, kemeny_distance,
@@ -222,3 +225,252 @@ class TestUnanimityAcrossMethods:
             assert cond.order() == list(perm) and cycles == []
             med, obj = kemeny_median(rs)
             assert med.order() == list(perm) and obj == 0.0
+
+
+# ---------------------------------------------------------------------------
+# References for the pairwise-cost Kemeny search: the whole-order
+# enumeration and the adjacent-swap loop that score every candidate with
+# sum_j w_j * kemeny_distance(candidate, r_j). A candidate replaces the
+# incumbent only when it is lower by more than the tie tolerance.
+
+TIE_RTOL = 1e-9
+
+
+def literal_objective(order, padded, w):
+    cand = Ranking.from_order(order)
+    return float(sum(wj * kemeny_distance(cand, r) for wj, r in zip(w, padded)))
+
+
+def all_order_objectives(alts, padded, w):
+    """literal_objective of every order of `alts`, in lexicographic order.
+
+    The integer distances come from per-source pair tables, so each value
+    is the same float expression as literal_objective's."""
+    n = len(alts)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms = perms.reshape(-1, n)
+    obj = 0
+    for wj, r in zip(w, padded):
+        ranks = np.array([r.ranks[a] for a in alts])
+        table = (4 * (ranks[:, None] > ranks[None, :])
+                 + 2 * (ranks[:, None] == ranks[None, :]))
+        dist = np.zeros(len(perms), dtype=np.int64)
+        for x, y in itertools.combinations(range(n), 2):
+            dist += table[perms[:, x], perms[:, y]]
+        obj = obj + wj * dist
+    orders = [[alts[i] for i in p] for p in perms]
+    return orders, [float(v) for v in np.broadcast_to(obj, len(perms))]
+
+
+def enumeration_median(rankings, weights=None):
+    alts, padded = unify(rankings)
+    w = np.ones(len(rankings)) if weights is None else np.asarray(weights, float)
+    best_order, best = None, None
+    for order, obj in zip(*all_order_objectives(alts, padded, w)):
+        if best is None or obj < best - TIE_RTOL * max(1.0, best):
+            best_order, best = order, obj
+    return best_order, best
+
+
+def swap_loop_median(rankings, weights=None):
+    _, padded = unify(rankings)
+    w = np.ones(len(rankings)) if weights is None else np.asarray(weights, float)
+    order = borda(rankings, weights).order()
+    best = literal_objective(order, padded, w)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(order) - 1):
+            trial = order[:]
+            trial[i], trial[i + 1] = trial[i + 1], trial[i]
+            obj = literal_objective(trial, padded, w)
+            if obj < best - TIE_RTOL * max(1.0, best):
+                order, best = trial, obj
+                improved = True
+    return order, best
+
+
+def random_profile(rng, n, n_sources, ties=True, omit=True):
+    """Source 0 covers all n alternatives; others may omit some (padded)
+    and tie some."""
+    alts = [f"x{i}" for i in range(n)]
+    out = []
+    for j in range(n_sources):
+        keep = n if j == 0 or not omit else int(rng.integers(1, n + 1))
+        picked = [alts[i] for i in rng.permutation(n)[:keep]]
+        if ties:
+            ranks = rng.integers(1, max(2, keep // 2 + 1), size=keep)
+        else:
+            ranks = np.arange(1, keep + 1)
+        out.append(Ranking(tuple(zip(picked, (int(v) for v in ranks))), str(j)))
+    return out
+
+
+def density_weights(rng, rankings):
+    prof = source_weights({r.source: (float(rng.uniform(0.1, 5.0)),
+                                      list(r.alternatives)) for r in rankings})
+    return [float(prof.w[prof.sources.index(r.source)]) for r in rankings]
+
+
+def weight_kinds(rng, rankings):
+    yield None
+    yield [float(v) for v in rng.integers(1, 5, size=len(rankings))]
+    yield density_weights(rng, rankings)
+
+
+class TestKemenyReferences:
+    def test_table_objective_equals_literal(self, rng):
+        for n in (1, 3, 8):
+            rs = random_profile(rng, n, 4)
+            alts, padded = unify(rs)
+            for w in weight_kinds(rng, rs):
+                wa = np.ones(len(rs)) if w is None else np.asarray(w, float)
+                orders, objs = all_order_objectives(alts, padded, wa)
+                for k in rng.integers(0, len(orders), size=20):
+                    assert objs[k] == literal_objective(orders[k], padded, wa)
+
+
+class TestKemenyExactOracle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_enumeration(self, n, rng):
+        trials = 4 if n <= 6 else 2
+        for t in range(trials):
+            rs = random_profile(rng, n, int(rng.integers(1, 7)),
+                                ties=bool(t % 2), omit=t > 0)
+            for w in weight_kinds(rng, rs):
+                got, obj = kemeny_median(rs, w)
+                want_order, want_obj = enumeration_median(rs, w)
+                assert got.order() == want_order
+                assert obj == want_obj
+
+    def test_identical_sources(self, rng):
+        base = random_profile(rng, 7, 1, ties=False)[0]
+        rs = [Ranking(base.items, str(j)) for j in range(4)]
+        for w in weight_kinds(rng, rs):
+            got, obj = kemeny_median(rs, w)
+            assert got.order() == base.order()
+            assert obj == 0.0
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_reversed_pairs_tie_to_sorted_order(self, n, rng):
+        rs = []
+        w = []
+        for j in range(3):
+            order = [f"x{i}" for i in rng.permutation(n)]
+            rs += [R(order, f"{j}f"), R(order[::-1], f"{j}r")]
+            w += [float(rng.uniform(0.1, 1.0))] * 2
+        for weights in (None, w):
+            got, obj = kemeny_median(rs, weights)
+            alts, padded = unify(rs)
+            assert got.order() == alts
+            wa = np.ones(len(rs)) if weights is None else np.asarray(weights)
+            assert obj == literal_objective(alts, padded, wa)
+            assert enumeration_median(rs, weights) == (alts, obj)
+
+    def test_tie_tolerance(self):
+        rs = [R(["a", "b"], "1"), R(["b", "a"], "2")]
+        for w, want in (([1.0, 1.0 + 1e-12], ["a", "b"]),
+                        ([1.0, 1.0 + 1e-6], ["b", "a"])):
+            got, obj = kemeny_median(rs, w)
+            assert got.order() == want
+            assert enumeration_median(rs, w) == (want, obj)
+
+    def test_all_equal_source_ties_to_sorted_order(self):
+        alts = ["d", "a", "c", "b", "e"]
+        flat = Ranking(tuple((a, 1) for a in alts), "flat")
+        got, obj = kemeny_median([flat])
+        assert got.order() == sorted(alts)
+        assert obj == len(alts) * (len(alts) - 1)
+
+
+class TestKemenyHeuristicParity:
+    @pytest.mark.parametrize("n,trials", [(10, 10), (30, 4), (60, 2)])
+    def test_matches_swap_loop(self, n, trials, rng):
+        for t in range(trials):
+            rs = random_profile(rng, n, int(rng.integers(2, 7)),
+                                ties=bool(t % 2), omit=t > 0)
+            for w in weight_kinds(rng, rs):
+                got, obj = kemeny_median(rs, w, mode="heuristic")
+                want_order, want_obj = swap_loop_median(rs, w)
+                assert got.order() == want_order
+                assert obj == want_obj
+
+
+    def test_tie_tolerance(self):
+        # Borda starts at b, d, a, c; swapping b and d gains 4 * eps
+        rs = [R(list("dbac"), "1"), R(list("badc"), "2")]
+        for eps, want in ((1e-12, list("bdac")), (1e-6, list("dbac"))):
+            w = [1.0 + eps, 1.0]
+            got, obj = kemeny_median(rs, w, mode="heuristic")
+            assert got.order() == want
+            assert swap_loop_median(rs, w) == (want, obj)
+
+
+class TestKemenyDistanceCalls:
+    @pytest.mark.parametrize("mode,n", [("exact", 8), ("heuristic", 30)])
+    def test_at_most_one_call_per_source(self, mode, n, rng, monkeypatch):
+        calls = []
+        real = rankfuse.kemeny_distance
+
+        def counted(r1, r2):
+            calls.append(1)
+            return real(r1, r2)
+
+        monkeypatch.setattr(rankfuse, "kemeny_distance", counted)
+        rs = random_profile(rng, n, 5)
+        kemeny_median(rs, density_weights(rng, rs), mode=mode)
+        assert 0 < len(calls) <= len(rs)
+
+
+def condorcet_reference(rankings, weights):
+    """Majority ranking and networkx strongly connected components."""
+    alts, padded = unify(rankings)
+    acc = np.zeros((len(alts), len(alts)))
+    for wj, r in zip(weights, padded):
+        ranks = np.array([r.ranks[a] for a in alts], dtype=float)
+        acc += wj * np.sign(ranks[None, :] - ranks[:, None])
+    majority = np.sign(acc)
+    keys = [-s for s in majority.sum(axis=1)]
+    levels = sorted(set(keys))
+    ranks = {a: levels.index(k) + 1 for a, k in zip(alts, keys)}
+    tour = nx.DiGraph()
+    tour.add_nodes_from(alts)
+    tour.add_edges_from((a, b) for i, a in enumerate(alts)
+                        for j, b in enumerate(alts) if majority[i, j] > 0)
+    cycles = sorted(sorted(c) for c in nx.strongly_connected_components(tour)
+                    if len(c) > 1)
+    return ranks, cycles
+
+
+_source = st.lists(st.tuples(st.sampled_from("abcdefg"),
+                             st.integers(min_value=1, max_value=4)),
+                   min_size=1, max_size=7, unique_by=lambda t: t[0])
+
+
+class TestCondorcetCyclesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(sources=st.lists(_source, min_size=1, max_size=6),
+           data=st.data())
+    def test_matches_networkx_scc(self, sources, data):
+        rs = [Ranking(tuple(items), str(j)) for j, items in enumerate(sources)]
+        weights = data.draw(st.one_of(
+            st.lists(st.integers(min_value=0, max_value=3).map(float),
+                     min_size=len(rs), max_size=len(rs)),
+            st.lists(st.floats(min_value=0.0, max_value=3.0),
+                     min_size=len(rs), max_size=len(rs))))
+        if not any(v > 0 for v in weights):
+            weights[0] = 1.0
+        got, cycles = condorcet(rs, weights)
+        want_ranks, want_cycles = condorcet_reference(rs, weights)
+        assert got.ranks == want_ranks
+        assert cycles == want_cycles
+
+    def test_cycle_closed_only_through_last_alternative(self):
+        # the five-alternative cycle closes only through "e", the last
+        # alternative in sorted order
+        rs = [R(list("aecdb"), "1"), R(list("bcaed"), "2"), R(list("edcba"), "3")]
+        weights = [2.0, 2.0, 3.0]
+        got, cycles = condorcet(rs, weights)
+        want_ranks, want_cycles = condorcet_reference(rs, weights)
+        assert got.ranks == want_ranks
+        assert cycles == want_cycles

@@ -4,9 +4,11 @@ from scipy.integrate import quad
 
 from ioscope.errors import InvalidArgument, UnsupportedWavelet
 from ioscope.series import TimeSeries
-from ioscope.wavelet import (_convolve, cwt, cwt_direct, compare_fields,
+from ioscope.wavelet import (_convolve, cwt, compare_fields,
                              default_scale_grid, energy_by_scale, get_wavelet,
                              icwt, scalogram, wavelet_coherence, wcc_measure)
+
+from references import cwt_direct
 
 ALL_NAMES = ["gaussian-wave", "mexican-hat", "haar", "morlet"]
 
