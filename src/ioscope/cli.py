@@ -169,6 +169,27 @@ def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
             for src, items in sorted(per_source.items())]
 
 
+def _read_estimates(path: Path, sources: Sequence[str]) -> Dict[str, float]:
+    """One `source,E` row for each ranking source, and none for any other."""
+    estimates: Dict[str, float] = {}
+    parse = _fields("source,E", str, float)
+
+    def row(fields: List[str]) -> None:
+        src, value = parse(fields)
+        if src not in sources:
+            raise InvalidArgument(f"source {src!r} has no ranking")
+        if src in estimates:
+            raise InvalidArgument(f"source {src!r} repeated")
+        estimates[src] = value
+
+    _read_rows(path, ",", row)
+    missing = [src for src in sources if src not in estimates]
+    if missing:
+        raise InvalidArgument(f"{path}: no estimate for source "
+                              + ", ".join(map(repr, missing)))
+    return estimates
+
+
 def _load_template_dir(dir_path: Path) -> List[templates.Template]:
     if not dir_path.is_dir():
         raise InvalidArgument(f"{dir_path} is not a directory")
@@ -495,9 +516,11 @@ def network_stats_json(g: netimpact.ImpactGraph) -> Dict:
 
 def _hits_json(g: netimpact.ImpactGraph) -> Dict:
     auth, hub = netimpact.hits(g)
+    out_degree = dict.fromkeys(g.nodes, 0)
+    for u, _, c in g.edges:
+        out_degree[u] += c
     return {"authority": auth, "hub": hub,
-            "out_degree": {str(n): sum(c for u, _, c in g.edges if u == n)
-                           for n in g.nodes}}
+            "out_degree": {str(n): d for n, d in out_degree.items()}}
 
 
 GRAPH_OPS: Dict[str, Callable] = {
@@ -537,9 +560,9 @@ def cmd_fuse(args, out_dir: Path) -> int:
             raise InvalidArgument("weighting needs --estimates")
         est_path = Path(args.estimates)
         inputs.append(est_path)
-        estimates = dict(_read_rows(est_path, ",", _fields("source,E", str, float)))
-        alt_lists = {r.source: (estimates.get(r.source, 0.0),
-                                list(r.alternatives)) for r in rankings}
+        estimates = _read_estimates(est_path, [r.source for r in rankings])
+        alt_lists = {r.source: (estimates[r.source], list(r.alternatives))
+                     for r in rankings}
         profile = rankfuse.source_weights(alt_lists, mode=args.weighting)
         weights = [float(w) for w in profile.w]
         profile_json = {"sources": list(profile.sources),

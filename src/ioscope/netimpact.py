@@ -4,10 +4,9 @@ the low-rated-to-high-rated dissemination pattern."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .errors import (InsufficientRatings, InvalidArgument, NoConvergence,
@@ -55,13 +54,6 @@ class ImpactGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def to_networkx(self, weighted: bool = True) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        for u, v, c in self.edges:
-            g.add_edge(u, v, weight=c if weighted else 1)
-        return g
-
 
 def build_impact_graph(citations: Sequence[Tuple[Hashable, ...]],
                        ratings: Optional[Dict[Hashable, float]] = None
@@ -91,36 +83,177 @@ def build_impact_graph(citations: Sequence[Tuple[Hashable, ...]],
                        dropped_self_loops=dropped)
 
 
+# Sources per BFS block: the block's B x n arrays and its (source, edge)
+# pairs, at most B x nnz, stay near this many cells.
+_BFS_CELLS = 2 ** 20
+_SPARSE_LEVEL = 32
+
+# An adjacency in compressed-row form: (indptr, indices), the distinct
+# neighbours of node i being indices[indptr[i]:indptr[i + 1]], ascending.
+Adjacency = Tuple[np.ndarray, np.ndarray]
+
+
+def _edge_index(g: ImpactGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions in ``g.nodes`` of the source and target of every edge."""
+    pos = {node: i for i, node in enumerate(g.nodes)}
+    src = np.fromiter((pos[u] for u, _, _ in g.edges), dtype=np.int64, count=g.m)
+    dst = np.fromiter((pos[v] for _, v, _ in g.edges), dtype=np.int64, count=g.m)
+    return src, dst
+
+
+def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> Adjacency:
+    """Compressed rows of the distinct edges src -> dst on n nodes."""
+    key = np.sort(src * n + dst)
+    key = key[np.diff(key, prepend=-1) > 0]  # np.unique would import numpy.ma
+    return np.searchsorted(key, np.arange(n + 1) * n), key % n
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of range(start[k], start[k] + count[k]) over k."""
+    j = np.repeat(start - np.cumsum(count) + count, count)
+    j += np.arange(j.size)
+    return j
+
+
+def _bfs(adj: Adjacency, sources: np.ndarray
+         ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """Breadth-first search from every source at once.
+
+    Cell b * n + v stands for node v as seen from sources[b]. Returns
+    the hop distances (one row per source, -1 where unreachable) and,
+    for each hop d, the cells (head, tail) of every edge that runs from
+    a node at hop d to one at hop d + 1.
+    """
+    indptr, indices = adj
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    dist = np.full(sources.size * n, -1, dtype=np.int64)
+    slot = np.empty_like(dist)
+    front = np.arange(sources.size) * n + sources
+    dist[front] = 0
+    levels: List[Tuple[np.ndarray, np.ndarray]] = []
+    while front.size:
+        v = front % n
+        count = deg[v]
+        tail = indices[_ranges(indptr[v], count)] + np.repeat(front - v, count)
+        new = dist[tail] < 0
+        tail = tail[new]
+        dist[tail] = len(levels) + 1
+        levels.append((np.repeat(front, count)[new], tail))
+        # the distinct new cells, ascending: by a scan of dist (B x n
+        # cells) unless the level is sparse, as on a long path, where
+        # that scan would cost far more than the level itself
+        if 8 * tail.size > dist.size:
+            front = np.flatnonzero(dist == len(levels))
+        else:
+            k = np.arange(tail.size)
+            slot[tail] = k
+            front = np.sort(tail[slot[tail] == k])
+    return dist.reshape(sources.size, n), levels
+
+
+def _dependencies(adj: Adjacency, sources: np.ndarray) -> np.ndarray:
+    """Brandes' dependency of each source (rows) on every node: shortest-
+    path counts down the BFS levels, then dependencies back up."""
+    n = adj[0].size - 1
+    start = np.arange(sources.size) * n + sources
+    _, levels = _bfs(adj, sources)
+    sigma = np.zeros(sources.size * n)
+    sigma[start] = 1.0
+    for head, tail in levels:
+        np.add.at(sigma, tail, sigma[head])
+    delta = np.zeros(sources.size * n)
+    for head, tail in reversed(levels):
+        np.add.at(delta, head, sigma[head] * ((1.0 + delta[tail]) / sigma[tail]))
+    delta[start] = 0.0
+    return delta.reshape(sources.size, n)
+
+
+def _triangles(adj: Adjacency) -> np.ndarray:
+    """Triangles through each node of a symmetric adjacency.
+
+    Each edge is oriented towards its endpoint later in (degree, index)
+    order, so every triangle is one closed pair of forward neighbours at
+    its earliest corner, and no node has more than O(sqrt(nnz)) forward
+    neighbours.
+    """
+    indptr, indices = adj
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    src = np.repeat(np.arange(n), deg)
+    fwd = rank[src] < rank[indices]
+    optr, oidx = _adjacency(n, src[fwd], indices[fwd])
+    corner = np.repeat(np.arange(n), np.diff(optr))
+    after = np.arange(oidx.size) + 1  # later forward neighbours of the same corner
+    count = optr[corner + 1] - after
+    p = np.repeat(np.arange(oidx.size), count)
+    a, b, c = corner[p], oidx[p], oidx[_ranges(after, count)]
+    key = src * n + indices  # sorted: rows ascending, columns ascending
+    at = np.minimum(np.searchsorted(key, b * n + c), key.size - 1)
+    closed = key[at] == b * n + c
+    return sum(np.bincount(x[closed], minlength=n) for x in (a, b, c))
+
+
+def _components(adj: Adjacency) -> np.ndarray:
+    """Connected-component label of every node of a symmetric adjacency,
+    numbered in the order of each component's first node."""
+    comp = np.full(adj[0].size - 1, -1, dtype=np.int64)
+    label = 0
+    for s in range(comp.size):
+        if comp[s] < 0:
+            dist, _ = _bfs(adj, np.array([s]))
+            comp[dist[0] >= 0] = label
+            label += 1
+    return comp
+
+
 def network_stats(g: ImpactGraph) -> Dict[str, object]:
     """Classical descriptive statistics of the impact graph.
 
     Distances run along directed edges; clustering and betweenness use
     the undirected projection. Both the n(n+1) and the standard n(n-1)
-    average-path normalizations are reported.
+    average-path normalizations are reported. Only reachable ordered
+    pairs enter the distance sums; efficiency averages 1/d over all
+    n(n - 1) ordered pairs, an unreachable pair counting 0. Betweenness
+    is Brandes' unnormalized count over the undirected projection,
+    halved so that each unordered pair counts once; clustering is the
+    Watts-Strogatz coefficient, 0 below degree 2.
     """
     if g.n < 1:
         raise InvalidArgument("graph must have at least one node")
-    dg = g.to_networkx(weighted=False)
-    ug = dg.to_undirected()
     n, m = g.n, g.m
+    src, dst = _edge_index(g)
+    out_adj = _adjacency(n, src, dst)
+    und_adj = _adjacency(n, np.r_[src, dst], np.r_[dst, src])
+    block = max(1, _BFS_CELLS // max(n, und_adj[1].size))
+    ecc = np.zeros(n, dtype=np.int64)
+    hops = np.zeros(n, dtype=np.int64)  # ordered pairs at each hop distance
+    betweenness = np.zeros(n)
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        dist, _ = _bfs(out_adj, sources)
+        ecc[sources] = dist.max(axis=1)
+        hops += np.bincount(dist[dist > 0], minlength=n)
+        betweenness += _dependencies(und_adj, sources).sum(axis=0)
+    betweenness *= 0.5
+    k = np.arange(n)
+    dist_sum = int(hops @ k)
+    pair_count = int(hops.sum())
+    inv_sum = float(np.sum(hops[1:] / k[1:]))
     density = m / (n * (n - 1)) if n > 1 else 0.0
-    dist_sum = 0.0
-    inv_sum = 0.0
-    pair_count = 0
-    ecc: Dict[Hashable, int] = {}
-    for src, dists in nx.all_pairs_shortest_path_length(dg):
-        reach = {k: v for k, v in dists.items() if k != src}
-        ecc[src] = max(reach.values()) if reach else 0
-        for d in reach.values():
-            dist_sum += d
-            inv_sum += 1.0 / d
-            pair_count += 1
-    diameter = max(ecc.values()) if ecc else 0
     avg_path_std = dist_sum / pair_count if pair_count else 0.0
-    avg_path_alt = 2.0 * dist_sum / (n * (n + 1)) if n else 0.0
+    avg_path_alt = 2.0 * dist_sum / (n * (n + 1))
     efficiency = inv_sum / (n * (n - 1)) if n > 1 else 0.0
-    clustering = nx.clustering(ug)
-    betweenness = nx.betweenness_centrality(ug, normalized=False)
+    deg = np.diff(und_adj[0]).tolist()
+    # 2 x triangles over d(d - 1), and the integer 0 (written "0" in a
+    # report) where no triangle closes
+    clustering = [t / (d * (d - 1)) if t else 0
+                  for t, d in zip((2 * _triangles(und_adj)).tolist(), deg)]
+    in_deg = np.bincount(out_adj[1], minlength=n).tolist()
+    out_deg = np.diff(out_adj[0]).tolist()
+    ecc_l, bc_l = ecc.tolist(), betweenness.tolist()
     return {
         "n": n,
         "m": m,
@@ -128,17 +261,17 @@ def network_stats(g: ImpactGraph) -> Dict[str, object]:
         "avg_path": avg_path_std,
         "avg_path_inclusive": avg_path_alt,
         "efficiency": efficiency,
-        "diameter": diameter,
-        "avg_clustering": float(np.mean(list(clustering.values()))) if n else 0.0,
+        "diameter": max(ecc_l),
+        "avg_clustering": float(np.mean(clustering)),
         "per_node": {
             node: {
-                "in_degree": dg.in_degree(node),
-                "out_degree": dg.out_degree(node),
-                "eccentricity": ecc.get(node, 0),
-                "betweenness": betweenness[node],
-                "clustering": clustering[node],
+                "in_degree": in_deg[i],
+                "out_degree": out_deg[i],
+                "eccentricity": ecc_l[i],
+                "betweenness": bc_l[i],
+                "clustering": clustering[i],
             }
-            for node in g.nodes
+            for i, node in enumerate(g.nodes)
         },
     }
 
@@ -204,22 +337,26 @@ def io_scenario_score(g: ImpactGraph, ratio_threshold: float = 2.0,
             return w, w
         return 0.0, 1.0 * c
 
-    def score_edges(edges) -> float:
-        up = tot = 0.0
-        for u, v, c in edges:
-            w_up, w_tot = edge_weight(u, v, c)
-            up += w_up
-            tot += w_tot
-        return up / tot if tot > 0 else 0.0
-
-    total_score = score_edges(g.edges)
-    ug = g.to_networkx().to_undirected()
+    weights = [edge_weight(u, v, c) for u, v, c in g.edges]
+    up = tot = 0.0
+    for w_up, w_tot in weights:
+        up += w_up
+        tot += w_tot
+    total_score = up / tot if tot > 0 else 0.0
+    src, dst = _edge_index(g)
+    comp = _components(_adjacency(g.n, np.r_[src, dst], np.r_[dst, src]))
+    # bincount adds in edge order, as the running sums above do
+    w_up, w_tot = np.array(weights).T
+    comp_up = np.bincount(comp[src], weights=w_up, minlength=comp.max() + 1)
+    comp_tot = np.bincount(comp[src], weights=w_tot, minlength=comp.max() + 1)
+    members: List[List[str]] = [[] for _ in range(comp_up.size)]
+    for node, i in zip(g.nodes, comp.tolist()):
+        members[i].append(str(node))
     component_flags = {}
-    for i, comp in enumerate(nx.connected_components(ug)):
-        comp_edges = [(u, v, c) for u, v, c in g.edges if u in comp]
-        comp_score = score_edges(comp_edges)
+    for i, (c_up, c_tot) in enumerate(zip(comp_up.tolist(), comp_tot.tolist())):
+        comp_score = c_up / c_tot if c_tot > 0 else 0.0
         component_flags[f"component-{i}"] = {
-            "nodes": sorted(map(str, comp)),
+            "nodes": sorted(members[i]),
             "score": comp_score,
             "flagged": comp_score > 0.5,
         }

@@ -159,14 +159,22 @@ def condorcet(rankings: Sequence[Ranking],
 
 
 def kemeny_distance(r1: Ranking, r2: Ranking) -> int:
-    """Hamming-style distance between the pairwise sign matrices."""
-    a1 = sorted(r1.alternatives)
-    a2 = sorted(r2.alternatives)
-    if a1 != a2:
+    """Hamming-style distance between the pairwise sign matrices: the sum
+    of |sign1 - sign2| over ordered pairs. The signs are int8 and built a
+    block of rows (about 2**20 cells) at a time, so memory does not grow
+    as n**2."""
+    alts = sorted(r1.alternatives)
+    if alts != sorted(r2.alternatives):
         raise InvalidArgument("rankings cover different universes")
-    d1 = _sign_matrix(r1, a1)
-    d2 = _sign_matrix(r2, a1)
-    return int(np.sum(np.abs(d1 - d2)))
+    x, y = _rank_vector(r1, alts), _rank_vector(r2, alts)
+    total = 0
+    block = max(1, 2 ** 20 // max(1, len(alts)))
+    for lo in range(0, len(alts), block):
+        xs, ys = x[lo:lo + block, None], y[lo:lo + block, None]
+        sx = (xs < x).view(np.int8) - (xs > x).view(np.int8)
+        sy = (ys < y).view(np.int8) - (ys > y).view(np.int8)
+        total += int(np.abs(sx - sy).sum())
+    return total
 
 
 def _pair_costs(padded: Sequence[Ranking], w: np.ndarray,

@@ -336,7 +336,8 @@ class TestGraph:
                      "--out", out]) == 0
         block = load_report(out)["results"]["hits"]
         assert "authority" in block and "hub" in block
-        assert "out_degree" in block
+        # impact edges b -> a (2), c -> b (1), c -> a (1), in node order
+        assert list(block["out_degree"].items()) == [("a", 0), ("b", 2), ("c", 2)]
 
     def test_edge_count_is_multiplicity(self, tmp_path):
         path = write_edges(tmp_path / "e.tsv", [("a", "b", 3000000),
@@ -400,3 +401,22 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_runtime_loads_only_numpy_and_the_standard_library():
+    """Importing the package, its CLI and every submodule loads no
+    third-party package but numpy (networkx and scipy are test-only)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    probe = ("import importlib, pkgutil, sys\n"
+             "before = set(sys.modules)\n"
+             "import ioscope, ioscope.cli\n"
+             "for m in pkgutil.iter_modules(ioscope.__path__):\n"
+             "    importlib.import_module('ioscope.' + m.name)\n"
+             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert {"ioscope", "numpy"} <= loaded
+    assert "networkx" not in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"ioscope", "numpy"}

@@ -62,6 +62,24 @@ def case_estimate_not_numeric(d):
             "--weighting", "density"], "est.csv:3:"
 
 
+def case_estimate_for_unknown_source(d):
+    return ["fuse", "--rankings", write(d / "r.csv", RANKINGS),
+            "--estimates", write(d / "est.csv", "s1,1.0\nS2,5.0\nzz,3\n"),
+            "--weighting", "density"], "est.csv:2: source 'S2' has no ranking"
+
+
+def case_estimate_repeated(d):
+    return ["fuse", "--rankings", write(d / "r.csv", RANKINGS),
+            "--estimates", write(d / "est.csv", "source,E\ns1,1.0\ns2,2.0\ns1,5.0\n"),
+            "--weighting", "dispersion"], "est.csv:4: source 's1' repeated"
+
+
+def case_estimate_missing(d):
+    return ["fuse", "--rankings", write(d / "r.csv", RANKINGS),
+            "--estimates", write(d / "est.csv", "source,E\ns1,1.0\n"),
+            "--weighting", "density"], "est.csv: no estimate for source 's2'"
+
+
 def case_input_not_utf8(d):
     return ["analyze", "--input", write(d / "x.csv", b"value\n1.0\n\xff\xfe\n2.0\n"),
             "--ops", "sma"], "x.csv:3:"
@@ -84,7 +102,8 @@ def case_duplicate_alternative(d):
 
 BREACHES = [case_edge_count_not_integer, case_edge_count_zero,
             case_edge_count_negative_on_line_1, case_template_sample_not_numeric,
-            case_estimate_not_numeric, case_input_not_utf8,
+            case_estimate_not_numeric, case_estimate_for_unknown_source,
+            case_estimate_repeated, case_estimate_missing, case_input_not_utf8,
             case_input_is_directory, case_config_value_wrong_type,
             case_duplicate_alternative]
 

@@ -1,9 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from ioscope import netimpact
 from ioscope.errors import InsufficientRatings, InvalidArgument, NoEdges
-from ioscope.netimpact import (build_impact_graph, hits, io_scenario_score,
-                               network_stats)
+from ioscope.netimpact import (ImpactGraph, build_impact_graph, hits,
+                               io_scenario_score, network_stats)
+
+from references import io_scenario_score_networkx, network_stats_networkx
 
 
 def k4_edges():
@@ -91,6 +98,19 @@ class TestNetworkStats:
         assert stats["avg_path_inclusive"] == pytest.approx(2 * 4 / (n * (n + 1)))
         # efficiency over all ordered pairs, unreachable contribute zero
         assert stats["efficiency"] == pytest.approx((1 + 0.5 + 1) / 6)
+
+    def test_long_path_closed_forms(self):
+        # impact chain p0 -> p1 -> ... -> p(n-1): one BFS level per hop
+        n = 400
+        stats = network_stats(build_impact_graph([(f"p{i + 1}", f"p{i}")
+                                                  for i in range(n - 1)]))
+        assert stats["diameter"] == n - 1
+        pairs = n * (n - 1) // 2
+        assert stats["avg_path"] == sum(d * (n - d) for d in range(1, n)) / pairs
+        for i in (0, 1, n // 2, n - 1):
+            rec = stats["per_node"][f"p{i}"]
+            assert rec["eccentricity"] == n - 1 - i
+            assert rec["betweenness"] == i * (n - 1 - i)
 
     def test_coefficient_ranges(self, rng):
         nodes = [f"n{i}" for i in range(12)]
@@ -186,3 +206,98 @@ class TestIoScenarioScore:
             [(v, u) for u, v, c in g.edges for _ in range(c)],
             ratings=remapped)
         assert io_scenario_score(g2)["score"] == pytest.approx(base)
+
+
+# Citation rows over a small pool (self-citations, repeats and 2-cycles
+# come up often), nodes that only carry a rating, ratings with ties and
+# zeros on most nodes, and sometimes repeated edge tuples (multi-edges
+# that build_impact_graph would have merged).
+NODE_NAMES = [f"v{i}" for i in range(10)]
+RATING = st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, 2.0, 4.0, 9.0])
+
+
+@st.composite
+def impact_graphs(draw):
+    node = st.sampled_from(NODE_NAMES)
+    cites = draw(st.lists(st.tuples(node, node)
+                          | st.tuples(node, node, st.integers(1, 3)), max_size=40))
+    rating_only = draw(st.lists(st.sampled_from(["r0", "r1", "r2"]), unique=True))
+    named = {x for row in cites for x in row[:2]} | set(rating_only)
+    ratings = {x: draw(RATING) for x in sorted(named)}
+    ratings = {x: r for x, r in ratings.items() if r is not None}
+    g = build_impact_graph(cites, ratings=ratings or None)
+    if draw(st.booleans()):
+        g = ImpactGraph(g.nodes, g.edges + g.edges[::2], ratings=g.ratings,
+                        dropped_self_loops=g.dropped_self_loops)
+    return g
+
+
+class TestNetworkxOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(g=impact_graphs(), cells=st.sampled_from([1, 24, 2 ** 20]))
+    def test_network_stats(self, g, cells):
+        assume(g.n >= 1)
+        # a small cell budget splits the sources into several BFS blocks
+        with mock.patch.object(netimpact, "_BFS_CELLS", cells):
+            got = network_stats(g)
+        want = network_stats_networkx(g)
+        for key in ("n", "m", "density", "avg_path", "avg_path_inclusive",
+                    "diameter", "avg_clustering"):
+            assert got[key] == want[key], key
+        assert got["efficiency"] == pytest.approx(want["efficiency"], rel=1e-12, abs=0)
+        assert list(got["per_node"]) == list(want["per_node"])
+        for node, rec in want["per_node"].items():
+            mine = got["per_node"][node]
+            for key in ("in_degree", "out_degree", "eccentricity", "clustering"):
+                assert mine[key] == rec[key], (node, key)
+                assert type(mine[key]) is type(rec[key]), (node, key)
+            assert mine["betweenness"] == pytest.approx(rec["betweenness"],
+                                                        rel=1e-12, abs=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=impact_graphs())
+    def test_io_scenario_score(self, g):
+        rated = sum(1 for x in g.nodes if x in (g.ratings or {}))
+        assume(g.m > 0 and rated >= 0.8 * g.n)
+        got = io_scenario_score(g)
+        assert {k: got[k] for k in ("score", "components")} == io_scenario_score_networkx(g)
+        for block in got["components"].values():
+            assert type(block["score"]) is float and type(block["flagged"]) is bool
+
+    def test_hand_graph_with_every_feature(self):
+        # components {a, b, c} and {d, e}, a 2-cycle a <-> b, a repeated
+        # citation, a self-citation and the isolated rating-only node f
+        cites = [("b", "a"), ("a", "b"), ("c", "b"), ("c", "a"), ("c", "a"),
+                 ("e", "d"), ("d", "d")]
+        ratings = {k: v for k, v in zip("abcdef", (1.0, 1.0, 8.0, 2.0, 1.0, 3.0))}
+        g = build_impact_graph(cites, ratings=ratings)
+        stats, want = network_stats(g), network_stats_networkx(g)
+        assert stats["per_node"]["a"]["clustering"] == 1.0
+        assert stats["per_node"]["f"] == want["per_node"]["f"]
+        assert stats["diameter"] == want["diameter"] == 1
+        score = io_scenario_score(g)
+        assert list(score["components"]) == ["component-0", "component-1",
+                                             "component-2"]
+        assert score["components"]["component-2"]["nodes"] == ["f"]
+        assert {k: score[k] for k in ("score", "components")} == io_scenario_score_networkx(g)
+
+
+def test_network_stats_memory_on_sparse_graph():
+    """One dense 3000 x 3000 float64 matrix alone would be 72 MB."""
+    rng = np.random.default_rng(2001)
+    n = 3000
+    pairs = set()
+    while len(pairs) < 6000:
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            pairs.add((f"n{u}", f"n{v}"))
+    g = ImpactGraph(tuple(f"n{i}" for i in range(n)),
+                    tuple((u, v, 1) for u, v in sorted(pairs)))
+    tracemalloc.start()
+    try:
+        stats = network_stats(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert sum(rec["out_degree"] for rec in stats["per_node"].values()) == 6000

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,8 @@ from ioscope.errors import (DegenerateEstimates, DimensionalityExceeded,
                             InvalidArgument, InvalidRanking)
 from ioscope.rankfuse import (Ranking, borda, condorcet, kemeny_distance,
                               kemeny_median, source_weights, unify)
+
+from references import kemeny_distance_dense
 
 
 def R(order, source="s"):
@@ -474,3 +477,45 @@ class TestCondorcetCyclesOracle:
         want_ranks, want_cycles = condorcet_reference(rs, weights)
         assert got.ranks == want_ranks
         assert cycles == want_cycles
+
+
+@st.composite
+def padded_pairs(draw):
+    """Two rankings with ties, each over a random part of n alternatives,
+    padded to their union."""
+    n = draw(st.integers(1, 14))
+    alts = [f"x{i}" for i in range(n)]
+
+    def ranking(source):
+        kept = draw(st.lists(st.sampled_from(alts), unique=True))
+        ranks = draw(st.lists(st.integers(1, max(1, len(kept))),
+                              min_size=len(kept), max_size=len(kept)))
+        return Ranking(tuple(zip(kept, ranks)), source)
+
+    _, padded = unify([ranking("a"), ranking("b")])
+    return padded
+
+
+class TestKemenyDistanceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=padded_pairs())
+    def test_matches_dense_sign_matrices(self, pair):
+        r1, r2 = pair
+        got = kemeny_distance(r1, r2)
+        assert type(got) is int
+        assert got == kemeny_distance_dense(r1, r2) == kemeny_distance(r2, r1)
+
+    def test_memory_at_1500_alternatives(self, rng):
+        n = 1500
+        alts = [f"x{i}" for i in range(n)]
+        tied = Ranking(tuple(zip(alts, (int(v) for v in rng.integers(1, 200, n)))), "t")
+        strict = Ranking(tuple(zip(alts, (int(v) + 1 for v in rng.permutation(n)))), "s")
+        tracemalloc.start()
+        try:
+            got = kemeny_distance(tied, strict)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        # 1500 rows span more than one block of rows
+        assert got == kemeny_distance_dense(tied, strict)
