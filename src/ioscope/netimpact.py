@@ -86,7 +86,6 @@ def build_impact_graph(citations: Sequence[Tuple[Hashable, ...]],
 # Sources per BFS block: the block's B x n arrays and its (source, edge)
 # pairs, at most B x nnz, stay near this many cells.
 _BFS_CELLS = 2 ** 20
-_SPARSE_LEVEL = 32
 
 # An adjacency in compressed-row form: (indptr, indices), the distinct
 # neighbours of node i being indices[indptr[i]:indptr[i + 1]], ascending.
@@ -140,15 +139,10 @@ def _bfs(adj: Adjacency, sources: np.ndarray
         tail = tail[new]
         dist[tail] = len(levels) + 1
         levels.append((np.repeat(front, count)[new], tail))
-        # the distinct new cells, ascending: by a scan of dist (B x n
-        # cells) unless the level is sparse, as on a long path, where
-        # that scan would cost far more than the level itself
-        if 8 * tail.size > dist.size:
-            front = np.flatnonzero(dist == len(levels))
-        else:
-            k = np.arange(tail.size)
-            slot[tail] = k
-            front = np.sort(tail[slot[tail] == k])
+        # the distinct new cells, ascending
+        k = np.arange(tail.size)
+        slot[tail] = k
+        front = np.sort(tail[slot[tail] == k])
     return dist.reshape(sources.size, n), levels
 
 
