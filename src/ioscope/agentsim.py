@@ -4,8 +4,8 @@ and Weibull fitting of the resulting histograms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .errors import InvalidArgument, NoConvergence
 
 __all__ = [
     "SimConfig",
-    "AgentTrace",
     "SimOutcome",
     "make_phi",
     "transition_row",
@@ -26,17 +25,18 @@ __all__ = [
 POPULATION_CAP = 10 ** 6
 
 
-def make_phi(tag: str, e_ref: float = 10.0) -> Callable[[float], float]:
-    """Energy-response function phi: E -> [0, 1], monotone non-decreasing.
+def make_phi(tag: str, e_ref: float = 10.0) -> Callable[[np.ndarray], np.ndarray]:
+    """Energy-response function phi: E -> [0, 1], monotone non-decreasing,
+    applied elementwise to an energy or an array of energies.
 
     ``one`` is the constant function 1; ``saturating`` is min(1, E/e_ref).
     """
+    if not 0.0 < e_ref < np.inf:
+        raise InvalidArgument("phi needs a finite e_ref > 0")
     if tag == "one":
-        return lambda e: 1.0
+        return lambda e: np.ones(np.shape(e))
     if tag == "saturating":
-        if e_ref <= 0:
-            raise InvalidArgument("saturating phi needs e_ref > 0")
-        return lambda e: min(1.0, max(0.0, e / e_ref))
+        return lambda e: np.clip(np.divide(e, e_ref), 0.0, 1.0)
     raise InvalidArgument(f"unknown phi tag {tag!r}")
 
 
@@ -67,59 +67,46 @@ class SimConfig:
         make_phi(self.phi, self.phi_e_ref)  # validate the tag eagerly
 
     @property
-    def phi_fn(self) -> Callable[[float], float]:
+    def phi_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         return make_phi(self.phi, self.phi_e_ref)
 
 
 @dataclass(frozen=True)
-class AgentTrace:
-    energies: Tuple[int, ...]
-    events: Tuple[Tuple[bool, bool, bool, bool], ...]  # like, dislike, repost, link
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.energies):
-            raise InvalidArgument("negative energy in trace")
-
-    @property
-    def lifespan(self) -> int:
-        return len(self.energies) - 1
-
-
-@dataclass(frozen=True)
 class SimOutcome:
+    """Per-tick population counts, and per-agent totals in birth order."""
     alive: np.ndarray
     births: np.ndarray
     deaths: np.ndarray
-    traces: Tuple[AgentTrace, ...]
+    lifespans: np.ndarray    # ticks each agent was live, its death tick included
+    like_counts: np.ndarray  # likes each agent received
     capped: bool = False
 
-    @property
-    def lifespans(self) -> np.ndarray:
-        return np.array([t.lifespan for t in self.traces])
 
-    @property
-    def like_counts(self) -> np.ndarray:
-        return np.array([sum(ev[0] for ev in t.events) for t in self.traces])
+def _event_probs(cfg: SimConfig, energy) -> np.ndarray:
+    """Per-tick probabilities of a like, dislike, repost and link at each
+    energy, along a new last axis: each base probability times phi(E)."""
+    base = np.array([cfg.p_l0, cfg.p_d0, cfg.p_r0, cfg.p_link0])
+    return cfg.phi_fn(energy)[..., None] * base
 
 
-def transition_row(e: int, cfg: SimConfig) -> np.ndarray:
-    """Distribution of the energy increment delta in {2, 1, 0, -1}.
+def transition_row(e, cfg: SimConfig) -> np.ndarray:
+    """Distribution of the energy increment delta in {2, 1, 0, -1}; ``e``
+    is an energy or an array of them, with one row per energy.
 
     A live message loses one energy unit per tick; an (independent) like
     restores it and a repost adds two, so delta = 2 needs both events,
     delta = 1 a repost alone, delta = 0 a like alone.
     """
-    if e <= 0:
+    if np.any(np.asarray(e) <= 0):
         raise InvalidArgument("transition defined for live agents (E > 0)")
-    phi = cfg.phi_fn(e)
-    p_like = cfg.p_l0 * phi
-    p_rep = cfg.p_r0 * phi
-    return np.array([
+    p = _event_probs(cfg, e)
+    p_like, p_rep = p[..., 0], p[..., 2]
+    return np.stack([
         p_like * p_rep,
         (1.0 - p_like) * p_rep,
         p_like * (1.0 - p_rep),
         (1.0 - p_like) * (1.0 - p_rep),
-    ])
+    ], axis=-1)
 
 
 def lifespan_survival(e0: int, cfg: SimConfig, t: int) -> float:
@@ -136,7 +123,7 @@ def lifespan_survival(e0: int, cfg: SimConfig, t: int) -> float:
     cap = e0 + 2 * t + 2
     rho = np.ones(cap + 1)
     rho[0] = 0.0
-    rows = np.array([transition_row(e, cfg) for e in range(1, cap + 1)])
+    rows = transition_row(np.arange(1, cap + 1), cfg)
     for _ in range(t):
         nxt = np.zeros_like(rho)
         e = np.arange(1, cap + 1)
@@ -150,146 +137,101 @@ def lifespan_survival(e0: int, cfg: SimConfig, t: int) -> float:
     return float(rho[e0])
 
 
-def _draw_events(rng: np.random.Generator, e: int, cfg: SimConfig):
-    phi = cfg.phi_fn(e)
-    u = rng.random(4)
-    like = u[0] < cfg.p_l0 * phi
-    dislike = u[1] < cfg.p_d0 * phi
-    repost = u[2] < cfg.p_r0 * phi
-    link = u[3] < cfg.p_link0 * phi
-    return like, dislike, repost, link
-
-
 def simulate_population(cfg: SimConfig, ticks: int,
                         cap: int = POPULATION_CAP) -> SimOutcome:
     """Simulate the whole message population.
 
     Starts with one agent. Per tick every live agent loses one energy
     unit, may receive a like (+1), a dislike (-1), a repost (+2, which
-    also spawns a fresh agent at e0) and may link to a random live agent
-    (crediting the linked agent +1). Independent self-generation adds a
-    new agent with probability p_s. Deterministic for a given seed.
+    also spawns a fresh agent at e0) and may link to a random other live
+    agent (crediting the linked agent +1). Independent self-generation
+    adds a new agent with probability p_s. At most ``cap`` agents are
+    ever born. Deterministic for a given seed.
     """
     if ticks < 1:
         raise InvalidArgument("ticks must be >= 1")
+    if cap < 1:
+        raise InvalidArgument("cap must be >= 1")
     rng = np.random.default_rng(cfg.seed)
-    energies: List[int] = [cfg.e0]
-    paths: List[List[int]] = [[cfg.e0]]
-    logs: List[List[Tuple[bool, bool, bool, bool]]] = [[]]
-    live: List[int] = [0]
+    # live agents at most double, plus one, per tick: < 2**(ticks + 1) births
+    size = min(cap, 2 ** (ticks + 1))
+    energy = np.zeros(size, dtype=np.int64)
+    lifespans = np.zeros(size, dtype=np.int64)
+    likes = np.zeros(size, dtype=np.int64)
+    energy[0] = cfg.e0
+    born = 1
+    live = np.zeros(1, dtype=np.intp)  # ascending agent indices
     alive = np.zeros(ticks + 1, dtype=int)
     births = np.zeros(ticks + 1, dtype=int)
     deaths = np.zeros(ticks + 1, dtype=int)
-    alive[0] = 1
-    births[0] = 1
+    alive[0] = births[0] = 1
     capped = False
     for t in range(1, ticks + 1):
-        deltas: Dict[int, int] = {i: -1 for i in live}
-        spawns = 0
-        for i in live:
-            like, dislike, repost, link = _draw_events(rng, energies[i], cfg)
-            logs[i].append((like, dislike, repost, link))
-            if like:
-                deltas[i] += 1
-            if dislike:
-                deltas[i] -= 1
-            if repost:
-                deltas[i] += 2
-                spawns += 1
-            if link and len(live) > 1:
-                other = i
-                while other == i:
-                    other = live[rng.integers(len(live))]
-                deltas[other] = deltas.get(other, -1) + 1
-        if rng.random() < cfg.p_s:
-            spawns += 1
-        next_live = []
-        for i in live:
-            energies[i] = max(0, energies[i] + deltas[i])
-            paths[i].append(energies[i])
-            if energies[i] > 0:
-                next_live.append(i)
-            else:
-                deaths[t] += 1
-        for _ in range(spawns):
-            if len(energies) >= cap:
-                capped = True
-                break
-            energies.append(cfg.e0)
-            paths.append([cfg.e0])
-            logs.append([])
-            next_live.append(len(energies) - 1)
-            births[t] += 1
-        live = next_live
-        alive[t] = len(live)
-        if not live:
+        n_live = live.size
+        e = energy[live]
+        # one row of four uniforms per live agent, in agent order
+        like, dislike, repost, link = (
+            rng.random((n_live, 4)) < _event_probs(cfg, e)).T
+        e = e - 1 + like - dislike + 2 * repost
+        linkers = np.flatnonzero(link)
+        if n_live > 1 and linkers.size:
+            other = rng.integers(n_live - 1, size=linkers.size)
+            other += other >= linkers  # skip the linking agent itself
+            e += np.bincount(other, minlength=n_live)
+        spawns = int(repost.sum()) + int(rng.random() < cfg.p_s)
+        likes[live] += like
+        lifespans[live] += 1
+        energy[live] = e  # a dead agent's energy is never read again
+        survivors = live[e > 0]
+        deaths[t] = n_live - survivors.size
+        new = min(spawns, cap - born)
+        capped |= new < spawns
+        energy[born:born + new] = cfg.e0
+        live = np.concatenate([survivors, np.arange(born, born + new)])
+        born += new
+        births[t] = new
+        alive[t] = live.size
+        if not live.size:
             break
-    traces = tuple(AgentTrace(tuple(p), tuple(lg)) for p, lg in zip(paths, logs))
-    return SimOutcome(alive, births, deaths, traces, capped=capped)
+    return SimOutcome(alive, births, deaths, lifespans[:born], likes[:born],
+                      capped=capped)
 
 
 def like_count_distribution(e0: int, cfg: SimConfig,
-                            t_max: Optional[int] = None,
-                            n_mc: int = 100_000) -> np.ndarray:
+                            t_max: Optional[int] = None) -> np.ndarray:
     """Probability mass function of the number of likes an agent collects.
 
-    Exact dynamic programming over (energy, like count) for e0 <= 40;
-    Monte Carlo beyond. ``mass[k]`` is P(exactly k likes before death or
-    the horizon); masses total 1.
+    Exact dynamic programming over (energy, like count), for every e0.
+    ``mass[k]`` is P(exactly k likes before death or the horizon t_max);
+    masses total 1.
     """
     if e0 < 1:
         raise InvalidArgument("e0 must be >= 1")
     if t_max is None:
         t_max = cfg.t_max
-    if e0 > 40:
-        return _like_count_mc(e0, cfg, t_max, n_mc)
-    cap = e0 + 2 * t_max
-    # state[e, k]: probability of being live at energy e with k likes so far
+    if t_max < 0:
+        raise InvalidArgument("horizon must be >= 0")
+    cap = e0 + 2 * t_max  # energy rises by at most 2 per tick
+    p = _event_probs(cfg, np.arange(cap + 1))
+    p_like, p_rep = p[:, :1], p[:, 2:3]
+    # state[e, k]: probability of being live at energy e with k likes so far.
+    # The shifted slices drop moves out of rows cap - 1 and cap; those rows
+    # are empty before every move, as energy is at most e0 + 2 * ticks done.
     state = np.zeros((cap + 1, t_max + 1))
     state[e0, 0] = 1.0
     out = np.zeros(t_max + 1)
-    phis = np.array([cfg.phi_fn(e) for e in range(1, cap + 1)])
-    p_like = cfg.p_l0 * phis
-    p_rep = cfg.p_r0 * phis
     for _ in range(t_max):
-        nxt = np.zeros_like(state)
-        for idx, e in enumerate(range(1, cap + 1)):
-            mass = state[e]
-            if not mass.any():
-                continue
-            pl, pr = p_like[idx], p_rep[idx]
-            liked = np.zeros_like(mass)
-            liked[1:] = mass[:-1] * pl  # the like shifts the count by one
-            unliked = mass * (1.0 - pl)
-            nxt[min(e + 2, cap)] += liked * pr          # like + repost
-            nxt[e] += liked * (1.0 - pr)                # like alone
-            nxt[min(e + 1, cap)] += unliked * pr        # repost alone
-            dead_or_down = unliked * (1.0 - pr)         # plain decay
-            if e > 1:
-                nxt[e - 1] += dead_or_down
-            else:
-                out += dead_or_down
+        liked = np.zeros_like(state)
+        liked[:, 1:] = state[:, :-1] * p_like  # the like shifts the count by one
+        unliked = state * (1.0 - p_like)
+        nxt = liked * (1.0 - p_rep)                  # like alone
+        nxt[2:] += liked[:-2] * p_rep[:-2]           # like + repost
+        nxt[1:] += unliked[:-1] * p_rep[:-1]         # repost alone
+        nxt[:-1] += unliked[1:] * (1.0 - p_rep[1:])  # plain decay
+        out += nxt[0]  # energy 0 is death
+        nxt[0] = 0.0
         state = nxt
-    out += state[1:].sum(axis=0)  # survivors at the horizon keep their count
-    return out
-
-
-def _like_count_mc(e0: int, cfg: SimConfig, t_max: int, n_mc: int) -> np.ndarray:
-    rng = np.random.default_rng(cfg.seed)
-    counts = np.zeros(t_max + 1)
-    for _ in range(n_mc):
-        e, likes = e0, 0
-        for _ in range(t_max):
-            phi = cfg.phi_fn(e)
-            like = rng.random() < cfg.p_l0 * phi
-            repost = rng.random() < cfg.p_r0 * phi
-            if like:
-                likes += 1
-            e += -1 + like + 2 * repost
-            if e <= 0:
-                break
-        counts[min(likes, t_max)] += 1
-    return counts / n_mc
+    return out + state.sum(axis=0)  # survivors at the horizon keep their count
 
 
 def weibull_mle(samples: Sequence[float], max_iter: int = 200) -> Tuple[float, float]:

@@ -480,7 +480,7 @@ def cmd_simulate(args, out_dir: Path) -> int:
         "config": {"p_l0": cfg.p_l0, "p_d0": cfg.p_d0, "p_r0": cfg.p_r0,
                    "p_link0": cfg.p_link0, "p_s": cfg.p_s, "e0": cfg.e0,
                    "phi": cfg.phi, "ticks": args.ticks},
-        "agents": len(outcome.traces),
+        "agents": outcome.lifespans.size,
         "lifespan_histogram": np.bincount(lifespans).tolist(),
         "like_histogram": np.bincount(likes).tolist(),
         "capped": outcome.capped,

@@ -302,6 +302,18 @@ def hits(g: ImpactGraph, tol: float = 1e-9,
             {node: float(hub[i]) for node, i in index.items()})
 
 
+def _lower_quartile(values: Sequence[float]) -> float:
+    """``np.quantile(values, 0.25)`` by numpy's linear rule, read off a
+    sorted copy; the first np.quantile call imports numpy.ma (~15 ms)."""
+    v = np.sort(np.asarray(values, dtype=float))
+    h = 0.25 * (v.size - 1)
+    lo = int(h)
+    gamma = h - lo
+    a, b = v[lo], v[min(lo + 1, v.size - 1)]
+    # numpy's lerp works back from b once gamma >= 0.5
+    return float(b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+
+
 def io_scenario_score(g: ImpactGraph, ratio_threshold: float = 2.0,
                       cluster_size: int = 5) -> Dict[str, object]:
     """Score the "less influential sources impacting more influential
@@ -356,7 +368,7 @@ def io_scenario_score(g: ImpactGraph, ratio_threshold: float = 2.0,
         }
     cluster_flag = False
     if rated:
-        q1 = float(np.quantile([ratings[x] for x in rated], 0.25))
+        q1 = _lower_quartile([ratings[x] for x in rated])
         low = [x for x in rated if ratings[x] <= q1]
         neigh: Dict[Tuple, List[Hashable]] = {}
         out: Dict[Hashable, set] = {node: set() for node in g.nodes}

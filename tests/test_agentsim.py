@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ioscope.agentsim import (SimConfig, like_count_distribution,
                               lifespan_survival, make_phi,
@@ -7,7 +10,12 @@ from ioscope.agentsim import (SimConfig, like_count_distribution,
                               weibull_mle)
 from ioscope.errors import InvalidArgument, NoConvergence
 
+from references import like_count_distribution_loop, simulate_population_loop
+
 BASE_CFG = SimConfig(p_l0=0.4, p_r0=0.1)
+PROB = st.floats(min_value=0.0, max_value=1.0)
+PHI = st.sampled_from(["one", "saturating"])
+E_REF = st.floats(min_value=0.5, max_value=50.0)
 
 
 class TestPhi:
@@ -24,6 +32,20 @@ class TestPhi:
     def test_unknown_tag(self):
         with pytest.raises(InvalidArgument):
             make_phi("quadratic")
+
+    def test_elementwise_on_arrays(self):
+        e = np.array([0, 5, 10, 50])
+        np.testing.assert_array_equal(make_phi("one")(e), [1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(make_phi("saturating", 10.0)(e),
+                                      [0.0, 0.5, 1.0, 1.0])
+
+    @pytest.mark.parametrize("tag", ["one", "saturating"])
+    @pytest.mark.parametrize("e_ref", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_e_ref_not_finite_positive(self, tag, e_ref):
+        with pytest.raises(InvalidArgument):
+            make_phi(tag, e_ref)
+        with pytest.raises(InvalidArgument):
+            SimConfig(phi=tag, phi_e_ref=e_ref)
 
 
 class TestSimConfig:
@@ -105,14 +127,71 @@ class TestSimulatePopulation:
         np.testing.assert_array_equal(a.births, b.births)
         np.testing.assert_array_equal(a.deaths, b.deaths)
 
-    def test_energy_rules_in_traces(self):
-        cfg = SimConfig(p_l0=0.5, p_r0=0.3, e0=5, seed=3)
+    @pytest.mark.parametrize("phi", ["one", "saturating"])
+    def test_likes_alone_balance_energy(self, phi):
+        # energy = e0 + likes - lifespan while live, and a dead agent hit 0
+        cfg = SimConfig(p_l0=0.5, p_r0=0.0, p_d0=0.0, p_link0=0.0, p_s=1.0,
+                        e0=6, phi=phi, phi_e_ref=8.0, seed=3)
+        out = simulate_population(cfg, 60)
+        spent = out.lifespans - out.like_counts
+        assert np.all(spent <= cfg.e0)
+        assert np.sum(spent == cfg.e0) == out.deaths.sum() > 0
+        assert np.sum(spent < cfg.e0) == out.alive[-1]
+
+    @pytest.mark.parametrize("e0", [1, 2, 5, 8])
+    def test_certain_dislike_halves_lifespan(self, e0):
+        # -2 per tick: each agent lives ceil(e0 / 2) ticks; one is born
+        # per tick, so the youngest are cut off by the horizon
+        ticks = 12
+        cfg = SimConfig(p_l0=0.0, p_r0=0.0, p_d0=1.0, p_s=1.0, e0=e0, seed=2)
+        out = simulate_population(cfg, ticks)
+        expect = np.minimum(math.ceil(e0 / 2), ticks - np.arange(ticks + 1))
+        np.testing.assert_array_equal(out.lifespans, expect)
+
+    def test_links_keep_population_books(self):
+        cfg = SimConfig(p_l0=0.3, p_r0=0.25, p_d0=0.1, p_link0=0.6, p_s=0.2,
+                        e0=4, phi="saturating", phi_e_ref=6.0, seed=9)
         out = simulate_population(cfg, 40)
-        for trace in out.traces:
-            e = np.asarray(trace.energies)
-            assert np.all(e >= 0)
-            deltas = set(np.diff(e[e > 0])) if len(e) > 1 else set()
-            assert deltas <= {-1.0, 0.0, 1.0, 2.0}
+        assert out.births.sum() == out.lifespans.size > 1
+        assert out.lifespans.size == out.like_counts.size
+        np.testing.assert_array_equal(
+            out.alive[1:], out.alive[:-1] + out.births[1:] - out.deaths[1:])
+        assert np.all(out.like_counts <= out.lifespans)
+
+    def test_links_credit_another_live_agent(self):
+        # links only, one agent born per tick at e0 = 2: tick 3 starts at
+        # energies 1, 2, 2 and each agent links to one of the other two,
+        # so the oldest dies exactly when neither picks it, P = 1/4
+        n = 4000
+        died = 0
+        for seed in range(n):
+            cfg = SimConfig(p_l0=0.0, p_r0=0.0, p_link0=1.0, p_s=1.0, e0=2,
+                            seed=seed)
+            out = simulate_population(cfg, 3)
+            assert out.deaths[:3].sum() == 0
+            died += out.deaths[3]
+        sigma = np.sqrt(0.25 * 0.75 / n)
+        assert abs(died / n - 0.25) <= 4 * sigma
+
+    @settings(max_examples=40, deadline=None)
+    @given(p_l0=PROB, p_d0=PROB, p_r0=PROB, p_s=PROB, phi=PHI, e_ref=E_REF,
+           e0=st.integers(1, 12), ticks=st.integers(1, 30),
+           cap=st.integers(1, 200), seed=st.integers(0, 2 ** 32))
+    def test_matches_agent_loop_without_links(self, p_l0, p_d0, p_r0, p_s, phi,
+                                              e_ref, e0, ticks, cap, seed):
+        cfg = SimConfig(p_l0=p_l0, p_d0=p_d0, p_r0=p_r0, p_s=p_s, e0=e0,
+                        phi=phi, phi_e_ref=e_ref, seed=seed)
+        out = simulate_population(cfg, ticks, cap=cap)
+        ref = simulate_population_loop(cfg, ticks, cap)
+        for name in ("alive", "births", "deaths", "lifespans", "like_counts"):
+            got, want = getattr(out, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        assert out.capped == ref.capped
+
+    def test_rejects_cap_below_one(self):
+        with pytest.raises(InvalidArgument):
+            simulate_population(BASE_CFG, 5, cap=0)
 
     def test_first_tick_spawn_expectation(self):
         cfg_base = SimConfig(p_l0=0.4, p_r0=0.2, p_s=0.1, e0=10)
@@ -142,11 +221,51 @@ class TestLikeCountDistribution:
         assert np.all(pmf >= -1e-12)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("t_max", [-1, -3])
+    def test_rejects_negative_horizon(self, t_max):
+        with pytest.raises(InvalidArgument):
+            like_count_distribution(5, BASE_CFG, t_max=t_max)
+
+    @settings(max_examples=25, deadline=None)
+    @given(p_l0=PROB, p_r0=PROB, phi=PHI, e_ref=E_REF,
+           e0=st.integers(1, 40), t_max=st.integers(0, 80))
+    def test_matches_per_energy_loop(self, p_l0, p_r0, phi, e_ref, e0, t_max):
+        cfg = SimConfig(p_l0=p_l0, p_r0=p_r0, phi=phi, phi_e_ref=e_ref)
+        got = like_count_distribution(e0, cfg, t_max=t_max)
+        want = like_count_distribution_loop(e0, cfg, t_max)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("phi", ["one", "saturating"])
+    def test_large_e0_vs_monte_carlo(self, phi):
+        cfg = SimConfig(p_l0=0.3, p_r0=0.05, phi=phi, phi_e_ref=20.0)
+        n = 20000
+        exact = like_count_distribution(60, cfg, t_max=150)
+        assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+        estimate = mc_like_pmf(60, cfg, 150, n, seed=4)
+        sigma = np.sqrt(exact * (1.0 - exact) / n)
+        assert np.all(np.abs(estimate - exact) <= 5.0 * sigma + 1.0 / n)
+
     def test_net_increment_composition(self):
         # like +1/repost +2 with universal -1 decay span exactly {-1,0,1,2}
         deltas = {like + 2 * repost - 1
                   for like in (0, 1) for repost in (0, 1)}
         assert deltas == {-1, 0, 1, 2}
+
+
+def mc_like_pmf(e0, cfg, t_max, n, seed):
+    """Like-count frequencies of ``n`` independent single-agent walks."""
+    gen = np.random.default_rng(seed)
+    energy = np.full(n, e0)
+    likes = np.zeros(n, dtype=int)
+    for _ in range(t_max):
+        live = np.flatnonzero(energy > 0)
+        phi = cfg.phi_fn(energy[live])
+        like = gen.random(live.size) < cfg.p_l0 * phi
+        repost = gen.random(live.size) < cfg.p_r0 * phi
+        likes[live] += like
+        energy[live] += like.astype(int) + 2 * repost - 1
+    return np.bincount(likes, minlength=t_max + 1) / n
 
 
 class TestWeibullMle:

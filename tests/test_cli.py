@@ -277,6 +277,16 @@ class TestSimulate:
         assert main(["simulate", "--pl", "1.2",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("phi", ["one", "saturating"])
+    @pytest.mark.parametrize("e_ref", ["nan", "inf", "0", "-2"])
+    def test_phi_e_ref_not_finite_positive_exit_2(self, tmp_path, capsys,
+                                                   phi, e_ref):
+        assert main(["simulate", "--phi", phi, "--phi-e-ref", e_ref,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "e_ref" in err
+        assert not (tmp_path / "o" / "population.csv").exists()
+
     def test_reference_config_report(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["simulate", "--pl", "0.4", "--pr", "0.1",

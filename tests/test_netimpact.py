@@ -207,6 +207,12 @@ class TestIoScenarioScore:
             ratings=remapped)
         assert io_scenario_score(g2)["score"] == pytest.approx(base)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e12)
+                    | st.integers(0, 10 ** 6), min_size=1, max_size=40))
+    def test_lower_quartile_is_numpy_linear_quantile(self, values):
+        assert netimpact._lower_quartile(values) == float(np.quantile(values, 0.25))
+
 
 # Citation rows over a small pool (self-citations, repeats and 2-cycles
 # come up often), nodes that only carry a rating, ratings with ties and
