@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -131,9 +132,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidArgument(f"{text} is not a finite number")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise InvalidArgument(f"{text} is negative")
+    return value
+
+
 def read_series_csv(path: Path) -> TimeSeries:
     """One `value` column, or `timestamp,value` with uniform spacing."""
-    rows = _read_rows(path, ",", _fields("value or timestamp,value", float, float,
+    rows = _read_rows(path, ",", _fields("value or timestamp,value", _finite, _finite,
                                          optional=1))
     if len(rows) < 2:
         raise InvalidArgument(f"{path}: need at least 2 samples")
@@ -172,7 +187,7 @@ def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
 def _read_estimates(path: Path, sources: Sequence[str]) -> Dict[str, float]:
     """One `source,E` row for each ranking source, and none for any other."""
     estimates: Dict[str, float] = {}
-    parse = _fields("source,E", str, float)
+    parse = _fields("source,E", str, _nonnegative)
 
     def row(fields: List[str]) -> None:
         src, value = parse(fields)
@@ -190,12 +205,27 @@ def _read_estimates(path: Path, sources: Sequence[str]) -> Dict[str, float]:
     return estimates
 
 
+def _read_ratings(path: Path) -> Dict[str, float]:
+    """One `node,rating` row for each rated node."""
+    ratings: Dict[str, float] = {}
+    parse = _fields("node,rating", str, _nonnegative)
+
+    def row(fields: List[str]) -> None:
+        node, value = parse(fields)
+        if node in ratings:
+            raise InvalidArgument(f"node {node!r} repeated")
+        ratings[node] = value
+
+    _read_rows(path, ",", row)
+    return ratings
+
+
 def _load_template_dir(dir_path: Path) -> List[templates.Template]:
     if not dir_path.is_dir():
         raise InvalidArgument(f"{dir_path} is not a directory")
     bank = []
     for p in sorted(dir_path.glob("*.csv")):
-        samples = np.ravel(_read_rows(p, ",", _fields("one sample", float)))
+        samples = np.ravel(_read_rows(p, ",", _fields("one sample", _finite)))
         try:
             bank.append(templates.Template(samples, name=p.stem))
         except InvalidArgument as exc:
@@ -538,8 +568,7 @@ def cmd_graph(args, out_dir: Path) -> int:
     inputs = [edges_path]
     ratings = None
     if args.ratings:
-        ratings = dict(_read_rows(Path(args.ratings), ",",
-                                  _fields("node,rating", str, float)))
+        ratings = _read_ratings(Path(args.ratings))
         inputs.append(Path(args.ratings))
     g = netimpact.build_impact_graph(citations, ratings=ratings)
     results: Dict = {"n": g.n, "m": g.m,

@@ -4,6 +4,7 @@ the low-rated-to-high-rated dissemination pattern."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -92,12 +93,14 @@ _BFS_CELLS = 2 ** 20
 Adjacency = Tuple[np.ndarray, np.ndarray]
 
 
-def _edge_index(g: ImpactGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions in ``g.nodes`` of the source and target of every edge."""
+def _edge_index(g: ImpactGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions in ``g.nodes`` of the source and target of every edge,
+    and its multiplicity as a float (a count need not fit in int64)."""
     pos = {node: i for i, node in enumerate(g.nodes)}
     src = np.fromiter((pos[u] for u, _, _ in g.edges), dtype=np.int64, count=g.m)
     dst = np.fromiter((pos[v] for _, v, _ in g.edges), dtype=np.int64, count=g.m)
-    return src, dst
+    count = np.fromiter((c for _, _, c in g.edges), dtype=float, count=g.m)
+    return src, dst, count
 
 
 def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> Adjacency:
@@ -218,7 +221,7 @@ def network_stats(g: ImpactGraph) -> Dict[str, object]:
     if g.n < 1:
         raise InvalidArgument("graph must have at least one node")
     n, m = g.n, g.m
-    src, dst = _edge_index(g)
+    src, dst, _ = _edge_index(g)
     out_adj = _adjacency(n, src, dst)
     und_adj = _adjacency(n, np.r_[src, dst], np.r_[dst, src])
     block = max(1, _BFS_CELLS // max(n, und_adj[1].size))
@@ -280,16 +283,14 @@ def hits(g: ImpactGraph, tol: float = 1e-9,
     """
     if g.m == 0:
         raise NoEdges("hub/authority scores need at least one edge")
-    index = {node: i for i, node in enumerate(g.nodes)}
-    a_mat = np.zeros((g.n, g.n))
-    for u, v, c in g.edges:
-        a_mat[index[u], index[v]] = c
-    hub = np.ones(g.n) / np.sqrt(g.n)
-    auth = np.ones(g.n) / np.sqrt(g.n)
+    n = g.n
+    src, dst, count = _edge_index(g)
+    hub = np.ones(n) / np.sqrt(n)
+    auth = np.ones(n) / np.sqrt(n)
     for _ in range(max_iter):
-        new_auth = a_mat.T @ hub
+        new_auth = np.bincount(dst, weights=count * hub[src], minlength=n)
         new_auth /= np.linalg.norm(new_auth)
-        new_hub = a_mat @ new_auth
+        new_hub = np.bincount(src, weights=count * new_auth[dst], minlength=n)
         new_hub /= np.linalg.norm(new_hub)
         if (np.max(np.abs(new_auth - auth)) < tol
                 and np.max(np.abs(new_hub - hub)) < tol):
@@ -298,8 +299,7 @@ def hits(g: ImpactGraph, tol: float = 1e-9,
         auth, hub = new_auth, new_hub
     else:
         raise NoConvergence("hub/authority iteration did not converge")
-    return ({node: float(auth[i]) for node, i in index.items()},
-            {node: float(hub[i]) for node, i in index.items()})
+    return dict(zip(g.nodes, auth.tolist())), dict(zip(g.nodes, hub.tolist()))
 
 
 def _lower_quartile(values: Sequence[float]) -> float:
@@ -328,31 +328,20 @@ def io_scenario_score(g: ImpactGraph, ratio_threshold: float = 2.0,
     if g.m == 0:
         raise NoEdges("scenario scoring needs at least one edge")
     ratings = g.ratings or {}
-    rated = [node for node in g.nodes if node in ratings]
-    if len(rated) < 0.8 * g.n:
+    r = np.array([ratings.get(node, np.nan) for node in g.nodes], dtype=float)
+    rated = ~np.isnan(r)
+    if np.count_nonzero(rated) < 0.8 * g.n:
         raise InsufficientRatings("ratings present on fewer than 80% of nodes")
-
-    def edge_weight(u: Hashable, v: Hashable, c: int) -> Tuple[float, float]:
-        """(upward weight, total weight) contribution of one edge."""
-        if u not in ratings or v not in ratings:
-            return 0.0, 0.0
-        ru, rv = ratings[u], ratings[v]
-        if rv > ru:
-            ratio = rv / ru if ru > 0 else np.inf
-            w = 2.0 * c if ratio >= ratio_threshold else 1.0 * c
-            return w, w
-        return 0.0, 1.0 * c
-
-    weights = [edge_weight(u, v, c) for u, v, c in g.edges]
-    up = tot = 0.0
-    for w_up, w_tot in weights:
-        up += w_up
-        tot += w_tot
+    src, dst, count = _edge_index(g)
+    ru, rv = r[src], r[dst]
+    rising = rv > ru  # False where either end is unrated (nan)
+    ratio = np.divide(rv, ru, out=np.full(g.m, np.inf), where=ru > 0)
+    w_up = np.where(rising, np.where(ratio >= ratio_threshold, 2.0, 1.0) * count, 0.0)
+    w_tot = np.where(rising, w_up, np.where(rated[src] & rated[dst], count, 0.0))
+    # cumsum and bincount both add in edge order
+    up, tot = np.cumsum([w_up, w_tot], axis=1)[:, -1].tolist()
     total_score = up / tot if tot > 0 else 0.0
-    src, dst = _edge_index(g)
     comp = _components(_adjacency(g.n, np.r_[src, dst], np.r_[dst, src]))
-    # bincount adds in edge order, as the running sums above do
-    w_up, w_tot = np.array(weights).T
     comp_up = np.bincount(comp[src], weights=w_up, minlength=comp.max() + 1)
     comp_tot = np.bincount(comp[src], weights=w_tot, minlength=comp.max() + 1)
     members: List[List[str]] = [[] for _ in range(comp_up.size)]
@@ -366,21 +355,13 @@ def io_scenario_score(g: ImpactGraph, ratio_threshold: float = 2.0,
             "score": comp_score,
             "flagged": comp_score > 0.5,
         }
-    cluster_flag = False
-    if rated:
-        q1 = _lower_quartile([ratings[x] for x in rated])
-        low = [x for x in rated if ratings[x] <= q1]
-        neigh: Dict[Tuple, List[Hashable]] = {}
-        out: Dict[Hashable, set] = {node: set() for node in g.nodes}
-        for u, v, _ in g.edges:
-            out[u].add(v)
-        for node in low:
-            if out[node]:
-                key = tuple(sorted(map(str, out[node])))
-                neigh.setdefault(key, []).append(node)
-        cluster_flag = any(len(v) >= cluster_size for v in neigh.values())
+    # bottom-quartile nodes with at least one target, grouped by their
+    # row of distinct targets
+    indptr, indices = _adjacency(g.n, src, dst)
+    low = np.flatnonzero((r <= _lower_quartile(r[rated])) & (np.diff(indptr) > 0))
+    groups = Counter(indices[indptr[i]:indptr[i + 1]].tobytes() for i in low.tolist())
     return {
         "score": total_score,
         "components": component_flags,
-        "clone_cluster": cluster_flag,
+        "clone_cluster": any(k >= cluster_size for k in groups.values()),
     }

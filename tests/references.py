@@ -1,12 +1,12 @@
 """Slow reference implementations that tests compare the library against."""
 
-from typing import Dict, List, Sequence
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ioscope.agentsim import SimConfig, SimOutcome
-from ioscope.errors import InvalidArgument
+from ioscope.errors import InvalidArgument, NoConvergence, NoEdges
 from ioscope.netimpact import ImpactGraph
 from ioscope.rankfuse import Ranking
 from ioscope.series import ScaleField, TimeSeries
@@ -91,11 +91,39 @@ def network_stats_networkx(g: ImpactGraph) -> Dict[str, object]:
     }
 
 
-def io_scenario_score_networkx(g: ImpactGraph, ratio_threshold: float = 2.0
-                               ) -> Dict[str, object]:
-    """The ``score`` and ``components`` of ``netimpact.io_scenario_score``,
-    from networkx connected components and one rescan of the edges for
-    each."""
+def hits_dense(g: ImpactGraph, tol: float = 1e-9, max_iter: int = 1000
+               ) -> Tuple[Dict[Hashable, float], Dict[Hashable, float]]:
+    """``netimpact.hits`` as power iteration on the dense n x n matrix
+    of summed edge multiplicities."""
+    if g.m == 0:
+        raise NoEdges("hub/authority scores need at least one edge")
+    index = {node: i for i, node in enumerate(g.nodes)}
+    a_mat = np.zeros((g.n, g.n))
+    for u, v, c in g.edges:
+        a_mat[index[u], index[v]] += c
+    hub = np.ones(g.n) / np.sqrt(g.n)
+    auth = np.ones(g.n) / np.sqrt(g.n)
+    for _ in range(max_iter):
+        new_auth = a_mat.T @ hub
+        new_auth /= np.linalg.norm(new_auth)
+        new_hub = a_mat @ new_auth
+        new_hub /= np.linalg.norm(new_hub)
+        if (np.max(np.abs(new_auth - auth)) < tol
+                and np.max(np.abs(new_hub - hub)) < tol):
+            auth, hub = new_auth, new_hub
+            break
+        auth, hub = new_auth, new_hub
+    else:
+        raise NoConvergence("hub/authority iteration did not converge")
+    return ({node: float(auth[i]) for node, i in index.items()},
+            {node: float(hub[i]) for node, i in index.items()})
+
+
+def io_scenario_score_networkx(g: ImpactGraph, ratio_threshold: float = 2.0,
+                               cluster_size: int = 5) -> Dict[str, object]:
+    """``netimpact.io_scenario_score`` from networkx connected components,
+    one rescan of the edges for each, and one out-set per node grouped by
+    its sorted ``str`` targets."""
     ratings = g.ratings or {}
 
     def score_edges(edges) -> float:
@@ -118,7 +146,17 @@ def io_scenario_score_networkx(g: ImpactGraph, ratio_threshold: float = 2.0
         score = score_edges([(u, v, c) for u, v, c in g.edges if u in comp])
         components[f"component-{i}"] = {"nodes": sorted(map(str, comp)),
                                         "score": score, "flagged": score > 0.5}
-    return {"score": score_edges(g.edges), "components": components}
+    rated = [node for node in g.nodes if node in ratings]
+    q1 = np.quantile([ratings[x] for x in rated], 0.25)
+    out: Dict[Hashable, set] = {node: set() for node in g.nodes}
+    for u, v, _ in g.edges:
+        out[u].add(v)
+    groups: Dict[Tuple, List[Hashable]] = {}
+    for node in rated:
+        if ratings[node] <= q1 and out[node]:
+            groups.setdefault(tuple(sorted(map(str, out[node]))), []).append(node)
+    return {"score": score_edges(g.edges), "components": components,
+            "clone_cluster": any(len(v) >= cluster_size for v in groups.values())}
 
 
 def simulate_population_loop(cfg: SimConfig, ticks: int, cap: int) -> SimOutcome:

@@ -100,12 +100,79 @@ def case_duplicate_alternative(d):
     return ["fuse", "--rankings", write(d / "r.csv", rows)], "r.csv:4:"
 
 
+def case_rating_repeated(d):
+    return ["graph", "--edges", write(d / "e.tsv", EDGES), "--ops", "ioscore",
+            "--ratings", write(d / "r.csv", "node,rating\na,1\nb,2\na,50\n")
+            ], "r.csv:4: node 'a' repeated"
+
+
+def case_series_value_nan(d):
+    return ["analyze", "--input", write(d / "x.csv", "value\n1\n2\nnan\n3\n"),
+            "--ops", "sma"], "x.csv:4:"
+
+
+def case_series_timestamp_overflow(d):
+    return ["analyze", "--input", write(d / "x.csv", "1,5\n1e400,6\n3,7\n"),
+            "--ops", "sma"], "x.csv:2:"
+
+
+def case_template_sample_nan(d):
+    (d / "bank").mkdir()
+    write(d / "bank" / "t.csv", "1\n2\nnan\n3\n")
+    return ["scan", "--input", write(d / "x.csv", SERIES),
+            "--templates", str(d / "bank")], "t.csv:3:"
+
+
+def case_template_sample_overflow(d):
+    (d / "bank").mkdir()
+    write(d / "bank" / "t.csv", "1e400\n2\n3\n")
+    return ["scan", "--input", write(d / "x.csv", SERIES),
+            "--templates", str(d / "bank")], "t.csv:1:"
+
+
+def case_rating_nan(d):
+    return ["graph", "--edges", write(d / "e.tsv", EDGES), "--ops", "ioscore",
+            "--ratings", write(d / "r.csv", "a,1\nb,nan\nc,3\n")], "r.csv:2:"
+
+
+def case_rating_overflow(d):
+    return ["graph", "--edges", write(d / "e.tsv", EDGES), "--ops", "stats",
+            "--ratings", write(d / "r.csv", "node,rating\na,1e400\n")], "r.csv:2:"
+
+
+def case_rating_negative(d):
+    return ["graph", "--edges", write(d / "e.tsv", EDGES), "--ops", "stats",
+            "--ratings", write(d / "r.csv", "a,1\nb,-2\nc,3\n")], "r.csv:2:"
+
+
+def case_estimate_nan(d):
+    return ["fuse", "--rankings", write(d / "r.csv", RANKINGS),
+            "--estimates", write(d / "est.csv", "s1,nan\ns2,2.0\n"),
+            "--weighting", "density"], "est.csv:1:"
+
+
+def case_estimate_overflow(d):
+    return ["fuse", "--rankings", write(d / "r.csv", RANKINGS),
+            "--estimates", write(d / "est.csv", "source,E\ns1,1.0\ns2,1e400\n"),
+            "--weighting", "dispersion"], "est.csv:3:"
+
+
+def case_estimate_negative(d):
+    return ["fuse", "--rankings", write(d / "r.csv", RANKINGS),
+            "--estimates", write(d / "est.csv", "source,E\ns1,-1.0\ns2,2.0\n"),
+            "--weighting", "density"], "est.csv:2:"
+
+
 BREACHES = [case_edge_count_not_integer, case_edge_count_zero,
             case_edge_count_negative_on_line_1, case_template_sample_not_numeric,
             case_estimate_not_numeric, case_estimate_for_unknown_source,
             case_estimate_repeated, case_estimate_missing, case_input_not_utf8,
             case_input_is_directory, case_config_value_wrong_type,
-            case_duplicate_alternative]
+            case_duplicate_alternative, case_rating_repeated, case_series_value_nan,
+            case_series_timestamp_overflow, case_template_sample_nan,
+            case_template_sample_overflow, case_rating_nan, case_rating_overflow,
+            case_rating_negative, case_estimate_nan, case_estimate_overflow,
+            case_estimate_negative]
 
 
 @pytest.mark.parametrize("case", BREACHES, ids=lambda c: c.__name__[5:])

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ioscope import netimpact
-from ioscope.errors import InsufficientRatings, InvalidArgument, NoEdges
+from ioscope.errors import (InsufficientRatings, InvalidArgument, NoConvergence,
+                            NoEdges)
 from ioscope.netimpact import (ImpactGraph, build_impact_graph, hits,
                                io_scenario_score, network_stats)
 
-from references import io_scenario_score_networkx, network_stats_networkx
+from references import hits_dense, io_scenario_score_networkx, network_stats_networkx
 
 
 def k4_edges():
@@ -266,7 +267,7 @@ class TestNetworkxOracle:
         rated = sum(1 for x in g.nodes if x in (g.ratings or {}))
         assume(g.m > 0 and rated >= 0.8 * g.n)
         got = io_scenario_score(g)
-        assert {k: got[k] for k in ("score", "components")} == io_scenario_score_networkx(g)
+        assert got == io_scenario_score_networkx(g)
         for block in got["components"].values():
             assert type(block["score"]) is float and type(block["flagged"]) is bool
 
@@ -285,7 +286,21 @@ class TestNetworkxOracle:
         assert list(score["components"]) == ["component-0", "component-1",
                                              "component-2"]
         assert score["components"]["component-2"]["nodes"] == ["f"]
-        assert {k: score[k] for k in ("score", "components")} == io_scenario_score_networkx(g)
+        assert score == io_scenario_score_networkx(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=impact_graphs())
+    def test_hits(self, g):
+        try:
+            want = hits_dense(g)
+        except (NoEdges, NoConvergence) as exc:
+            with pytest.raises(type(exc)):
+                hits(g)
+            return
+        for mine, ref in zip(hits(g), want):
+            assert list(mine) == list(ref)
+            diff = np.subtract(list(mine.values()), list(ref.values()))
+            assert np.max(np.abs(diff)) <= 1e-12
 
 
 def test_network_stats_memory_on_sparse_graph():
@@ -307,3 +322,22 @@ def test_network_stats_memory_on_sparse_graph():
         tracemalloc.stop()
     assert peak < 50e6
     assert sum(rec["out_degree"] for rec in stats["per_node"].values()) == 6000
+
+
+def test_hits_memory_on_sparse_graph():
+    """A dense 3000 x 3000 float64 matrix alone would be 72 MB."""
+    rng = np.random.default_rng(2002)
+    n = 3000
+    src, dst = rng.integers(0, n, (2, 6600)).tolist()
+    g = build_impact_graph([(f"n{v}", f"n{u}") for u, v in zip(src, dst) if u != v],
+                           ratings={f"n{i}": 1.0 for i in range(n)})
+    assert g.n == n and 6500 <= g.m <= 6600
+    tracemalloc.start()
+    try:
+        auth, hub = hits(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert np.linalg.norm(list(auth.values())) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(list(hub.values())) == pytest.approx(1.0, abs=1e-9)
