@@ -129,10 +129,14 @@ def _log_moments(qs: np.ndarray, lg: np.ndarray,
     return offset + m + np.log(np.sum(np.exp(v - m[:, None]), axis=1))
 
 
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return float(slope), float(intercept)
+def _fit_lines(x: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope and intercept of every row of ys against x,
+    in closed form on the centred abscissa."""
+    xm = x.mean()
+    xc = x - xm
+    ym = ys.mean(axis=-1)
+    slope = ((ys - ym[..., None]) @ xc) / (xc @ xc)
+    return slope, ym - slope * xm
 
 
 def _rs_ladder(n: int, min_window: int, n_scales: int) -> np.ndarray:
@@ -174,11 +178,10 @@ def hurst_rs(x: TimeSeries, min_window: int = 8,
     for i, w in enumerate(sizes):
         ratio, ok = _segment_rs(vals, w)
         if not np.any(ok):
-            raise DegenerateSignal("all segments constant at window "
-                                   f"size {w}")
+            raise DegenerateSignal(f"all segments constant at window size {w}")
         rs[i] = np.mean(ratio[ok])
-    slope, intercept = _loglog_slope(sizes.astype(float), rs)
-    return HurstResult(slope, sizes.astype(float), rs, intercept)
+    slope, intercept = _fit_lines(np.log(sizes.astype(float)), np.log(rs))
+    return HurstResult(float(slope), sizes.astype(float), rs, float(intercept))
 
 
 def hurst_profile(x: TimeSeries, min_prefix: int = 32,
@@ -222,11 +225,8 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
             k = t[:, None] // sizes[None, :]
             tot = np.stack([sums[w][k[:, i]] for i, w in enumerate(sizes)], 1)
             cnt = np.stack([counts[w][k[:, i]] for i, w in enumerate(sizes)], 1)
-            lx = np.log(sizes.astype(float))
-            lx -= lx.mean()
-            ly = np.log(tot / cnt)
-            ly -= ly.mean(axis=1, keepdims=True)
-            slope = (ly @ lx) / (lx @ lx)
+            slope, _ = _fit_lines(np.log(sizes.astype(float)),
+                                  np.log(tot / cnt))
             good = np.isfinite(slope)  # a size with cnt = 0 gives 0/0
             out[t[good] - 1] = slope[good]
     return TimeSeries._with_undefined(
@@ -242,11 +242,9 @@ def _direct_rms(vals: np.ndarray, s: int,
     win = np.lib.stride_tricks.sliding_window_view(vals, s)
     if starts is not None:
         win = win[starts]
-    tc = np.arange(s, dtype=float)
-    tc -= tc.mean()
-    wc = win - win.mean(axis=1, keepdims=True)
-    slope = (wc @ tc) / float(tc @ tc)
-    resid = wc - slope[:, None] * tc[None, :]
+    tc = np.arange(s, dtype=float) - (s - 1) / 2.0
+    slope, mid = _fit_lines(tc, win)
+    resid = win - mid[:, None] - slope[:, None] * tc
     return np.sqrt(np.mean(resid * resid, axis=1))
 
 
@@ -255,13 +253,15 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
     least-squares line over the window of length s starting at l, stored
     at the window centre l + s // 2.
 
-    Cost O(n * S) for S window sizes. On the series centred on its mean,
-    each window's sums S0 = sum v, S1 = sum j v (local index j) and
-    S2 = sum v^2 grow by one sample from length s to s + 1, and the
-    residual sum of squares is S2 - S0^2/s - (S1 - tbar S0)^2 / D with
-    tbar = (s - 1)/2, D = s(s^2 - 1)/12. That difference cancels on
-    near-linear windows: a cell whose residual is not above 1e9 times its
-    rounding bound (16 s eps S2) is recomputed from the window itself.
+    Cost O(n * S) for S window sizes. A window's residual is unchanged
+    when a line is subtracted from the series, so the series v is taken
+    about its global least-squares line. Each window's sums S0 = sum v,
+    S1 = sum j v (local index j) and S2 = sum v^2 grow by one sample from
+    length s to s + 1, and the residual sum of squares is
+    S2 - S0^2/s - (S1 - tbar S0)^2 / D with tbar = (s - 1)/2,
+    D = s(s^2 - 1)/12. That difference cancels on near-linear windows: a
+    cell whose residual is not above 1e9 times its rounding bound
+    (16 s eps S2) is recomputed from the window itself.
     """
     vals = np.asarray(x.values, dtype=float)
     n = vals.size
@@ -274,7 +274,12 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
     mask = np.zeros((sizes.size, n), dtype=bool)
     eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        v = vals - vals.mean()
+        t = np.arange(n, dtype=float)
+        slope, icpt = _fit_lines(t, vals)
+        # the line on a power-of-two grid coarse enough that each of its
+        # values is exact, so that v takes one rounding per sample
+        g = np.ldexp(1.0, np.frexp(abs(icpt) + abs(slope) * n)[1] - 52)
+        v = vals - (np.round(icpt / g) * g + np.round(slope / g) * g * t)
         v2 = v * v
         s0 = np.zeros(n)
         s1 = np.zeros(n)
@@ -308,20 +313,23 @@ def _mfdfa_scales(n: int) -> np.ndarray:
     return np.unique(np.geomspace(smin, smax, 100).round().astype(int))
 
 
-def mfdfa(x: TimeSeries, q: Sequence[float], order: int = 1,
+def mfdfa(x: TimeSeries, q: Sequence[float],
           scales: Optional[Sequence[int]] = None,
           aggregated: bool = False) -> MultifractalResult:
     """Multifractal detrended fluctuation analysis of an increment series.
 
     The profile is the cumulative sum of the mean-subtracted values; a
     series flagged ``aggregated`` is already a profile and is used as-is.
-    Segments of each scale are detrended (both sweep directions) and the
-    q-th order fluctuation functions give h(q) by log-log regression,
-    with tau(q) = q h(q) - 1 and the spectrum by a numerical Legendre
-    transform.
+    Segments of each scale (both sweep directions) are detrended by a
+    least-squares line, and the q-th order fluctuation functions give
+    h(q) by log-log regression, with tau(q) = q h(q) - 1 and the
+    spectrum by a numerical Legendre transform. A segment whose residual
+    is zero to rounding (the profile is a line there) has no finite
+    negative moment, and the series is rejected.
     """
     qs = _q_grid(q)
-    if not np.any(qs == 0):
+    nz = qs != 0
+    if nz.all():
         raise InvalidArgument("q grid must contain 0")
     vals = np.asarray(x.values, dtype=float)
     n = vals.size
@@ -331,28 +339,20 @@ def mfdfa(x: TimeSeries, q: Sequence[float], order: int = 1,
     sizes = np.asarray(scales, dtype=int) if scales is not None else _mfdfa_scales(n)
     if sizes.size < 4:
         raise InsufficientScales("need at least 4 scales")
-    hq = np.empty(qs.size)
     logF = np.empty((qs.size, sizes.size))
     for j, s in enumerate(sizes):
         ns = n // s
-        segs = np.concatenate([
-            profile[: ns * s].reshape(ns, s),
-            profile[n - ns * s:].reshape(ns, s),
-        ])
-        t = np.arange(s, dtype=float)
-        V = np.vander(t, order + 1)
-        coef, *_ = np.linalg.lstsq(V, segs.T, rcond=None)
-        resid = segs.T - V @ coef
-        f2 = np.mean(resid * resid, axis=0)  # length 2*ns
-        f2 = np.maximum(f2, 1e-300)
-        for i, qv in enumerate(qs):
-            if qv == 0:
-                logF[i, j] = 0.5 * np.mean(np.log(f2))
-            else:
-                logF[i, j] = np.log(np.mean(f2 ** (qv / 2.0))) / qv
-    ls = np.log(sizes.astype(float))
-    for i in range(qs.size):
-        hq[i] = np.polyfit(ls, logF[i], 1)[0]
+        off = np.arange(ns) * s
+        starts = np.concatenate([off, off + n - ns * s])
+        rms = _direct_rms(profile, s, starts)
+        peak = np.abs(np.lib.stride_tricks.sliding_window_view(
+            profile, s)[starts]).max(axis=1)
+        if np.any(rms <= 1e3 * np.finfo(float).eps * peak):
+            raise DegenerateSignal(f"a segment with zero fluctuation at scale {s}")
+        lr = np.log(rms)
+        logF[nz, j] = _log_moments(qs[nz], lr, -np.log(lr.size)) / qs[nz]
+        logF[~nz, j] = lr.mean()
+    hq, _ = _fit_lines(np.log(sizes.astype(float)), logF)
     tau, alpha, f_alpha = _legendre(qs, qs * hq - 1.0)
     return MultifractalResult(qs, tau, alpha, f_alpha,
                               h=_chord_hurst(qs, tau, hq))
@@ -436,10 +436,9 @@ def _l1_modulus_field(x: TimeSeries, wavelet: str,
         # zero out the cone of influence: cells whose wavelet reaches
         # past either end of the series carry truncated (biased) moduli
         n = fld.cols.size
-        for r, sc in enumerate(fld.rows):
-            pad = min(n // 2, int(np.ceil(coi * sc / x.step)))
-            mod[r, :pad] = 0.0
-            mod[r, n - pad:] = 0.0
+        pad = np.minimum(n // 2, np.ceil(coi * fld.rows / x.step))[:, None]
+        cols = np.arange(n)
+        mod[(cols < pad) | (cols >= n - pad)] = 0.0
     return ScaleField(fld.rows, fld.cols, mod, mask=fld.mask, kind="wtmm-mod")
 
 
@@ -461,34 +460,18 @@ def wtmm(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
         scales = np.geomspace(2.0 * x.step, smax, 24)
     fld = _l1_modulus_field(x, wavelet, scales, coi=coi)
     skel = find_skeleton(fld, min_length=min_line_length)
-    nr = fld.rows.size
-    # per line, the running supremum of the modulus along the line; a line
-    # contributes only at the scales it actually crosses
-    sup_at_row = np.full((skel.n_lines, nr), np.nan)
+    # running supremum of the modulus along each line; a line holds one
+    # maximum on every row from its first to its last, and counts only there
+    sup_at_row = np.full((skel.n_lines, fld.rows.size), np.nan)
     for i, (ln, mods) in enumerate(zip(skel.lines, skel.moduli)):
-        running = -np.inf
-        k = 0
-        for r in range(ln[0][0], ln[-1][0] + 1):
-            while k < len(ln) and ln[k][0] <= r:
-                running = max(running, mods[k])
-                k += 1
-            sup_at_row[i, r] = running
-    logZ = np.full((qs.size, nr), np.nan)
-    counts = np.zeros(nr, dtype=int)
-    for r in range(nr):
-        col = sup_at_row[:, r]
-        col = col[np.isfinite(col) & (col > 0)]
-        counts[r] = col.size
-        if col.size == 0:
-            continue
-        logZ[:, r] = _log_moments(qs, np.log(col))
-    usable = counts >= 3
+        sup_at_row[i, ln[0][0]: ln[0][0] + len(ln)] = np.maximum.accumulate(mods)
+    good = np.isfinite(sup_at_row) & (sup_at_row > 0)
+    usable = np.count_nonzero(good, axis=0) >= 3
     if np.count_nonzero(usable) < 4:
         raise InsufficientStructure("too few scales carry maxima lines")
-    ls = np.log(fld.rows[usable])
-    tau = np.empty(qs.size)
-    for i in range(qs.size):
-        tau[i] = np.polyfit(ls, logZ[i, usable], 1)[0]
+    logZ = np.stack([_log_moments(qs, np.log(sup_at_row[good[:, r], r]))
+                     for r in np.flatnonzero(usable)], axis=1)
+    tau, _ = _fit_lines(np.log(fld.rows[usable]), logZ)
     tau, alpha, f_alpha = _legendre(qs, tau)
     return MultifractalResult(qs, tau, alpha, f_alpha)
 
@@ -512,29 +495,20 @@ def wavelet_leaders(x: TimeSeries, q: Sequence[float],
     if len(scales) < 4:
         raise InsufficientScales("series too short for dyadic leader scales")
     fld = _l1_modulus_field(x, wavelet, scales)
-    mod = fld.cells
-    tau = np.empty(qs.size)
+    # a leader is one window maximum of the modulus maxed over finer scales
+    finest = np.maximum.accumulate(fld.cells, axis=0)
     logZ = np.empty((qs.size, len(scales)))
     for j, sj in enumerate(scales):
         half = max(1, int(round(sj / x.step)))
-        centers = np.arange(half, n - half, max(1, half))
-        if centers.size < 2:
-            logZ[:, j] = np.nan
-            continue
-        leaders = np.empty(centers.size)
-        rows_upto = slice(0, j + 1)
-        for i, c in enumerate(centers):
-            lo, hi = max(0, c - half), min(n, c + half + 1)
-            leaders[i] = np.max(mod[rows_upto, lo:hi])
-        leaders = np.maximum(leaders, 1e-300)
+        # windows [c - half, c + half], c = half, 2 half, ... < n - half: 6 or more
+        win = np.lib.stride_tricks.sliding_window_view(finest[j], 2 * half + 1)
+        leaders = np.maximum(win[::half].max(axis=1), 1e-300)
         logZ[:, j] = _log_moments(qs, np.log(leaders), np.log(sj / span))
     ok = np.all(np.isfinite(logZ), axis=0)
     if np.count_nonzero(ok) < 3:
         raise InsufficientScales("too few usable dyadic scales")
-    ls = np.log(np.asarray(scales)[ok])
-    for i in range(qs.size):
-        tau[i] = np.polyfit(ls, logZ[i, ok], 1)[0] - 1.0
-    tau, alpha, f_alpha = _legendre(qs, tau)
+    tau, _ = _fit_lines(np.log(np.asarray(scales)[ok]), logZ[:, ok])
+    tau, alpha, f_alpha = _legendre(qs, tau - 1.0)
     return MultifractalResult(qs, tau, alpha, f_alpha)
 
 

@@ -1,16 +1,21 @@
 """Slow reference implementations that tests compare the library against."""
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ioscope.agentsim import SimConfig, SimOutcome
-from ioscope.errors import InvalidArgument, NoConvergence, NoEdges
+from ioscope.errors import (DegenerateSignal, InsufficientScales,
+                            InsufficientStructure, InvalidArgument,
+                            NoConvergence, NoEdges)
+from ioscope.fractal import (MultifractalResult, _chord_hurst, _legendre,
+                             _log_moments, _mfdfa_scales, _q_grid,
+                             find_skeleton)
 from ioscope.netimpact import ImpactGraph
 from ioscope.rankfuse import Ranking
 from ioscope.series import ScaleField, TimeSeries
-from ioscope.wavelet import Wavelet
+from ioscope.wavelet import Wavelet, cwt, default_scale_grid, get_wavelet
 
 
 def cwt_direct(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
@@ -257,3 +262,147 @@ def like_count_distribution_loop(e0: int, cfg: SimConfig, t_max: int) -> np.ndar
         state = nxt
     out += state[1:].sum(axis=0)  # survivors at the horizon keep their count
     return out
+
+
+def mfdfa_loop(x: TimeSeries, q: Sequence[float],
+               scales: Optional[Sequence[int]] = None,
+               aggregated: bool = False) -> MultifractalResult:
+    """``fractal.mfdfa`` with one ``lstsq`` line fit per scale, one power
+    mean per (scale, q) and one ``polyfit`` per q."""
+    qs = _q_grid(q)
+    if not np.any(qs == 0):
+        raise InvalidArgument("q grid must contain 0")
+    vals = np.asarray(x.values, dtype=float)
+    n = vals.size
+    if np.ptp(vals) == 0:
+        raise DegenerateSignal("constant series")
+    profile = vals if aggregated else np.cumsum(vals - vals.mean())
+    sizes = np.asarray(scales, dtype=int) if scales is not None else _mfdfa_scales(n)
+    if sizes.size < 4:
+        raise InsufficientScales("need at least 4 scales")
+    hq = np.empty(qs.size)
+    logF = np.empty((qs.size, sizes.size))
+    for j, s in enumerate(sizes):
+        ns = n // s
+        segs = np.concatenate([
+            profile[: ns * s].reshape(ns, s),
+            profile[n - ns * s:].reshape(ns, s),
+        ])
+        t = np.arange(s, dtype=float)
+        V = np.vander(t, 2)
+        coef, *_ = np.linalg.lstsq(V, segs.T, rcond=None)
+        resid = segs.T - V @ coef
+        f2 = np.mean(resid * resid, axis=0)  # length 2*ns
+        f2 = np.maximum(f2, 1e-300)
+        for i, qv in enumerate(qs):
+            if qv == 0:
+                logF[i, j] = 0.5 * np.mean(np.log(f2))
+            else:
+                logF[i, j] = np.log(np.mean(f2 ** (qv / 2.0))) / qv
+    ls = np.log(sizes.astype(float))
+    for i in range(qs.size):
+        hq[i] = np.polyfit(ls, logF[i], 1)[0]
+    tau, alpha, f_alpha = _legendre(qs, qs * hq - 1.0)
+    return MultifractalResult(qs, tau, alpha, f_alpha,
+                              h=_chord_hurst(qs, tau, hq))
+
+
+def l1_modulus_field_loop(x: TimeSeries, wavelet: str,
+                          scales: Optional[Sequence[float]],
+                          coi: float = 0.0) -> ScaleField:
+    """``fractal._l1_modulus_field`` zeroing the cone of influence one
+    row at a time."""
+    if scales is None:
+        scales = default_scale_grid(x)
+    fld = cwt(x, get_wavelet(wavelet), scales)
+    mod = np.abs(fld.cells) / np.sqrt(fld.rows)[:, None]
+    if coi > 0:
+        n = fld.cols.size
+        for r, sc in enumerate(fld.rows):
+            pad = min(n // 2, int(np.ceil(coi * sc / x.step)))
+            mod[r, :pad] = 0.0
+            mod[r, n - pad:] = 0.0
+    return ScaleField(fld.rows, fld.cols, mod, mask=fld.mask, kind="wtmm-mod")
+
+
+def wtmm_loop(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
+              scales: Optional[Sequence[float]] = None,
+              min_line_length: int = 5, coi: float = 4.0) -> MultifractalResult:
+    """``fractal.wtmm`` with each line's running supremum walked row by
+    row, one partition sum per row and one ``polyfit`` per q."""
+    qs = _q_grid(q)
+    if scales is None:
+        n = len(x)
+        smax = max(8.0, n / 33.0) * x.step
+        scales = np.geomspace(2.0 * x.step, smax, 24)
+    fld = l1_modulus_field_loop(x, wavelet, scales, coi=coi)
+    skel = find_skeleton(fld, min_length=min_line_length)
+    nr = fld.rows.size
+    sup_at_row = np.full((skel.n_lines, nr), np.nan)
+    for i, (ln, mods) in enumerate(zip(skel.lines, skel.moduli)):
+        running = -np.inf
+        k = 0
+        for r in range(ln[0][0], ln[-1][0] + 1):
+            while k < len(ln) and ln[k][0] <= r:
+                running = max(running, mods[k])
+                k += 1
+            sup_at_row[i, r] = running
+    logZ = np.full((qs.size, nr), np.nan)
+    counts = np.zeros(nr, dtype=int)
+    for r in range(nr):
+        col = sup_at_row[:, r]
+        col = col[np.isfinite(col) & (col > 0)]
+        counts[r] = col.size
+        if col.size == 0:
+            continue
+        logZ[:, r] = _log_moments(qs, np.log(col))
+    usable = counts >= 3
+    if np.count_nonzero(usable) < 4:
+        raise InsufficientStructure("too few scales carry maxima lines")
+    ls = np.log(fld.rows[usable])
+    tau = np.empty(qs.size)
+    for i in range(qs.size):
+        tau[i] = np.polyfit(ls, logZ[i, usable], 1)[0]
+    tau, alpha, f_alpha = _legendre(qs, tau)
+    return MultifractalResult(qs, tau, alpha, f_alpha)
+
+
+def wavelet_leaders_loop(x: TimeSeries, q: Sequence[float],
+                         wavelet: str = "mexican-hat") -> MultifractalResult:
+    """``fractal.wavelet_leaders`` with one maximum over the finer rows
+    per leader centre and one ``polyfit`` per q."""
+    qs = _q_grid(q)
+    n = len(x)
+    span = n * x.step
+    scales = []
+    s = 2.0 * x.step
+    while s <= span / 8.0:
+        scales.append(s)
+        s *= 2.0
+    if len(scales) < 4:
+        raise InsufficientScales("series too short for dyadic leader scales")
+    fld = l1_modulus_field_loop(x, wavelet, scales)
+    mod = fld.cells
+    tau = np.empty(qs.size)
+    logZ = np.empty((qs.size, len(scales)))
+    for j, sj in enumerate(scales):
+        half = max(1, int(round(sj / x.step)))
+        centers = np.arange(half, n - half, max(1, half))
+        if centers.size < 2:
+            logZ[:, j] = np.nan
+            continue
+        leaders = np.empty(centers.size)
+        rows_upto = slice(0, j + 1)
+        for i, c in enumerate(centers):
+            lo, hi = max(0, c - half), min(n, c + half + 1)
+            leaders[i] = np.max(mod[rows_upto, lo:hi])
+        leaders = np.maximum(leaders, 1e-300)
+        logZ[:, j] = _log_moments(qs, np.log(leaders), np.log(sj / span))
+    ok = np.all(np.isfinite(logZ), axis=0)
+    if np.count_nonzero(ok) < 3:
+        raise InsufficientScales("too few usable dyadic scales")
+    ls = np.log(np.asarray(scales)[ok])
+    for i in range(qs.size):
+        tau[i] = np.polyfit(ls, logZ[i, ok], 1)[0] - 1.0
+    tau, alpha, f_alpha = _legendre(qs, tau)
+    return MultifractalResult(qs, tau, alpha, f_alpha)

@@ -8,9 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ioscope.cli import main, write_matrix_csv
-from ioscope.fractal import brownian
-from ioscope.series import ScaleField
+from ioscope.cli import Q_MFDFA, main, write_matrix_csv
+from ioscope.fractal import brownian, mfdfa
+from ioscope.series import ScaleField, TimeSeries
 
 from conftest import write_series_csv
 
@@ -102,6 +102,28 @@ class TestAnalyze:
         const = write_series_csv(tmp_path / "const.csv", np.ones(300))
         assert main(["analyze", "--input", const, "--ops", "acf",
                      "--out", str(tmp_path / "o")]) == 3
+
+    def test_mfdfa_zero_fluctuation_exit_3(self, tmp_path, capsys):
+        counts = np.random.default_rng(5).poisson(3.0, 1400)
+        path = write_series_csv(tmp_path / "x.csv",
+                                np.concatenate([np.zeros(600), counts]))
+        assert main(["analyze", "--input", path, "--ops", "mfdfa",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "zero fluctuation" in err, err
+
+    def test_aggregated_mfdfa_differences_the_series(self, tmp_path):
+        path_values = brownian(2048, seed=4).values
+        path = write_series_csv(tmp_path / "agg.csv", path_values)
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", path, "--ops", "mfdfa",
+                     "--aggregated", "--out", out]) == 0
+        report = load_report(out)
+        assert report["preprocessing"]["steps"] == ["disaggregate"]
+        want = mfdfa(TimeSeries(np.diff(path_values)), Q_MFDFA)
+        got = report["results"]["mfdfa"]
+        for name in ("q", "tau", "alpha", "f_alpha", "h"):
+            np.testing.assert_array_equal(got[name], getattr(want, name))
 
     def test_gabor_cli_grid_memory(self, tmp_path, rng):
         # an F x C x T complex temporary would take ~6.4 GB at this size

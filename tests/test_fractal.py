@@ -4,13 +4,15 @@ import pytest
 from ioscope import fractal
 from ioscope.errors import (DegenerateSignal, DegenerateVariance,
                             InsufficientScales, InsufficientStructure,
-                            InvalidArgument)
+                            InvalidArgument, IoscopeError)
 from ioscope.fractal import (MultifractalResult, binomial_cascade,
                              binomial_cascade_tau, brownian, delta_l_field,
                              find_skeleton, hurst_profile, hurst_rs, mfdfa,
                              wavelet_leaders, wtmm)
 from ioscope.series import TimeSeries
 from ioscope.wavelet import cwt, get_wavelet
+
+from references import mfdfa_loop, wavelet_leaders_loop, wtmm_loop
 
 Q_GRID = np.arange(-4.0, 4.01, 0.5)
 
@@ -221,6 +223,20 @@ class TestDeltaLFieldOracle:
         fld = delta_l_field(TimeSeries(oracle_series("brownian", 512)))
         assert sum(redone) <= 0.01 * np.count_nonzero(fld.mask)
 
+    def test_offset_and_trend_stay_on_the_running_sums(self, monkeypatch):
+        # the windows' residuals are far below the offset and the trend;
+        # about the global line, v is as small as those residuals
+        calls = []
+        direct = fractal._direct_rms
+
+        def counting(vals, s, starts=None):
+            calls.append(s)
+            return direct(vals, s, starts)
+
+        monkeypatch.setattr(fractal, "_direct_rms", counting)
+        delta_l_field(TimeSeries(oracle_series("offset-trend", 2048)))
+        assert len(calls) <= 5
+
 
 class TestDeltaLField:
     def test_straight_line_zero(self):
@@ -294,6 +310,84 @@ class TestMfdfa:
     def test_q_grid_must_contain_zero(self):
         with pytest.raises(InvalidArgument):
             mfdfa(brownian(512, seed=10), [1.0, 2.0])
+
+    def test_zero_fluctuation_segment_rejected(self):
+        # the profile of the leading zeros is a line: those segments have
+        # no residual, so log F at q <= 0 is not finite
+        counts = np.random.default_rng(5).poisson(3.0, 1400)
+        x = TimeSeries(np.concatenate([np.zeros(600), counts]))
+        with pytest.raises(DegenerateSignal, match="scale 20"):
+            mfdfa(x, np.arange(-5.0, 5.01, 0.5))
+
+
+def parity_inputs():
+    """Brownian paths, binomial cascades (in place and shuffled) and
+    Poisson counts, over several seeds."""
+    out = []
+    for seed in range(3):
+        out.append(pytest.param(brownian(1024 + 300 * seed, seed=seed),
+                                id=f"brownian-{seed}"))
+        out.append(pytest.param(binomial_cascade(10 + seed % 2, p=0.3,
+                                                 seed=seed, shuffle=seed > 0),
+                                id=f"cascade-{seed}"))
+        counts = np.random.default_rng(seed).poisson(3.0, 800 + 200 * seed)
+        out.append(pytest.param(TimeSeries(counts.astype(float)),
+                                id=f"poisson-{seed}"))
+    return out
+
+
+def assert_spectra_match(got, want):
+    for name in ("tau", "alpha", "f_alpha", "h"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+            continue
+        np.testing.assert_allclose(a, b, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(b)), err_msg=name)
+
+
+class TestMultifractalLoopParity:
+    @pytest.mark.parametrize("x", parity_inputs())
+    @pytest.mark.parametrize("aggregated", [False, True])
+    def test_mfdfa(self, x, aggregated):
+        q = np.arange(-5.0, 5.01, 0.5)
+        assert_spectra_match(mfdfa(x, q, aggregated=aggregated),
+                             mfdfa_loop(x, q, aggregated=aggregated))
+
+    @pytest.mark.parametrize("x", parity_inputs())
+    def test_wtmm(self, x):
+        q = np.arange(-2.0, 4.01, 0.5)
+        assert_spectra_match(wtmm(x, q), wtmm_loop(x, q))
+
+    @pytest.mark.parametrize("x", parity_inputs())
+    def test_wavelet_leaders(self, x):
+        q = np.arange(-2.0, 4.01, 0.5)
+        assert_spectra_match(wavelet_leaders(x, q), wavelet_leaders_loop(x, q))
+
+
+ESTIMATORS = {
+    "hurst_rs": hurst_rs,
+    "hurst_profile": hurst_profile,
+    "delta_l_field": delta_l_field,
+    "mfdfa": lambda x: mfdfa(x, np.arange(-5.0, 5.01, 0.5)),
+    "wtmm": lambda x: wtmm(x, np.arange(-2.0, 4.01, 0.5)),
+    "wavelet_leaders": lambda x: wavelet_leaders(x, np.arange(-2.0, 4.01, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", ["poisson", "brownian", "offset-trend", "line",
+                                  "spiky", "sparse", "constant-lead"])
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_estimators_raise_no_floating_point_error(kind, name):
+    # every estimator returns a result or rejects the series with one of
+    # the library's errors; no step overflows, divides by zero or makes
+    # an invalid value on the way
+    x = TimeSeries(oracle_series(kind, 512))
+    with np.errstate(all="raise"):
+        try:
+            ESTIMATORS[name](x)
+        except IoscopeError:
+            pass
 
 
 class TestSkeleton:
