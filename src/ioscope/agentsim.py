@@ -84,57 +84,76 @@ class SimOutcome:
 
 def _event_probs(cfg: SimConfig, energy) -> np.ndarray:
     """Per-tick probabilities of a like, dislike, repost and link at each
-    energy, along a new last axis: each base probability times phi(E)."""
-    base = np.array([cfg.p_l0, cfg.p_d0, cfg.p_r0, cfg.p_link0])
-    return cfg.phi_fn(energy)[..., None] * base
+    energy, along a new first axis: each base probability times phi(E)."""
+    base = [cfg.p_l0, cfg.p_d0, cfg.p_r0, cfg.p_link0]
+    return np.multiply.outer(base, cfg.phi_fn(energy))
+
+
+def _moves(mass: np.ndarray, p: np.ndarray):
+    """Split ``mass`` (rows: energies, columns: like counts) by the tick's
+    independent like, repost and dislike draws, ``p`` from _event_probs,
+    one draw at a time in that order; yield each part with its energy
+    change -1 + like - dislike + 2 * repost. A like moves mass one column
+    on (the last column must be empty; a single column stays put)."""
+    like, dislike, repost = p[:3]
+    no_repost, no_dislike = 1.0 - repost, 1.0 - dislike
+    liked = np.roll(mass, 1, axis=1) * like
+    unliked = mass * (1.0 - like)
+    for part, delta in ((liked * no_repost, 0), (liked * repost, 2),
+                        (unliked * repost, 1), (unliked * no_repost, -1)):
+        yield delta, part * no_dislike
+        yield delta - 1, part * dislike
 
 
 def transition_row(e, cfg: SimConfig) -> np.ndarray:
-    """Distribution of the energy increment delta in {2, 1, 0, -1}; ``e``
-    is an energy or an array of them, with one row per energy.
+    """Distribution of the energy increment delta in {2, 1, 0, -1, -2};
+    ``e`` is an energy or an array of them, with one row per energy.
 
     A live message loses one energy unit per tick; an (independent) like
-    restores it and a repost adds two, so delta = 2 needs both events,
-    delta = 1 a repost alone, delta = 0 a like alone.
+    restores it, a dislike takes one more and a repost adds two.
     """
     if np.any(np.asarray(e) <= 0):
         raise InvalidArgument("transition defined for live agents (E > 0)")
-    p = _event_probs(cfg, e)
-    p_like, p_rep = p[..., 0], p[..., 2]
-    return np.stack([
-        p_like * p_rep,
-        (1.0 - p_like) * p_rep,
-        p_like * (1.0 - p_rep),
-        (1.0 - p_like) * (1.0 - p_rep),
-    ], axis=-1)
+    p = _event_probs(cfg, np.reshape(e, (-1, 1)))
+    row = np.zeros((p.shape[1], 5))
+    for delta, part in _moves(np.ones((p.shape[1], 1)), p):
+        row[:, 2 - delta] += part[:, 0]
+    return row.reshape(np.shape(e) + (5,))
 
 
-def lifespan_survival(e0: int, cfg: SimConfig, t: int) -> float:
-    """P(lifespan > t) for a single agent starting at energy e0.
-
-    Exact dynamic program over the truncated energy ladder: survival
-    after t more ticks conditioned on the current energy, with energy 0
-    absorbing and rho_0(E) = 1 for every live state.
-    """
+def _forward(e0: int, cfg: SimConfig, t: int, likes: bool):
+    """One agent's chain run forward t ticks from energy e0: the live mass
+    at each energy 0, 1, ... and like count (one column unless ``likes``),
+    and the mass that died, per like count. Links credit other agents, so
+    the chain leaves them out (p_link0 = 0), and p_s with them."""
     if e0 < 1:
         raise InvalidArgument("e0 must be >= 1")
     if t < 0:
         raise InvalidArgument("horizon must be >= 0")
-    cap = e0 + 2 * t + 2
-    rho = np.ones(cap + 1)
-    rho[0] = 0.0
-    rows = transition_row(np.arange(1, cap + 1), cfg)
-    for _ in range(t):
-        nxt = np.zeros_like(rho)
-        e = np.arange(1, cap + 1)
-        up2 = rho[np.minimum(e + 2, cap)]
-        up1 = rho[np.minimum(e + 1, cap)]
-        stay = rho[e]
-        down = rho[e - 1]
-        nxt[1:] = (rows[:, 0] * up2 + rows[:, 1] * up1
-                   + rows[:, 2] * stay + rows[:, 3] * down)
-        rho = nxt
-    return float(rho[e0])
+    # row i holds energy i - 1: a tick adds at most 2, a death lands on 0 or -1
+    p = _event_probs(cfg, np.arange(-1, e0 + 2 * t + 1)[:, None])
+    state = np.zeros((p.shape[1], t + 1 if likes else 1))
+    state[e0 + 1, 0] = 1.0
+    dead = np.zeros(state.shape[1])
+    for k in range(t):
+        # the live rows reachable in k ticks, and like counts up to k + 1
+        lo, hi, width = max(e0 - 2 * k, 1) + 1, e0 + 2 * k + 2, k + 2
+        nxt = np.zeros_like(state)
+        for delta, part in _moves(state[lo:hi, :width], p[:, lo:hi]):
+            nxt[lo + delta:hi + delta, :width] += part
+        dead += nxt[1] + nxt[0]
+        nxt[:2] = 0.0
+        state = nxt
+    return state[1:], dead
+
+
+def lifespan_survival(e0: int, cfg: SimConfig, t: int) -> float:
+    """P(lifespan > t) for a single agent starting at energy e0: the live
+    share of the exact forward chain's mass after t ticks, exactly 1 where
+    no agent can die by then. It assumes p_link0 = 0 and ignores p_s."""
+    live, dead = _forward(e0, cfg, t, likes=False)
+    live = live.sum()
+    return float(live / (live + dead[0]))
 
 
 def simulate_population(cfg: SimConfig, ticks: int,
@@ -171,7 +190,7 @@ def simulate_population(cfg: SimConfig, ticks: int,
         e = energy[live]
         # one row of four uniforms per live agent, in agent order
         like, dislike, repost, link = (
-            rng.random((n_live, 4)) < _event_probs(cfg, e)).T
+            rng.random((n_live, 4)).T < _event_probs(cfg, e))
         e = e - 1 + like - dislike + 2 * repost
         linkers = np.flatnonzero(link)
         if n_live > 1 and linkers.size:
@@ -201,37 +220,14 @@ def like_count_distribution(e0: int, cfg: SimConfig,
                             t_max: Optional[int] = None) -> np.ndarray:
     """Probability mass function of the number of likes an agent collects.
 
-    Exact dynamic programming over (energy, like count), for every e0.
-    ``mass[k]`` is P(exactly k likes before death or the horizon t_max);
-    masses total 1.
+    Exact: the forward chain of :func:`lifespan_survival` with a like-count
+    axis. ``mass[k]`` is P(exactly k likes before death or the horizon
+    t_max); masses total 1.
     """
-    if e0 < 1:
-        raise InvalidArgument("e0 must be >= 1")
     if t_max is None:
         t_max = cfg.t_max
-    if t_max < 0:
-        raise InvalidArgument("horizon must be >= 0")
-    cap = e0 + 2 * t_max  # energy rises by at most 2 per tick
-    p = _event_probs(cfg, np.arange(cap + 1))
-    p_like, p_rep = p[:, :1], p[:, 2:3]
-    # state[e, k]: probability of being live at energy e with k likes so far.
-    # The shifted slices drop moves out of rows cap - 1 and cap; those rows
-    # are empty before every move, as energy is at most e0 + 2 * ticks done.
-    state = np.zeros((cap + 1, t_max + 1))
-    state[e0, 0] = 1.0
-    out = np.zeros(t_max + 1)
-    for _ in range(t_max):
-        liked = np.zeros_like(state)
-        liked[:, 1:] = state[:, :-1] * p_like  # the like shifts the count by one
-        unliked = state * (1.0 - p_like)
-        nxt = liked * (1.0 - p_rep)                  # like alone
-        nxt[2:] += liked[:-2] * p_rep[:-2]           # like + repost
-        nxt[1:] += unliked[:-1] * p_rep[:-1]         # repost alone
-        nxt[:-1] += unliked[1:] * (1.0 - p_rep[1:])  # plain decay
-        out += nxt[0]  # energy 0 is death
-        nxt[0] = 0.0
-        state = nxt
-    return out + state.sum(axis=0)  # survivors at the horizon keep their count
+    live, dead = _forward(e0, cfg, t_max, likes=True)
+    return dead + live.sum(axis=0)  # survivors at the horizon keep their count
 
 
 def weibull_mle(samples: Sequence[float], max_iter: int = 200) -> Tuple[float, float]:

@@ -8,6 +8,7 @@ precondition or numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -515,15 +516,12 @@ def cmd_simulate(args, out_dir: Path) -> int:
         "like_histogram": np.bincount(likes).tolist(),
         "capped": outcome.capped,
     }
-    # survival beyond 1.5*e0 under both energy responses
-    survival: Dict[str, float] = {}
-    for tag in ("one", "saturating"):
-        alt = agentsim.SimConfig(p_l0=cfg.p_l0, p_r0=cfg.p_r0, e0=cfg.e0,
-                                 phi=tag, phi_e_ref=args.phi_e_ref,
-                                 t_max=args.ticks, seed=cfg.seed)
-        horizon = int(1.5 * cfg.e0)
-        survival[tag] = agentsim.lifespan_survival(cfg.e0, alt, horizon)
-    results["survival_beyond_1.5e0"] = survival
+    # survival beyond 1.5*e0 under both energy responses (exact without links)
+    horizon = int(1.5 * cfg.e0)
+    results["survival_beyond_1.5e0"] = {
+        tag: agentsim.lifespan_survival(
+            cfg.e0, dataclasses.replace(cfg, phi=tag), horizon)
+        for tag in ("one", "saturating")}
     positive = likes[likes > 0].astype(float)
     if positive.size >= 30:
         try:

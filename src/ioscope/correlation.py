@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidArgument
-from .series import TimeSeries
+from .series import TimeSeries, _unit_scale
 from .templates import correlation_diagram as pattern_correlation_field
 
 __all__ = [
@@ -49,12 +49,6 @@ def _gamma_xy(x: np.ndarray, y: np.ndarray, k: int) -> float:
     return _gamma_xy(y, x, -k)
 
 
-def _unit_scale(xs: np.ndarray) -> np.ndarray:
-    """xs times the power of two that brings max |xs| into [0.5, 1):
-    exact, and it keeps the lag products of huge values finite."""
-    return np.ldexp(xs, -np.frexp(np.max(np.abs(xs)))[1])
-
-
 def cross_covariance(x: TimeSeries, y: TimeSeries, max_lag: int) -> LagCurve:
     xs, ys = x.values, y.values
     if xs.size != ys.size:
@@ -77,7 +71,7 @@ def cross_correlation(x: TimeSeries, y: TimeSeries, max_lag: int,
     """
     if len(x) != len(y):
         raise InvalidArgument("series length mismatch")
-    xs, ys = _unit_scale(x.values), _unit_scale(y.values)
+    xs, ys = _unit_scale(x.values)[0], _unit_scale(y.values)[0]
     if np.ptp(xs) == 0 or np.ptp(ys) == 0:
         raise DegenerateVariance("constant series has no correlation")
     cov = cross_covariance(x.with_values(xs), y.with_values(ys), max_lag)
@@ -96,7 +90,7 @@ def cross_correlation(x: TimeSeries, y: TimeSeries, max_lag: int,
 
 def autocorrelation(x: TimeSeries, max_lag: Optional[int] = None) -> LagCurve:
     """Autocorrelation with default lag range T/4 and the 1/sqrt(T) band."""
-    xs = _unit_scale(x.values)
+    xs = _unit_scale(x.values)[0]
     T = xs.size
     if T < 8:
         raise InvalidArgument("series too short for autocorrelation")

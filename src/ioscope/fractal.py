@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (DegenerateSignal, DegenerateVariance, InsufficientScales,
                      InsufficientStructure, InvalidArgument)
-from .series import ScaleField, TimeSeries
+from .series import ScaleField, TimeSeries, _unit_scale
 from .wavelet import cwt, default_scale_grid, get_wavelet
 
 __all__ = [
@@ -168,7 +168,7 @@ def hurst_rs(x: TimeSeries, min_window: int = 8,
     by the segment standard deviation, and the exponent is the slope of
     log mean(R/S) against log window size.
     """
-    vals = np.asarray(x.values, dtype=float)
+    vals = _unit_scale(x.values)[0]
     if np.ptp(vals) == 0:
         raise DegenerateVariance("constant series has no rescaled range")
     sizes = _rs_ladder(vals.size, min_window, n_scales)
@@ -199,7 +199,7 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
     regression per ladder, where n full hurst_rs calls made up to 16
     passes each.
     """
-    vals = np.asarray(x.values, dtype=float)
+    vals = _unit_scale(x.values)[0]
     n = vals.size
     if n < min_prefix:
         raise InvalidArgument("series shorter than the minimum prefix")
@@ -263,7 +263,7 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
     cell whose residual is not above 1e9 times its rounding bound
     (16 s eps S2) is recomputed from the window itself.
     """
-    vals = np.asarray(x.values, dtype=float)
+    vals, e = _unit_scale(x.values)
     n = vals.size
     if max_window is None:
         max_window = n // 4
@@ -294,7 +294,8 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
             u = s1 - 0.5 * (s - 1) * s0
             ss = s2 - s0 * s0 / s - u * u / (s * (s * s - 1) / 12.0)
             rms = np.sqrt(ss / s)
-            redo = np.flatnonzero(~(ss > 1e9 * 16 * s * eps * s2))
+            # a window whose S2 is exactly 0 lies on the line: its rms is 0
+            redo = np.flatnonzero(~(ss > 1e9 * 16 * s * eps * s2) & (s2 > 0))
             if redo.size == k:
                 rms = _direct_rms(vals, s)
             elif redo.size:
@@ -302,7 +303,8 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
             cells[s - 3, s // 2: s // 2 + k] = rms
             mask[s - 3, s // 2: s // 2 + k] = True
     rows = sizes.astype(float) * x.step
-    return ScaleField(rows, x.times, cells, mask=mask, kind="deltaL")
+    return ScaleField(rows, x.times, np.ldexp(cells, e), mask=mask,
+                      kind="deltaL")
 
 
 def _mfdfa_scales(n: int) -> np.ndarray:
@@ -331,7 +333,7 @@ def mfdfa(x: TimeSeries, q: Sequence[float],
     nz = qs != 0
     if nz.all():
         raise InvalidArgument("q grid must contain 0")
-    vals = np.asarray(x.values, dtype=float)
+    vals = _unit_scale(x.values)[0]
     n = vals.size
     if np.ptp(vals) == 0:
         raise DegenerateSignal("constant series")

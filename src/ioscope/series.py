@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,6 +128,14 @@ class ScaleField:
                 and self.cols.size == other.cols.size
                 and np.allclose(self.rows, other.rows)
                 and np.allclose(self.cols, other.cols))
+
+
+def _unit_scale(xs: np.ndarray) -> Tuple[np.ndarray, int]:
+    """xs times the power of two 2**-e that brings max |xs| into [0.5, 1),
+    and e: exact, and it keeps the products and squares of huge or tiny
+    values in range, so the estimators that use it are scale-free."""
+    e = int(np.frexp(np.max(np.abs(xs)))[1])
+    return np.ldexp(xs, -e), e
 
 
 def _wma(x: np.ndarray, weights: np.ndarray) -> np.ndarray:

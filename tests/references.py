@@ -230,6 +230,28 @@ def simulate_population_loop(cfg: SimConfig, ticks: int, cap: int) -> SimOutcome
                       np.array(likes), capped=capped)
 
 
+def lifespan_survival_backward(e0: int, cfg: SimConfig, t: int) -> float:
+    """``agentsim.lifespan_survival`` at p_d0 = 0 by the backward recursion
+    over the truncated energy ladder: rho(E), the survival after t more
+    ticks from energy E, with energy 0 absorbing and rho(E) = 1 for every
+    live state at t = 0. Dislikes are ignored."""
+    cap = e0 + 2 * t + 2
+    e = np.arange(1, cap + 1)
+    phi = cfg.phi_fn(e)
+    p_like, p_rep = cfg.p_l0 * phi, cfg.p_r0 * phi
+    rho = np.ones(cap + 1)
+    rho[0] = 0.0
+    for _ in range(t):
+        nxt = np.zeros_like(rho)
+        up2 = rho[np.minimum(e + 2, cap)]
+        up1 = rho[np.minimum(e + 1, cap)]
+        nxt[1:] = (p_like * p_rep * up2 + (1.0 - p_like) * p_rep * up1
+                   + p_like * (1.0 - p_rep) * rho[e]
+                   + (1.0 - p_like) * (1.0 - p_rep) * rho[e - 1])
+        rho = nxt
+    return float(rho[e0])
+
+
 def like_count_distribution_loop(e0: int, cfg: SimConfig, t_max: int) -> np.ndarray:
     """``agentsim.like_count_distribution`` with one pass over the energy
     ladder per tick, moving each energy's like-count row in turn."""

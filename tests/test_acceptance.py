@@ -222,31 +222,64 @@ def mc_survival(e0, cfg, horizon, n_runs, seed):
     return float(np.mean(energy > 0))
 
 
-def brute_force_like_pmf(e0, cfg, t_max):
-    """Exhaustive enumeration over all event sequences."""
+def brute_force_paths(e0, cfg, t_max):
+    """Exhaustive enumeration over all event sequences: the (energy,
+    likes) each ends at (energy 0 at death, else at t_max), with its
+    probability, in the order the sequences are visited."""
     phi = make_phi(cfg.phi, cfg.phi_e_ref)
-    pmf = {}
+    leaves = []
 
     def recurse(e, t, likes, prob):
         if e == 0 or t == t_max:
-            pmf[likes] = pmf.get(likes, 0.0) + prob
+            leaves.append((e, likes, prob))
             return
         pl = cfg.p_l0 * phi(e)
         pr = cfg.p_r0 * phi(e)
+        pd = cfg.p_d0 * phi(e)
         for like in (0, 1):
             for rep in (0, 1):
-                p = ((pl if like else 1 - pl)
-                     * (pr if rep else 1 - pr))
-                if p == 0:
-                    continue
-                recurse(max(e + like + 2 * rep - 1, 0), t + 1,
-                        likes + like, prob * p)
+                for dis in (0, 1):
+                    p = ((pl if like else 1 - pl)
+                         * (pr if rep else 1 - pr)
+                         * (pd if dis else 1 - pd))
+                    if p == 0:
+                        continue
+                    recurse(max(e + like - dis + 2 * rep - 1, 0), t + 1,
+                            likes + like, prob * p)
 
     recurse(e0, 0, 0, 1.0)
+    return leaves
+
+
+def brute_force_like_pmf(e0, cfg, t_max):
+    pmf = {}
+    for _, likes, prob in brute_force_paths(e0, cfg, t_max):
+        pmf[likes] = pmf.get(likes, 0.0) + prob
     out = np.zeros(max(pmf) + 1)
     for k, v in pmf.items():
         out[k] = v
     return out
+
+
+def brute_force_survival(e0, cfg, t):
+    return sum(prob for e, _, prob in brute_force_paths(e0, cfg, t) if e > 0)
+
+
+def mc_single_agent(e0, cfg, t_max, n, seed):
+    """``n`` independent single-agent walks with likes, dislikes and
+    reposts (no links, no spawning): the share still live after t_max
+    ticks and the like-count frequencies."""
+    gen = np.random.default_rng(seed)
+    energy = np.full(n, e0)
+    likes = np.zeros(n, dtype=int)
+    for _ in range(t_max):
+        live = np.flatnonzero(energy > 0)
+        phi = cfg.phi_fn(energy[live])
+        like, dislike, repost = gen.random((3, live.size)) < np.multiply.outer(
+            [cfg.p_l0, cfg.p_d0, cfg.p_r0], phi)
+        likes[live] += like
+        energy[live] += like.astype(int) - dislike + 2 * repost - 1
+    return np.mean(energy > 0), np.bincount(likes, minlength=t_max + 1) / n
 
 
 class TestAgentModelOracles:
@@ -280,6 +313,35 @@ class TestAgentModelOracles:
             a[:len(exact)] = exact
             b[:len(brute)] = brute
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    DISLIKE_SETS = [
+        dict(p_l0=0.4, p_d0=0.3, p_r0=0.1, phi="one"),
+        dict(p_l0=0.5, p_d0=0.6, p_r0=0.3, phi="one"),
+        dict(p_l0=0.4, p_d0=1.0, p_r0=0.0, phi="one"),
+        dict(p_l0=0.6, p_d0=0.2, p_r0=0.2, phi="saturating", phi_e_ref=4.0),
+    ]
+
+    @pytest.mark.parametrize("params", DISLIKE_SETS)
+    def test_dislikes_vs_brute_force(self, params):
+        cfg = SimConfig(**params)
+        for t in (0, 1, 4, 5):
+            assert lifespan_survival(3, cfg, t) == pytest.approx(
+                brute_force_survival(3, cfg, t), rel=0, abs=1e-12)
+        exact = like_count_distribution(3, cfg, t_max=5)
+        brute = brute_force_like_pmf(3, cfg, 5)
+        np.testing.assert_allclose(exact[:brute.size], brute, atol=1e-12)
+        assert np.all(exact[brute.size:] == 0)
+
+    @pytest.mark.parametrize("i, params", enumerate(DISLIKE_SETS))
+    def test_dislikes_vs_monte_carlo(self, i, params):
+        n = 200000
+        cfg = SimConfig(**params)
+        live, freq = mc_single_agent(10, cfg, 15, n, seed=300 + i)
+        surv = lifespan_survival(10, cfg, 15)
+        pmf = like_count_distribution(10, cfg, t_max=15)
+        assert abs(live - surv) <= 5 * np.sqrt(surv * (1 - surv) / n) + 1 / n
+        sigma = np.sqrt(pmf * (1 - pmf) / n)
+        assert np.all(np.abs(freq - pmf) <= 5 * sigma + 1 / n)
 
     def test_report_phi_dependent_quantities(self, capsys):
         # the headline lifespan bound and Weibull shape depend on the

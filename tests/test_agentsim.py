@@ -10,7 +10,8 @@ from ioscope.agentsim import (SimConfig, like_count_distribution,
                               weibull_mle)
 from ioscope.errors import InvalidArgument, NoConvergence
 
-from references import like_count_distribution_loop, simulate_population_loop
+from references import (like_count_distribution_loop,
+                        lifespan_survival_backward, simulate_population_loop)
 
 BASE_CFG = SimConfig(p_l0=0.4, p_r0=0.1)
 PROB = st.floats(min_value=0.0, max_value=1.0)
@@ -67,11 +68,11 @@ class TestSimConfig:
 class TestTransitionRow:
     def test_reference_case(self):
         row = transition_row(10, BASE_CFG)
-        np.testing.assert_allclose(row, [0.04, 0.06, 0.36, 0.54], atol=1e-12)
+        np.testing.assert_allclose(row, [0.04, 0.06, 0.36, 0.54, 0.0], atol=1e-12)
 
     def test_certain_decay(self):
         row = transition_row(5, SimConfig(p_l0=0.0, p_r0=0.0))
-        np.testing.assert_allclose(row, [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(row, [0, 0, 0, 1, 0])
 
     def test_sums_to_one(self, rng):
         for _ in range(50):
@@ -80,6 +81,21 @@ class TestTransitionRow:
                             phi="saturating", phi_e_ref=8.0)
             assert transition_row(int(rng.integers(1, 30)), cfg).sum() \
                 == pytest.approx(1.0, abs=1e-12)
+
+    def test_dislikes_hand_value(self):
+        # delta = -2 is decay and a dislike with neither a like nor a repost
+        cfg = SimConfig(p_l0=0.4, p_d0=0.5, p_r0=0.1)
+        row = transition_row(10, cfg)
+        assert row[4] == pytest.approx(0.6 * 0.9 * 0.5, abs=1e-15)
+        np.testing.assert_allclose(
+            row, [0.02, 0.03 + 0.02, 0.18 + 0.03, 0.27 + 0.18, 0.27],
+            atol=1e-15)
+
+    def test_one_row_per_energy(self):
+        cfg = SimConfig(p_l0=0.4, p_d0=0.2, p_r0=0.1, phi="saturating")
+        rows = transition_row(np.array([[2, 5], [10, 30]]), cfg)
+        assert rows.shape == (2, 2, 5)
+        np.testing.assert_array_equal(rows[1, 0], transition_row(10, cfg))
 
     def test_nonpositive_energy(self):
         with pytest.raises(InvalidArgument):
@@ -109,6 +125,26 @@ class TestLifespanSurvival:
         for t in (0, 7, 30):
             v = lifespan_survival(4, BASE_CFG, t)
             assert 0.0 <= v <= 1.0
+
+    def test_one_step_hand_value_with_dislikes(self):
+        # from energy 2 a tick kills only by decay and a dislike alone
+        cfg = SimConfig(p_l0=0.4, p_d0=0.5, p_r0=0.1)
+        assert lifespan_survival(2, cfg, 1) == pytest.approx(1 - 0.6 * 0.9 * 0.5)
+
+    def test_dislikes_shorten_lifespans(self):
+        cfgs = [SimConfig(p_l0=0.4, p_d0=pd, p_r0=0.1) for pd in (0, 0.2, 0.6)]
+        vals = [lifespan_survival(10, cfg, 15) for cfg in cfgs]
+        assert vals[0] > vals[1] > vals[2] > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(p_l0=PROB, p_r0=PROB, phi=PHI, e_ref=E_REF,
+           e0=st.integers(1, 40), t=st.integers(0, 80))
+    def test_matches_backward_recursion(self, p_l0, p_r0, phi, e_ref, e0, t):
+        cfg = SimConfig(p_l0=p_l0, p_r0=p_r0, phi=phi, phi_e_ref=e_ref)
+        got = lifespan_survival(e0, cfg, t)
+        want = lifespan_survival_backward(e0, cfg, t)
+        assert got <= 1.0
+        assert abs(got - want) <= 1e-13 * want
 
 
 class TestSimulatePopulation:

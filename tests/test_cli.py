@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from ioscope.agentsim import SimConfig, lifespan_survival
 from ioscope.cli import Q_MFDFA, main, write_matrix_csv
 from ioscope.fractal import brownian, mfdfa
 from ioscope.series import ScaleField, TimeSeries
@@ -111,6 +112,22 @@ class TestAnalyze:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "zero fluctuation" in err, err
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_fractal_ops_are_scale_free(self, tmp_path, capsys, scale):
+        # squares of these samples underflow or overflow unless the
+        # estimators scale the series first
+        path = write_series_csv(tmp_path / "x.csv",
+                                brownian(600, seed=3).values * scale)
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", path, "--ops",
+                     "dl,hurst,hurst-profile,mfdfa", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        results = load_report(out)["results"]
+        assert any(v is not None for v in results["hurst-profile"]["values"])
+        assert None not in results["mfdfa"]["tau"]
+        cells = np.genfromtxt(os.path.join(out, "dl.csv"), delimiter=",")
+        assert np.nanmax(cells[1:, 1:]) > 0
 
     def test_aggregated_mfdfa_differences_the_series(self, tmp_path):
         path_values = brownian(2048, seed=4).values
@@ -318,6 +335,21 @@ class TestSimulate:
         assert "weibull_fit" in block
         assert "survival_beyond_1.5e0" in block
         assert set(block["survival_beyond_1.5e0"]) == {"one", "saturating"}
+
+    def test_survival_honours_dislikes(self, tmp_path):
+        argv = ["simulate", "--pl", "0.4", "--pr", "0.1", "--e0", "10",
+                "--ticks", "100", "--seed", "7"]
+        got = {}
+        for pd in ("0", "0.5"):
+            out = str(tmp_path / pd)
+            assert main(argv + ["--pd", pd, "--out", out]) == 0
+            got[pd] = load_report(out)["results"]["survival_beyond_1.5e0"]
+            for tag, value in got[pd].items():
+                cfg = SimConfig(p_l0=0.4, p_d0=float(pd), p_r0=0.1, phi=tag)
+                assert value == lifespan_survival(10, cfg, 15)
+        assert got["0.5"]["one"] == pytest.approx(0.117523, abs=1e-6)
+        assert got["0.5"]["saturating"] == pytest.approx(0.052329, abs=1e-6)
+        assert all(got["0.5"][tag] < got["0"][tag] for tag in got["0"])
 
     def test_seed_reproducible(self, tmp_path):
         outs = []

@@ -135,6 +135,11 @@ def reference_delta_l_field(vals, max_window):
     return cells, mask
 
 
+# the Brownian oracle series times 2**power: squares of the tiny one
+# underflow and those of the huge one overflow without unit scaling
+SCALED_BROWNIAN = {"brownian-tiny": -600, "brownian-huge": 560}
+
+
 def oracle_series(kind, n):
     gen = np.random.default_rng(21)
     t = np.arange(float(n))
@@ -142,6 +147,8 @@ def oracle_series(kind, n):
         return gen.poisson(4.0 + 3.0 * np.sin(t / 17.0)).astype(float)
     if kind == "brownian":
         return np.cumsum(gen.standard_normal(n))
+    if kind in SCALED_BROWNIAN:
+        return np.ldexp(oracle_series("brownian", n), SCALED_BROWNIAN[kind])
     if kind == "offset-trend":
         return 1e6 + 0.5 * t + gen.normal(0.0, 1e-3, n)
     if kind == "line":
@@ -223,9 +230,12 @@ class TestDeltaLFieldOracle:
         fld = delta_l_field(TimeSeries(oracle_series("brownian", 512)))
         assert sum(redone) <= 0.01 * np.count_nonzero(fld.mask)
 
-    def test_offset_and_trend_stay_on_the_running_sums(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["offset-trend", "line"])
+    def test_offset_and_trend_stay_on_the_running_sums(self, monkeypatch,
+                                                        kind):
         # the windows' residuals are far below the offset and the trend;
-        # about the global line, v is as small as those residuals
+        # about the global line, v is as small as those residuals, and on
+        # an exact line v is 0, so no window needs recomputing
         calls = []
         direct = fractal._direct_rms
 
@@ -234,7 +244,7 @@ class TestDeltaLFieldOracle:
             return direct(vals, s, starts)
 
         monkeypatch.setattr(fractal, "_direct_rms", counting)
-        delta_l_field(TimeSeries(oracle_series("offset-trend", 2048)))
+        delta_l_field(TimeSeries(oracle_series(kind, 2048)))
         assert len(calls) <= 5
 
 
@@ -375,8 +385,22 @@ ESTIMATORS = {
 }
 
 
+SCALE_FREE = {"hurst_rs", "hurst_profile", "delta_l_field", "mfdfa"}
+
+
+def assert_same_bits(got, want, power):
+    """Every field of two results equal; a delta-L field's cells are the
+    unscaled ones times 2**power."""
+    for name in vars(want):
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "cells":
+            b = np.ldexp(b, power)
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 @pytest.mark.parametrize("kind", ["poisson", "brownian", "offset-trend", "line",
-                                  "spiky", "sparse", "constant-lead"])
+                                  "spiky", "sparse", "constant-lead",
+                                  *SCALED_BROWNIAN])
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
 def test_estimators_raise_no_floating_point_error(kind, name):
     # every estimator returns a result or rejects the series with one of
@@ -385,9 +409,14 @@ def test_estimators_raise_no_floating_point_error(kind, name):
     x = TimeSeries(oracle_series(kind, 512))
     with np.errstate(all="raise"):
         try:
-            ESTIMATORS[name](x)
+            got = ESTIMATORS[name](x)
         except IoscopeError:
-            pass
+            got = None
+        if kind in SCALED_BROWNIAN and name in SCALE_FREE:
+            # scaled by a power of two first, so the result is bit for bit
+            # the unscaled one
+            want = ESTIMATORS[name](TimeSeries(oracle_series("brownian", 512)))
+            assert_same_bits(got, want, SCALED_BROWNIAN[kind])
 
 
 class TestSkeleton:
