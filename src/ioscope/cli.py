@@ -43,9 +43,15 @@ class OpFailure(IoscopeError):
 
 
 def _json_default(obj):
+    """JSON form of numpy values, each array in one step: real arrays as
+    (nested) lists of floats with null for every non-finite cell, complex
+    arrays as the str of each cell."""
     if isinstance(obj, np.ndarray):
-        return [None if (np.isreal(v) and not np.isfinite(v)) else
-                (float(v) if np.isreal(v) else str(v)) for v in obj.tolist()]
+        if obj.dtype.kind == "c":
+            return obj.astype(complex).astype(str).tolist()
+        if obj.dtype.kind in "biuf":
+            a = obj.astype(float)
+            return np.where(np.isfinite(a), a, None).tolist()
     if isinstance(obj, (np.floating, np.integer)):
         v = obj.item()
         return None if isinstance(v, float) and not np.isfinite(v) else v

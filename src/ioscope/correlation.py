@@ -40,24 +40,36 @@ class LagCurve:
         return int(self.lags[int(np.argmax(self.values))])
 
 
-def _gamma_xy(x: np.ndarray, y: np.ndarray, k: int) -> float:
-    """Lag-k cross-covariance estimate with divisor T (as printed)."""
+def _lag_products(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_t (x_t - mean x)(y_{t+k} - mean y) / T for k = -max_lag..max_lag.
+
+    Every lag comes from one zero-padded rfft/irfft pair (Wiener-Khinchin):
+    at length T + max_lag, the shortest with no wrap-around, the circular
+    cross-correlation of the padded series is the linear one.
+    """
     T = x.size
-    xm, ym = x.mean(), y.mean()
-    if k >= 0:
-        return float(np.sum((x[: T - k] - xm) * (y[k:] - ym)) / T)
-    return _gamma_xy(y, x, -k)
+    n = T + max_lag
+    spec = np.fft.rfft(x - x.mean(), n)
+    if y is x:
+        spec *= spec.conj()
+    else:
+        spec = spec.conj()
+        spec *= np.fft.rfft(y - y.mean(), n)
+    c = np.fft.irfft(spec, n)
+    c /= T
+    return np.concatenate([c[n - max_lag:], c[:max_lag + 1]])
 
 
 def cross_covariance(x: TimeSeries, y: TimeSeries, max_lag: int) -> LagCurve:
+    """Lag-k cross-covariance estimates with divisor T (as printed), for
+    lags -max_lag..max_lag."""
     xs, ys = x.values, y.values
     if xs.size != ys.size:
         raise InvalidArgument("series length mismatch")
     if not (0 <= max_lag < xs.size):
         raise InvalidArgument("max_lag must satisfy 0 <= max_lag < T")
-    lags = np.arange(-max_lag, max_lag + 1)
-    vals = np.array([_gamma_xy(xs, ys, int(k)) for k in lags])
-    return LagCurve(lags, vals)
+    return LagCurve(np.arange(-max_lag, max_lag + 1),
+                    _lag_products(xs, ys, max_lag))
 
 
 def cross_correlation(x: TimeSeries, y: TimeSeries, max_lag: int,
@@ -75,12 +87,12 @@ def cross_correlation(x: TimeSeries, y: TimeSeries, max_lag: int,
     if np.ptp(xs) == 0 or np.ptp(ys) == 0:
         raise DegenerateVariance("constant series has no correlation")
     cov = cross_covariance(x.with_values(xs), y.with_values(ys), max_lag)
+    # Both denominators are direct lag-0 sums, so an exactly zero one
+    # is seen as zero.
     if normalization == "geometric":
-        gxx = _gamma_xy(xs, xs, 0)
-        gyy = _gamma_xy(ys, ys, 0)
-        denom = np.sqrt(gxx * gyy)
+        denom = np.sqrt(np.var(xs) * np.var(ys))
     elif normalization == "self":
-        denom = _gamma_xy(xs, ys, 0)
+        denom = np.mean((xs - xs.mean()) * (ys - ys.mean()))
         if denom == 0:
             raise DegenerateVariance("zero lag-0 cross-covariance")
     else:
@@ -89,7 +101,8 @@ def cross_correlation(x: TimeSeries, y: TimeSeries, max_lag: int,
 
 
 def autocorrelation(x: TimeSeries, max_lag: Optional[int] = None) -> LagCurve:
-    """Autocorrelation with default lag range T/4 and the 1/sqrt(T) band."""
+    """Autocorrelation with default lag range T/4 and the 1/sqrt(T) band.
+    Each lag is divided by the lag-0 value, so lag 0 is exactly 1."""
     xs = _unit_scale(x.values)[0]
     T = xs.size
     if T < 8:
@@ -100,7 +113,6 @@ def autocorrelation(x: TimeSeries, max_lag: Optional[int] = None) -> LagCurve:
         raise InvalidArgument("max_lag must satisfy 0 <= max_lag < T")
     if np.ptp(xs) == 0:
         raise DegenerateVariance("constant series has no autocorrelation")
-    g0 = _gamma_xy(xs, xs, 0)
-    lags = np.arange(0, max_lag + 1)
-    vals = np.array([_gamma_xy(xs, xs, int(k)) for k in lags]) / g0
-    return LagCurve(lags, vals, se_band=1.0 / np.sqrt(T))
+    g = _lag_products(xs, xs, max_lag)[max_lag:]
+    return LagCurve(np.arange(0, max_lag + 1), g / g[0],
+                    se_band=1.0 / np.sqrt(T))

@@ -35,6 +35,28 @@ def cwt_direct(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField
     return ScaleField(rows=s, cols=t, cells=cells, kind="cwt")
 
 
+def gamma_xy(x: np.ndarray, y: np.ndarray, k: int) -> float:
+    """Lag-k cross-covariance estimate with divisor T (as printed), as one
+    direct sum: the per-lag loop the FFT lag sums replaced."""
+    T = x.size
+    xm, ym = x.mean(), y.mean()
+    if k >= 0:
+        return float(np.sum((x[: T - k] - xm) * (y[k:] - ym)) / T)
+    return gamma_xy(y, x, -k)
+
+
+def json_default_loop(obj):
+    """The report writer's numpy converter, one cell at a time. It fails on
+    2-D arrays and on complex cells with a zero imaginary part."""
+    if isinstance(obj, np.ndarray):
+        return [None if (np.isreal(v) and not np.isfinite(v)) else
+                (float(v) if np.isreal(v) else str(v)) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        v = obj.item()
+        return None if isinstance(v, float) and not np.isfinite(v) else v
+    raise TypeError(f"not serializable: {type(obj)}")
+
+
 def kemeny_distance_dense(r1: Ranking, r2: Ranking) -> int:
     """Kemeny distance from two full n x n float sign matrices."""
     alts = sorted(r1.alternatives)

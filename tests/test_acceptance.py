@@ -212,7 +212,7 @@ def mc_survival(e0, cfg, horizon, n_runs, seed):
         if not live.any():
             break
         e = energy[live]
-        resp = np.array([phi(v) for v in e])
+        resp = phi(e)
         p_like = cfg.p_l0 * resp
         p_repost = cfg.p_r0 * resp
         u_like = gen.random(e.size) < p_like

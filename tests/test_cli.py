@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from ioscope.agentsim import SimConfig, lifespan_survival
-from ioscope.cli import Q_MFDFA, main, write_matrix_csv
+from ioscope.cli import (Q_MFDFA, _json_default, _write_report, main,
+                         write_matrix_csv)
 from ioscope.fractal import brownian, mfdfa
 from ioscope.series import ScaleField, TimeSeries
 
 from conftest import write_series_csv
+from references import json_default_loop
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 SCHEMA_PATH = os.path.join(SRC, "ioscope", "schema", "report.schema.json")
@@ -253,6 +255,115 @@ class TestWriteMatrixCsv:
         assert fast == (tmp_path / "ref.csv").read_bytes()
         assert b",," in fast
         assert (b",-0," in fast) != complex_cells
+
+
+class TestJsonDefault:
+    def test_real_arrays(self):
+        a = np.array([1.5, np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                      1.7976931348623157e308])
+        got = _json_default(a)
+        assert got == [1.5, None, None, None, -0.0, 5e-324,
+                       1.7976931348623157e308]
+        assert [type(v) for v in got] == [float, type(None), type(None),
+                                          type(None), float, float, float]
+        assert json.dumps(got) == json.dumps(json_default_loop(a))
+
+    def test_integer_and_bool_arrays_print_as_floats(self):
+        assert json.dumps(_json_default(np.arange(3))) == "[0.0, 1.0, 2.0]"
+        assert json.dumps(_json_default(np.array([2 ** 60 + 1]))) \
+            == json.dumps(json_default_loop(np.array([2 ** 60 + 1])))
+        assert _json_default(np.array([True, False])) == [1.0, 0.0]
+        assert _json_default(np.array([0.25], dtype=np.float32)) == [0.25]
+
+    def test_empty_arrays(self):
+        assert _json_default(np.array([])) == []
+        assert _json_default(np.array([], dtype=int)) == []
+        assert _json_default(np.zeros((2, 0))) == [[], []]
+
+    def test_two_dimensional_array_is_nested(self):
+        a = np.array([[1.0, np.nan], [np.inf, 2.0]])
+        assert _json_default(a) == [[1.0, None], [None, 2.0]]
+        with pytest.raises((TypeError, ValueError)):
+            json_default_loop(a)  # the per-cell converter failed here
+
+    def test_complex_cell_with_zero_imaginary_part(self):
+        a = np.array([1 + 2j, 3 + 0j])
+        assert _json_default(a) == ["(1+2j)", "(3+0j)"]
+        with pytest.raises(TypeError):
+            json_default_loop(a)  # the per-cell converter failed here
+
+    def test_complex_arrays_are_str_cells(self):
+        a = np.array([1 + 2j, -0.5 - 1e-300j, complex(np.nan, 1.0),
+                      complex(np.inf, -np.inf), 0.1 + 0.2j])
+        got = _json_default(a)
+        assert got == ["(1+2j)", "(-0.5-1e-300j)", "(nan+1j)", "(inf-infj)",
+                       "(0.1+0.2j)"]
+        assert got == json_default_loop(a)
+        c64 = np.array([0.1 + 0.2j], dtype=np.complex64)
+        assert _json_default(c64) == json_default_loop(c64)
+        assert _json_default(np.array([[1j], [2 + 0j]])) == [["1j"], ["(2+0j)"]]
+
+    def test_numpy_scalars(self):
+        assert _json_default(np.float64(np.nan)) is None
+        assert _json_default(np.float64(-np.inf)) is None
+        assert _json_default(np.float32(0.5)) == 0.5
+        got = _json_default(np.int64(3))
+        assert got == 3 and type(got) is int
+        assert json.dumps({"a": None, "b": np.float32(np.inf), "c": np.int32(7)},
+                          default=_json_default) == '{"a": null, "b": null, "c": 7}'
+
+    def test_other_objects_rejected(self):
+        for obj in (object(), np.array(["a"]), np.array([None])):
+            with pytest.raises(TypeError):
+                _json_default(obj)
+
+
+def six_long_arrays(rng, n=2 ** 14):
+    """Analyze results holding six n-sample arrays, with non-finite cells."""
+    vals = rng.standard_normal(n)
+    vals[::97] = np.nan
+    vals[5], vals[6] = np.inf, -np.inf
+    return {
+        "sma": {"times": np.arange(n, dtype=float), "values": vals, "step": 1.0},
+        "acf": {"lags": np.arange(n), "values": rng.standard_normal(n) * 1e-300,
+                "se": np.float64(0.01)},
+        "dft": {"freqs": np.linspace(0.0, 0.5, n),
+                "amplitude": rng.standard_normal(n) * 1e300},
+    }
+
+
+class TestWriteReport:
+    def test_bytes_match_per_cell_converter(self, rng):
+        report = {
+            "results": six_long_arrays(rng, 300),
+            "nested": {"a": {"b": [np.int64(3), np.float32(0.25), None,
+                                   np.float64(np.nan)]},
+                       "ints": np.array([-2, 0, 2 ** 40]),
+                       "empty": np.array([])},
+            "warnings": [], "seed": None,
+        }
+        want = json.dumps(report, indent=2, sort_keys=True,
+                          default=json_default_loop)
+        assert json.dumps(report, indent=2, sort_keys=True,
+                          default=_json_default) == want
+        assert "null" in want and "0.0" in want
+
+    def test_streams_to_the_file(self, tmp_path, rng):
+        """Six 2^14-sample arrays (~1.8 MB of JSON) are written in chunks: the
+        peak stays near one array's cells, not the whole string's size."""
+        results = six_long_arrays(rng)
+        tracemalloc.start()
+        try:
+            path = _write_report(tmp_path, "analyze", [], results, [], [], None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1_500_000
+        assert peak < 2 * 2 ** 20
+        with open(path) as fh:
+            back = json.load(fh)
+        assert back["results"]["acf"]["lags"][:2] == [0.0, 1.0]
+        assert back["results"]["sma"]["values"][5:7] == [None, None]
 
 
 class TestScan:

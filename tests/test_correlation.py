@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ioscope.correlation import (autocorrelation, cross_correlation,
-                                 pattern_correlation_field)
+                                 cross_covariance, pattern_correlation_field)
 from ioscope.errors import DegenerateVariance, InvalidArgument
 from ioscope.series import TimeSeries
 from ioscope.templates import Template
+
+from references import gamma_xy
 
 
 def pearson(a, b):
@@ -46,6 +49,12 @@ class TestCrossCorrelation:
     def test_constant_input_rejected(self, noise_series):
         with pytest.raises(DegenerateVariance):
             cross_correlation(noise_series, TimeSeries(np.ones(512)), 3)
+
+    def test_self_normalization_rejects_zero_lag0(self):
+        x = TimeSeries(np.array([1.0, -1, 1, -1, 0, 0, 0, 0]))
+        y = TimeSeries(np.array([1.0, 1, -1, -1, 0, 0, 0, 0]))
+        with pytest.raises(DegenerateVariance):
+            cross_correlation(x, y, 3, normalization="self")
 
     def test_length_mismatch(self, rng):
         with pytest.raises(InvalidArgument):
@@ -96,6 +105,93 @@ class TestAutocorrelation:
     def test_constant_rejected(self):
         with pytest.raises(DegenerateVariance):
             autocorrelation(TimeSeries(np.ones(64)))
+
+
+@st.composite
+def lag_cases(draw):
+    """Two series of one length T >= 8 (noise, counts or a trend, drawn
+    from a seed) and a max_lag, with 0 and T - 1 among the choices."""
+    T = draw(st.sampled_from([8, 9, 10, 33, 100, 257]))
+    max_lag = draw(st.one_of(st.just(0), st.just(T - 1),
+                             st.integers(0, T - 1)))
+    kind = draw(st.sampled_from(["noise", "counts", "trend"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "noise":
+        x, y = gen.standard_normal((2, T)) * draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    elif kind == "counts":
+        x, y = gen.poisson(5.0, (2, T)).astype(float)
+    else:
+        x, y = np.arange(T) * 0.5 + gen.standard_normal((2, T))
+    x[0] += 1.0  # never constant
+    y[-1] -= 1.0
+    return x, y, max_lag
+
+
+def covariance_loop(x, y, max_lag):
+    return np.array([gamma_xy(x, y, k) for k in range(-max_lag, max_lag + 1)])
+
+
+def covariance_scale(x, y):
+    """sqrt(gamma_xx(0) gamma_yy(0)), which bounds every |gamma_xy(k)|: the
+    scale of the FFT's rounding, where max |value| may be 0 (an exactly
+    uncorrelated pair at max_lag = 0)."""
+    return np.sqrt(gamma_xy(x, x, 0) * gamma_xy(y, y, 0))
+
+
+class TestLagSumsOracle:
+    """The FFT lag sums against the direct per-lag sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lag_cases())
+    def test_cross_covariance(self, case):
+        x, y, max_lag = case
+        got = cross_covariance(TimeSeries(x), TimeSeries(y), max_lag)
+        want = covariance_loop(x, y, max_lag)
+        np.testing.assert_array_equal(got.lags, np.arange(-max_lag, max_lag + 1))
+        np.testing.assert_allclose(got.values, want, rtol=0,
+                                   atol=1e-12 * covariance_scale(x, y))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lag_cases())
+    def test_cross_correlation(self, case):
+        x, y, max_lag = case
+        cov = covariance_loop(x, y, max_lag)
+        got = cross_correlation(TimeSeries(x), TimeSeries(y), max_lag)
+        want = cov / covariance_scale(x, y)
+        np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+        lag0 = gamma_xy(x, y, 0)
+        if abs(lag0) > 1e-3 * covariance_scale(x, y):
+            got = cross_correlation(TimeSeries(x), TimeSeries(y), max_lag,
+                                    normalization="self")
+            want = cov / lag0
+            np.testing.assert_allclose(got.values, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lag_cases())
+    def test_autocorrelation(self, case):
+        x, _, max_lag = case
+        got = autocorrelation(TimeSeries(x), max_lag)
+        want = covariance_loop(x, x, max_lag)[max_lag:] / gamma_xy(x, x, 0)
+        assert got.values[0] == 1.0
+        np.testing.assert_array_equal(got.lags, np.arange(max_lag + 1))
+        np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+    def test_sizes_and_extreme_lags(self, rng):
+        for T in (8, 9, 100, 1024, 16384):
+            x, y = rng.standard_normal((2, T))
+            for max_lag in {0, 1, T // 4, T - 1}:
+                if T > 1024 and max_lag > T // 4:
+                    continue  # the direct sum is O(T * max_lag)
+                want = covariance_loop(x, y, max_lag)
+                got = cross_covariance(TimeSeries(x), TimeSeries(y), max_lag)
+                np.testing.assert_allclose(got.values, want, rtol=0,
+                                           atol=1e-12 * covariance_scale(x, y))
+                acf = autocorrelation(TimeSeries(x), max_lag).values
+                assert acf[0] == 1.0
+                np.testing.assert_allclose(
+                    acf, covariance_loop(x, x, max_lag)[max_lag:] / gamma_xy(x, x, 0),
+                    rtol=0, atol=1e-12)
 
 
 class TestPatternCorrelationField:
