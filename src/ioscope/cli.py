@@ -480,10 +480,9 @@ def cmd_scan(args, out_dir: Path) -> int:
             "location": d.location,
             "score": d.score,
             "phase_marks": [
-                {"offset": int(round(idx * (d.scale - 1)
-                                     / (len(by_name[d.template]) - 1))),
-                 "label": label}
-                for idx, label in by_name[d.template].phase_marks
+                {"offset": idx, "label": label} for idx, label in
+                templates.resample_template(by_name[d.template],
+                                            d.scale).phase_marks
             ],
         } for d in hits_found],
     }

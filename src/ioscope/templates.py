@@ -3,8 +3,8 @@ polynomial template recognition with an efficiency score."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,55 +56,38 @@ class Template:
         return self.samples.size
 
 
-def _phase_curve(x: np.ndarray, a: float, b: float, x_peak: float,
-                 tail_damping: float) -> np.ndarray:
-    """A + B x sin(x), continued past the peak with an exponentially
-    damped arc of the same family."""
-    y = a + b * x * np.sin(x)
-    tail = x > x_peak
-    if np.any(tail):
-        damp = np.exp(-tail_damping * (x[tail] - x_peak))
-        y[tail] = a + b * x[tail] * np.sin(x[tail]) * damp
-    return y
-
-
 def io_phase_template(length: int, variant: str = "attack-front",
                       a: float = 0.0, b: float = 1.0,
                       tail_damping: float = 0.5) -> Template:
     """Publication-dynamics template y = A + B x sin(x).
 
     ``attack-front`` spans x in [0, 5pi/2] and ends on the rising attack
-    arc; ``full-lifecycle`` continues through the decline/recovery arcs
-    with exponential damping (tail amplitude is a parameter, not a claim).
+    arc; ``full-lifecycle`` continues through the decline/recovery arcs,
+    damped by exp(-tail_damping (x - 5pi/2)) past the peak (tail amplitude
+    is a parameter, not a claim).
     """
     if length < 5:
         raise InvalidArgument("template length must be >= 5")
     if b == 0:
         raise InvalidArgument("slope parameter B must be nonzero")
     x_peak = 2.5 * np.pi
+    mark_xs = [(0.0, "background"), (np.pi, "calm"), (1.5 * np.pi, "shelling"),
+               (2.0 * np.pi, "calm2"), (2.25 * np.pi, "attack")]
     if variant == "attack-front":
         x = np.linspace(0.0, x_peak, length)
-        y = a + b * x * np.sin(x)
-        mark_xs = [(0.0, "background"), (np.pi, "calm"), (1.5 * np.pi, "shelling"),
-                   (2.0 * np.pi, "calm2"), (2.25 * np.pi, "attack")]
     elif variant == "full-lifecycle":
         x = np.linspace(0.0, 4.5 * np.pi, length)
-        y = _phase_curve(x, a, b, x_peak, tail_damping)
-        mark_xs = [(0.0, "background"), (np.pi, "calm"), (1.5 * np.pi, "shelling"),
-                   (2.0 * np.pi, "calm2"), (2.25 * np.pi, "attack"),
-                   (2.5 * np.pi, "peak"), (3.5 * np.pi, "disillusion"),
-                   (4.0 * np.pi, "realization"), (4.5 * np.pi, "productivity")]
+        mark_xs += [(2.5 * np.pi, "peak"), (3.5 * np.pi, "disillusion"),
+                    (4.0 * np.pi, "realization"), (4.5 * np.pi, "productivity")]
     else:
         raise InvalidArgument(f"unknown template variant {variant!r}")
-    marks = tuple((int(np.argmin(np.abs(x - mx))), label) for mx, label in mark_xs)
-    # dedupe indices (short templates collapse neighboring marks)
-    seen = set()
-    uniq = []
-    for idx, label in marks:
-        if idx not in seen:
-            uniq.append((idx, label))
-            seen.add(idx)
-    return Template(y, name=f"io-{variant}", phase_marks=tuple(uniq))
+    # exp(-0.0) is exactly 1, so the undamped arc is untouched
+    y = a + b * x * np.sin(x) * np.exp(-tail_damping * np.maximum(x - x_peak, 0.0))
+    # short templates collapse neighboring marks; the first label wins
+    marks = {}
+    for mx, label in mark_xs:
+        marks.setdefault(int(np.argmin(np.abs(x - mx))), label)
+    return Template(y, name=f"io-{variant}", phase_marks=tuple(marks.items()))
 
 
 def snake_template(length: int = 20) -> Template:
@@ -147,11 +130,9 @@ def correlation_diagram(x: TimeSeries, t: Template,
     Cells are undefined where the window overruns the series or either
     side is constant.
     """
-    ks = [int(k) for k in k_range]
+    ks = sorted({int(k) for k in k_range})
     if not ks:
         raise InvalidArgument("empty window-length range")
-    if sorted(set(ks)) != ks:
-        ks = sorted(set(ks))
     T = len(x)
     xs = x.values
     cells = np.full((len(ks), T), np.nan)
@@ -173,10 +154,8 @@ def correlation_diagram(x: TimeSeries, t: Template,
         denom = wnorm * npnorm
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.where(denom > 0, dot / denom, np.nan)
-        starts = np.arange(T - k + 1)
-        cells[r, starts] = corr
-        mask[r, starts] = np.isfinite(corr)
-    cells = np.where(mask, cells, np.nan)
+        cells[r, :T - k + 1] = corr
+        mask[r, :T - k + 1] = np.isfinite(corr)
     return ScaleField(rows=np.asarray(ks, dtype=float),
                       cols=np.arange(T, dtype=float),
                       cells=cells, mask=mask, kind="corr-diagram")
@@ -227,22 +206,21 @@ class KuntchenkoBasis:
         return cls(np.vstack(rows))
 
 
-def _correlants(basis: KuntchenkoBasis, signal: np.ndarray):
-    """Centered correlants F[i, k] for i, k >= 1 and the right-hand side
-    F[i, s] against the signal."""
-    f = basis.transforms
-    f0 = f[0]
+def _solve_correlants(signal: np.ndarray, basis: KuntchenkoBasis):
+    """The signal as floats, the solution c_1..c_n of the centered-correlant
+    system F c = rhs, and its right-hand side rhs[i] = F[i, s]."""
+    sig = np.asarray(signal, dtype=float)
+    if sig.size != basis.window_length:
+        raise InvalidArgument("signal length does not match basis window")
+    f0, fs = basis.transforms[0], basis.transforms[1:]
     d00 = float(f0 @ f0)
-    proj = (f @ f0) / d00  # mean-like component of each transform
-    sproj = float(signal @ f0) / d00
-    n = basis.order
-    F = np.empty((n, n))
-    rhs = np.empty(n)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            F[i - 1, k - 1] = f[i] @ f[k] - proj[i] * proj[k] * d00
-        rhs[i - 1] = f[i] @ signal - proj[i] * sproj * d00
-    return F, rhs, d00, proj, sproj
+    proj = (fs @ f0) / d00  # mean-like component of each transform
+    sproj = float(sig @ f0) / d00
+    F = fs @ fs.T - np.outer(proj, proj) * d00
+    rhs = fs @ sig - proj * sproj * d00
+    if np.linalg.cond(F) > 1e12:
+        raise IllConditionedBasis("correlant system is numerically singular")
+    return sig, np.linalg.solve(F, rhs), rhs
 
 
 def kuntchenko_fit(signal: np.ndarray, basis: KuntchenkoBasis) -> np.ndarray:
@@ -251,15 +229,9 @@ def kuntchenko_fit(signal: np.ndarray, basis: KuntchenkoBasis) -> np.ndarray:
     c_1..c_n solve the centered-correlant system; c_0 follows from the
     closed form with the Euclidean inner product over the window.
     """
-    sig = np.asarray(signal, dtype=float)
-    if sig.size != basis.window_length:
-        raise InvalidArgument("signal length does not match basis window")
-    F, rhs, d00, proj, sproj = _correlants(basis, sig)
-    if np.linalg.cond(F) > 1e12:
-        raise IllConditionedBasis("correlant system is numerically singular")
-    c = np.linalg.solve(F, rhs)
+    sig, c, _ = _solve_correlants(signal, basis)
     f = basis.transforms
-    c0 = (sig @ f[0] - c @ (f[1:] @ f[0])) / d00
+    c0 = (sig @ f[0] - c @ (f[1:] @ f[0])) / (f[0] @ f[0])
     return np.concatenate(([c0], c))
 
 
@@ -270,18 +242,11 @@ def kuntchenko_efficiency(signal: np.ndarray, basis: KuntchenkoBasis) -> float:
     centered energy captured by the fitted polynomial), which makes the
     in-span value exactly 1 and the centered-orthogonal value exactly 0.
     """
-    sig = np.asarray(signal, dtype=float)
-    if sig.size != basis.window_length:
-        raise InvalidArgument("signal length does not match basis window")
+    sig, c, rhs = _solve_correlants(signal, basis)
     f0 = basis.transforms[0]
-    d00 = float(f0 @ f0)
-    s_energy = float(sig @ sig) - (float(sig @ f0) ** 2) / d00
+    s_energy = float(sig @ sig) - (float(sig @ f0) ** 2) / float(f0 @ f0)
     if s_energy <= 0:
         raise DegenerateSignal("signal has zero energy after centering")
-    F, rhs, *_ = _correlants(basis, sig)
-    if np.linalg.cond(F) > 1e12:
-        raise IllConditionedBasis("correlant system is numerically singular")
-    c = np.linalg.solve(F, rhs)
     return float(c @ rhs / s_energy)
 
 
@@ -298,8 +263,10 @@ def scan_detect(x: TimeSeries, bank: Sequence[Template],
     """Scan a series against a template bank over multiple scales.
 
     Returns every (template, k, l) with correlation >= threshold after
-    non-maximum suppression within a (k/2, k/2) neighborhood, sorted by
-    score descending with earlier-location then smaller-scale tie-breaks.
+    greedy non-maximum suppression: per template, candidates in order of
+    score descending, then earlier location, then smaller scale, are kept
+    unless a kept one lies within k // 2 in both location and scale. The
+    result is sorted the same way across the bank.
     """
     if not (0.0 < threshold <= 1.0):
         raise InvalidArgument("threshold must lie in (0, 1]")
@@ -308,23 +275,21 @@ def scan_detect(x: TimeSeries, bank: Sequence[Template],
     detections: List[Detection] = []
     for tpl in bank:
         fld = correlation_diagram(x, tpl, k_range)
-        cand = []
-        for r, k in enumerate(fld.rows):
-            for c in np.nonzero(fld.mask[r])[0]:
-                score = fld.cells[r, c]
-                if score >= threshold:
-                    cand.append((float(score), int(c), int(k)))
-        cand.sort(key=lambda item: (-item[0], item[1], item[2]))
-        kept: List[Tuple[float, int, int]] = []
-        for score, loc, k in cand:
-            suppressed = False
-            for s2, l2, k2 in kept:
-                if abs(loc - l2) <= k / 2 and abs(k - k2) <= k / 2:
-                    suppressed = True
-                    break
-            if not suppressed:
-                kept.append((score, loc, k))
-        detections.extend(Detection(tpl.name, k, loc, score)
-                          for score, loc, k in kept)
+        ks = fld.rows.astype(int)
+        half = ks // 2
+        # rows lo[r]:hi[r] hold the scales within k // 2 of row r's scale k
+        lo = np.searchsorted(ks, ks - half, side="left").tolist()
+        hi = np.searchsorted(ks, ks + half, side="right").tolist()
+        ks, half = ks.tolist(), half.tolist()
+        r, c = np.nonzero(fld.mask & (fld.cells >= threshold))
+        score = fld.cells[r, c]
+        order = np.lexsort((r, c, -score))  # rows ascend with the scale
+        kept = np.zeros(fld.cells.shape, dtype=bool)
+        for ri, ci, si in zip(r[order].tolist(), c[order].tolist(),
+                              score[order].tolist()):
+            h = half[ri]
+            if not kept[lo[ri]:hi[ri], max(0, ci - h):ci + h + 1].any():
+                kept[ri, ci] = True
+                detections.append(Detection(tpl.name, ks[ri], ci, si))
     detections.sort(key=lambda d: (-d.score, d.location, d.scale))
     return detections

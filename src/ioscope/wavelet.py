@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,10 +49,10 @@ def _morlet(t):
     return np.pi ** -0.25 * (np.exp(1j * w0 * t) - corr) * np.exp(-t * t / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Wavelet:
-    """A mother wavelet with numerically precomputed admissibility
-    constant and center frequency (for scale-to-period conversion)."""
+    """A mother wavelet with a numerically computed admissibility constant
+    and center frequency (for scale-to-period conversion)."""
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -60,66 +61,55 @@ class Wavelet:
     support: float  # effective half-width of the support
     analytic: bool = False  # spectrum concentrated on positive frequencies
     invertible: bool = True
-    _cg: Optional[float] = field(default=None, repr=False)
-    _fc: Optional[float] = field(default=None, repr=False)
 
-    def _spectrum(self):
-        # zero-padded span (64x the support) for fine frequency resolution
+    @cached_property
+    def _constants(self) -> Tuple[float, float]:
+        """(C_g, f_c) from the spectrum of the wavelet sampled over a
+        zero-padded span (64x the support) for fine frequency resolution."""
         n = 1 << 19
         dt = 64.0 * 2.0 * self.support / n
         t = (np.arange(n) - n // 2) * dt
-        psi = self.evaluate(t)
         # continuous FT approximation; only |psi_hat| is ever used, so the
         # time-origin phase factor is irrelevant
-        psi_hat = dt * np.fft.fft(psi)
+        psi_hat = dt * np.fft.fft(self.evaluate(t))
         omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-        return omega, psi_hat
-
-    def _precompute(self):
-        omega, psi_hat = self._spectrum()
         pos = omega > 0
         w = omega[pos]
         p2 = np.abs(psi_hat[pos]) ** 2
         dw = w[1] - w[0] if w.size > 1 else 1.0
-        cg_pos = float(np.sum(p2 / w) * dw)
-        if self.analytic:
-            self._cg = cg_pos
-        else:
+        cg = float(np.sum(p2 / w) * dw)
+        if not self.analytic:
             neg = omega < 0
             cg_neg = float(np.sum(np.abs(psi_hat[neg]) ** 2 / np.abs(omega[neg])) * dw)
             # real wavelets are symmetric; keep the one-sided value as C_g
-            self._cg = 0.5 * (cg_pos + cg_neg)
-        self._fc = float(w[np.argmax(p2)] / (2.0 * np.pi))
+            cg = 0.5 * (cg + cg_neg)
+        return cg, float(w[np.argmax(p2)] / (2.0 * np.pi))
 
     @property
     def admissibility(self) -> float:
         """One-sided admissibility constant integral |psi_hat|^2 / omega."""
-        if self._cg is None:
-            self._precompute()
-        return self._cg
+        return self._constants[0]
 
     @property
     def center_frequency(self) -> float:
         """Spectral-peak frequency in cycles per unit time at scale 1."""
-        if self._fc is None:
-            self._precompute()
-        return self._fc
+        return self._constants[1]
 
     def pseudo_period(self, scale: float) -> float:
         return scale / self.center_frequency
 
 
-_WAVELETS = {
-    "gaussian-wave": lambda: Wavelet("gaussian-wave", _gaussian_wave, 1, False, 8.0),
-    "mexican-hat": lambda: Wavelet("mexican-hat", _mexican_hat, 2, False, 8.0),
-    "haar": lambda: Wavelet("haar", _haar, 1, False, 1.5, invertible=False),
-    "morlet": lambda: Wavelet("morlet", _morlet, 1, True, 8.0, analytic=True),
-}
+_WAVELETS = {w.name: w for w in (
+    Wavelet("gaussian-wave", _gaussian_wave, 1, False, 8.0),
+    Wavelet("mexican-hat", _mexican_hat, 2, False, 8.0),
+    Wavelet("haar", _haar, 1, False, 1.5, invertible=False),
+    Wavelet("morlet", _morlet, 1, True, 8.0, analytic=True),
+)}
 
 
 def get_wavelet(name: str) -> Wavelet:
     try:
-        return _WAVELETS[name]()
+        return _WAVELETS[name]
     except KeyError:
         raise InvalidArgument(f"unknown wavelet {name!r}") from None
 
@@ -269,26 +259,32 @@ def wcc_measure(wx: ScaleField, wy: ScaleField, shift: int = 0) -> np.ndarray:
     return out
 
 
+def _window_means(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mean of each row of cells over the columns lo:hi, from two entries of
+    a prefix sum of the row less its mean (small sums keep their digits)."""
+    mean = cells.mean(axis=1, keepdims=True)
+    cs = np.pad(np.cumsum(cells - mean, axis=1), ((0, 0), (1, 0)))
+    return mean + (np.take_along_axis(cs, hi, 1) - np.take_along_axis(cs, lo, 1)) / (hi - lo)
+
+
 def _smooth_local(cells: np.ndarray, scales: np.ndarray, step: float,
                   time_widths: Optional[np.ndarray] = None,
                   scale_width: int = 3) -> np.ndarray:
-    """Boxcar smoothing over time (scale-dependent width) then over
-    adjacent scale rows."""
+    """Boxcar smoothing over time (scale-dependent width w: the window
+    [l - w // 2, l + (w - 1) // 2] clipped to the grid) then over the
+    ``scale_width`` adjacent scale rows, each the mean of the cells in
+    range."""
     n_s, n_l = cells.shape
-    out = np.empty_like(cells)
     if time_widths is None:
         time_widths = np.maximum(1, np.ceil(scales / step).astype(int))
-    for i in range(n_s):
-        w = int(min(time_widths[i], n_l))
-        kern = np.ones(w) / w
-        out[i] = _convolve(cells[i], kern) / _convolve(np.ones(n_l), kern)
+    w = np.minimum(time_widths, n_l)[:, None]
+    l = np.arange(n_l)
+    out = _window_means(cells, np.maximum(l - w // 2, 0),
+                        np.minimum(l + (w - 1) // 2 + 1, n_l))
     if scale_width > 1 and n_s > 1:
-        sm = np.empty_like(out)
-        half = scale_width // 2
-        for i in range(n_s):
-            lo, hi = max(0, i - half), min(n_s, i + half + 1)
-            sm[i] = out[lo:hi].mean(axis=0)
-        out = sm
+        i, half = np.arange(n_s)[None, :], scale_width // 2
+        out = _window_means(out.T, np.maximum(i - half, 0),
+                            np.minimum(i + half + 1, n_s)).T
     return out
 
 
@@ -296,17 +292,19 @@ def wavelet_coherence(wx: ScaleField, wy: ScaleField,
                       time_widths: Optional[Sequence[int]] = None,
                       scale_width: int = 3) -> ScaleField:
     """Squared wavelet coherence with local boxcar smoothing in time
-    (width ~ scale by default) and across 3 adjacent scales."""
+    (width ~ scale by default, else ``time_widths``: one width per scale
+    row, each from 1 to the location count) and across 3 adjacent scales."""
     if not wx.same_grid(wy):
         raise InvalidArgument("fields are on different (scale, location) grids")
-    step = wx.col_step
     tw = None if time_widths is None else np.asarray(time_widths, dtype=int)
-    if tw is not None and np.any(tw > wx.cols.size):
-        raise InvalidArgument("smoothing window larger than the grid")
-    cross = np.conj(wx.cells) * wy.cells
-    sx = _smooth_local(np.abs(wx.cells) ** 2 + 0j, wx.rows, step, tw, scale_width).real
-    sy = _smooth_local(np.abs(wy.cells) ** 2 + 0j, wx.rows, step, tw, scale_width).real
-    sc = _smooth_local(cross.astype(complex), wx.rows, step, tw, scale_width)
+    if tw is not None and (tw.shape != wx.rows.shape or np.any(tw < 1)
+                           or np.any(tw > wx.cols.size)):
+        raise InvalidArgument("time_widths needs one width per scale, each "
+                              "from 1 to the location count")
+    args = (wx.rows, wx.col_step, tw, scale_width)
+    sx = _smooth_local(np.abs(wx.cells) ** 2, *args)
+    sy = _smooth_local(np.abs(wy.cells) ** 2, *args)
+    sc = _smooth_local(np.conj(wx.cells) * wy.cells, *args)
     denom = sx * sy
     ok = denom > 1e-300
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -15,7 +15,9 @@ from ioscope.fractal import (MultifractalResult, _chord_hurst, _legendre,
 from ioscope.netimpact import ImpactGraph
 from ioscope.rankfuse import Ranking
 from ioscope.series import ScaleField, TimeSeries
-from ioscope.wavelet import Wavelet, cwt, default_scale_grid, get_wavelet
+from ioscope.templates import Detection, Template, correlation_diagram
+from ioscope.wavelet import (Wavelet, _convolve, cwt, default_scale_grid,
+                             get_wavelet)
 
 
 def cwt_direct(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
@@ -450,3 +452,98 @@ def wavelet_leaders_loop(x: TimeSeries, q: Sequence[float],
         tau[i] = np.polyfit(ls, logZ[i, ok], 1)[0] - 1.0
     tau, alpha, f_alpha = _legendre(qs, tau)
     return MultifractalResult(qs, tau, alpha, f_alpha)
+
+
+def wavelet_constants_loop(w: Wavelet) -> Tuple[float, float]:
+    """(C_g, f_c) as the per-instance precompute computed them: one-sided
+    sums over the spectrum of the wavelet sampled on 2^19 points."""
+    n = 1 << 19
+    dt = 64.0 * 2.0 * w.support / n
+    t = (np.arange(n) - n // 2) * dt
+    psi_hat = dt * np.fft.fft(w.evaluate(t))
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
+    pos = omega > 0
+    wp = omega[pos]
+    p2 = np.abs(psi_hat[pos]) ** 2
+    dw = wp[1] - wp[0] if wp.size > 1 else 1.0
+    cg_pos = float(np.sum(p2 / wp) * dw)
+    if w.analytic:
+        cg = cg_pos
+    else:
+        neg = omega < 0
+        cg_neg = float(np.sum(np.abs(psi_hat[neg]) ** 2 / np.abs(omega[neg])) * dw)
+        cg = 0.5 * (cg_pos + cg_neg)
+    return cg, float(wp[np.argmax(p2)] / (2.0 * np.pi))
+
+
+def smooth_local_fft(cells: np.ndarray, scales: np.ndarray, step: float,
+                     time_widths: Optional[np.ndarray] = None,
+                     scale_width: int = 3) -> np.ndarray:
+    """The coherence smoother with one FFT convolution pair per row for
+    the time boxcar and one row mean per scale for the scale boxcar."""
+    n_s, n_l = cells.shape
+    out = np.empty_like(cells)
+    if time_widths is None:
+        time_widths = np.maximum(1, np.ceil(scales / step).astype(int))
+    for i in range(n_s):
+        w = int(min(time_widths[i], n_l))
+        kern = np.ones(w) / w
+        out[i] = _convolve(cells[i], kern) / _convolve(np.ones(n_l), kern)
+    if scale_width > 1 and n_s > 1:
+        sm = np.empty_like(out)
+        half = scale_width // 2
+        for i in range(n_s):
+            lo, hi = max(0, i - half), min(n_s, i + half + 1)
+            sm[i] = out[lo:hi].mean(axis=0)
+        out = sm
+    return out
+
+
+def io_phase_samples_two_branch(length: int, variant: str, a: float = 0.0,
+                                b: float = 1.0,
+                                tail_damping: float = 0.5) -> np.ndarray:
+    """``io_phase_template`` samples from the undamped formula, with the
+    damped arc written only past the peak of the full lifecycle."""
+    x_peak = 2.5 * np.pi
+    if variant == "attack-front":
+        x = np.linspace(0.0, x_peak, length)
+        return a + b * x * np.sin(x)
+    x = np.linspace(0.0, 4.5 * np.pi, length)
+    y = a + b * x * np.sin(x)
+    tail = x > x_peak
+    damp = np.exp(-tail_damping * (x[tail] - x_peak))
+    y[tail] = a + b * x[tail] * np.sin(x[tail]) * damp
+    return y
+
+
+def scan_detect_loop(x: TimeSeries, bank: Sequence[Template],
+                     k_range: Sequence[int], threshold: float) -> List[Detection]:
+    """``templates.scan_detect`` with one Python step per defined cell and
+    each candidate compared with every detection kept so far."""
+    if not (0.0 < threshold <= 1.0):
+        raise InvalidArgument("threshold must lie in (0, 1]")
+    if not bank:
+        raise InvalidArgument("template bank is empty")
+    detections: List[Detection] = []
+    for tpl in bank:
+        fld = correlation_diagram(x, tpl, k_range)
+        cand = []
+        for r, k in enumerate(fld.rows):
+            for c in np.nonzero(fld.mask[r])[0]:
+                score = fld.cells[r, c]
+                if score >= threshold:
+                    cand.append((float(score), int(c), int(k)))
+        cand.sort(key=lambda item: (-item[0], item[1], item[2]))
+        kept: List[Tuple[float, int, int]] = []
+        for score, loc, k in cand:
+            suppressed = False
+            for s2, l2, k2 in kept:
+                if abs(loc - l2) <= k / 2 and abs(k - k2) <= k / 2:
+                    suppressed = True
+                    break
+            if not suppressed:
+                kept.append((score, loc, k))
+        detections.extend(Detection(tpl.name, k, loc, score)
+                          for score, loc, k in kept)
+    detections.sort(key=lambda d: (-d.score, d.location, d.scale))
+    return detections

@@ -400,6 +400,22 @@ class TestScan:
                 and abs(d["location"] - 80) <= 2]
         assert hits
 
+    def test_phase_marks_follow_resampled_template(self, tmp_path, rng):
+        from ioscope.templates import builtin_bank, resample_template
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(300))
+        out = str(tmp_path / "out")
+        assert main(["scan", "--input", path, "--threshold", "0.3",
+                     "--scales", "3:120:3", "--out", out]) == 0
+        with open(os.path.join(out, "detections.json")) as fh:
+            payload = json.load(fh)
+        bank = {t.name: t for t in builtin_bank()}
+        scales = {d["scale"] for d in payload["detections"]}
+        assert {3, 45} <= scales
+        for d in payload["detections"]:
+            want = resample_template(bank[d["template"]], d["scale"]).phase_marks
+            got = [(m["offset"], m["label"]) for m in d["phase_marks"]]
+            assert got == list(want)
+
     def test_scale_range_clipped_to_series(self, tmp_path, rng):
         path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(100))
         payloads = []

@@ -8,6 +8,8 @@ from ioscope.templates import (KuntchenkoBasis, Template, builtin_bank,
                                kuntchenko_efficiency, kuntchenko_fit,
                                resample_template, scan_detect, snake_template)
 
+from references import io_phase_samples_two_branch, scan_detect_loop
+
 
 def embed(rng, tpl_samples, n, offset, noise_scale=0.0):
     vals = rng.standard_normal(n) * noise_scale
@@ -62,6 +64,23 @@ class TestIoPhaseTemplate:
         assert len(t.phase_marks) >= 2
         idx = [i for i, _ in t.phase_marks]
         assert idx == sorted(idx)
+
+    @pytest.mark.parametrize("length", [5, 20, 45, 90])
+    @pytest.mark.parametrize("variant", ["attack-front", "full-lifecycle"])
+    @pytest.mark.parametrize("a, b, damping", [(0.0, 1.0, 0.5), (2.5, -0.7, 0.0),
+                                               (-1.0, 3.0, 1.3)])
+    def test_samples_match_two_branch_formula(self, length, variant, a, b,
+                                              damping):
+        t = io_phase_template(length, variant, a=a, b=b, tail_damping=damping)
+        want = io_phase_samples_two_branch(length, variant, a, b, damping)
+        assert np.array_equal(t.samples, want)
+
+    def test_short_template_first_label_wins(self):
+        # x = 0, 1.125pi, ..., 4.5pi: calm beats shelling to index 1, calm2
+        # beats attack and peak to 2, realization beats productivity to 4
+        t = io_phase_template(5, "full-lifecycle")
+        assert t.phase_marks == ((0, "background"), (1, "calm"), (2, "calm2"),
+                                 (3, "disillusion"), (4, "realization"))
 
     def test_builtin_bank(self):
         bank = builtin_bank()
@@ -257,3 +276,34 @@ class TestScanDetect:
         out = scan_detect(x, builtin_bank(), [5, 10, 20], 0.4)
         scores = [d.score for d in out]
         assert scores == sorted(scores, reverse=True)
+
+
+def random_bank(seed):
+    gen = np.random.default_rng(seed)
+    return [Template(gen.standard_normal(12), "rand12"),
+            Template(np.cumsum(gen.standard_normal(33)), "walk33")]
+
+
+class TestScanParity:
+    """The array scan against the per-cell loop with pairwise suppression."""
+
+    @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("n, k_range", [(400, range(5, 61, 1)),
+                                            (400, range(5, 61, 7)),
+                                            (300, range(3, 201, 3))])
+    @pytest.mark.parametrize("bank", ["builtin", "random"])
+    def test_matches_loop(self, threshold, n, k_range, bank):
+        x = TimeSeries(np.random.default_rng(n + len(k_range))
+                       .standard_normal(n))
+        tpls = builtin_bank() if bank == "builtin" else random_bank(n)
+        want = scan_detect_loop(x, tpls, k_range, threshold)
+        assert scan_detect(x, tpls, k_range, threshold) == want
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.9])
+    def test_periodic_series_tie_order(self, threshold):
+        period = resample_template(io_phase_template(45), 25).samples
+        x = TimeSeries(np.tile(period, 12))
+        want = scan_detect_loop(x, builtin_bank(), range(10, 40, 3), threshold)
+        assert want
+        assert scan_detect(x, builtin_bank(), range(10, 40, 3),
+                           threshold) == want

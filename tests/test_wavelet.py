@@ -4,11 +4,11 @@ from scipy.integrate import quad
 
 from ioscope.errors import InvalidArgument, UnsupportedWavelet
 from ioscope.series import TimeSeries
-from ioscope.wavelet import (_convolve, cwt, compare_fields,
+from ioscope.wavelet import (_convolve, _smooth_local, cwt, compare_fields,
                              default_scale_grid, energy_by_scale, get_wavelet,
                              icwt, scalogram, wavelet_coherence, wcc_measure)
 
-from references import cwt_direct
+from references import cwt_direct, smooth_local_fft, wavelet_constants_loop
 
 ALL_NAMES = ["gaussian-wave", "mexican-hat", "haar", "morlet"]
 
@@ -40,6 +40,15 @@ class TestWaveletFunctions:
     def test_unknown_name(self):
         with pytest.raises(InvalidArgument):
             get_wavelet("shannon")
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_one_instance_per_name(self, name):
+        assert get_wavelet(name) is get_wavelet(name)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_constants_match_spectrum_sums(self, name):
+        w = get_wavelet(name)
+        assert (w.admissibility, w.center_frequency) == wavelet_constants_loop(w)
 
     def test_admissibility_positive(self):
         for name in ALL_NAMES:
@@ -295,3 +304,47 @@ class TestWaveletCoherence:
         assert vals.min() >= -1e-9
         assert vals.max() <= 1 + 1e-9
         assert vals.mean() <= 0.5
+
+
+class TestCoherenceSmoothing:
+    @pytest.mark.parametrize("name", ["mexican-hat", "morlet"])
+    @pytest.mark.parametrize("part", ["power", "cross"])
+    @pytest.mark.parametrize("widths", [None, "explicit"])
+    def test_prefix_sums_match_fft_boxcars(self, rng, name, part, widths):
+        w = get_wavelet(name)
+        scales = np.geomspace(2, 80, 17)
+        f = cwt(TimeSeries(rng.standard_normal(300)), w, scales)
+        g = cwt(TimeSeries(rng.standard_normal(300)), w, scales)
+        cells = np.abs(f.cells) ** 2 if part == "power" else np.conj(f.cells) * g.cells
+        tw = None if widths is None else rng.integers(1, 301, scales.size)
+        got = _smooth_local(cells, scales, 1.0, tw)
+        want = smooth_local_fft(cells, scales, 1.0, tw)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(cells))
+
+    @pytest.mark.parametrize("scale_width", [1, 2, 3, 5])
+    def test_scale_widths_match(self, rng, scale_width):
+        cells = rng.standard_normal((9, 40))
+        scales = np.arange(1.0, 10.0)
+        got = _smooth_local(cells, scales, 1.0, scale_width=scale_width)
+        want = smooth_local_fft(cells, scales, 1.0, scale_width=scale_width)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [[4, 4], [4, 0, 4], [4, -2, 4], 4])
+    def test_time_widths_one_positive_width_per_scale(self, rng, bad):
+        w = get_wavelet("morlet")
+        f = cwt(TimeSeries(rng.standard_normal(64)), w, [2.0, 4.0, 8.0])
+        with pytest.raises(InvalidArgument):
+            wavelet_coherence(f, f, time_widths=bad)
+
+    def test_time_widths_wider_than_grid_rejected(self, rng):
+        w = get_wavelet("morlet")
+        f = cwt(TimeSeries(rng.standard_normal(64)), w, [2.0, 4.0, 8.0])
+        with pytest.raises(InvalidArgument):
+            wavelet_coherence(f, f, time_widths=[4, 65, 4])
+
+    def test_explicit_widths_identical_fields(self, rng):
+        w = get_wavelet("morlet")
+        f = cwt(TimeSeries(rng.standard_normal(64)), w, [2.0, 4.0, 8.0])
+        out = wavelet_coherence(f, f, time_widths=[1, 7, 64])
+        np.testing.assert_allclose(out.cells[out.mask], 1.0, atol=1e-9)
