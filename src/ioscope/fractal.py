@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (DegenerateSignal, DegenerateVariance, InsufficientScales,
                      InsufficientStructure, InvalidArgument)
-from .series import ScaleField, TimeSeries, _unit_scale
+from .series import ScaleField, TimeSeries, _distinct, _unit_scale
 from .wavelet import cwt, default_scale_grid, get_wavelet
 
 __all__ = [
@@ -142,7 +142,7 @@ def _fit_lines(x: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _rs_ladder(n: int, min_window: int, n_scales: int) -> np.ndarray:
     if n < 2 * min_window:
         raise InsufficientScales("series too short for rescaled-range ladder")
-    sizes = np.unique(np.geomspace(min_window, n // 2, n_scales).round().astype(int))
+    sizes = _distinct(np.geomspace(min_window, n // 2, n_scales).round().astype(int))
     return sizes[sizes >= min_window]
 
 
@@ -229,9 +229,8 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
                                   np.log(tot / cnt))
             good = np.isfinite(slope)  # a size with cnt = 0 gives 0/0
             out[t[good] - 1] = slope[good]
-    return TimeSeries._with_undefined(
-        out, step=x.step, origin=x.origin,
-        label=f"hurst({x.label})" if x.label else "hurst")
+    return x.with_values(out, label=f"hurst({x.label})" if x.label else "hurst",
+                         allow_undefined=True)
 
 
 def _direct_rms(vals: np.ndarray, s: int,
@@ -312,7 +311,7 @@ def _mfdfa_scales(n: int) -> np.ndarray:
     smax = min(20 * smin, n // 10)
     if smax <= smin:
         raise InsufficientScales("series too short for fluctuation analysis")
-    return np.unique(np.geomspace(smin, smax, 100).round().astype(int))
+    return _distinct(np.geomspace(smin, smax, 100).round().astype(int))
 
 
 def mfdfa(x: TimeSeries, q: Sequence[float],

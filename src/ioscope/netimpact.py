@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (InsufficientRatings, InvalidArgument, NoConvergence,
                      NoEdges)
+from .series import _distinct
 
 __all__ = [
     "ImpactGraph",
@@ -105,8 +106,7 @@ def _edge_index(g: ImpactGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> Adjacency:
     """Compressed rows of the distinct edges src -> dst on n nodes."""
-    key = np.sort(src * n + dst)
-    key = key[np.diff(key, prepend=-1) > 0]  # np.unique would import numpy.ma
+    key = _distinct(src * n + dst)
     return np.searchsorted(key, np.arange(n + 1) * n), key % n
 
 

@@ -4,13 +4,14 @@ source weights."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateEstimates, DegenerateVariance, DimensionalityExceeded,
-                     InvalidArgument, InvalidRanking)
+from .errors import (DegenerateEstimates, DimensionalityExceeded, InvalidArgument,
+                     InvalidRanking)
+from .series import _distinct
 
 __all__ = [
     "Ranking",
@@ -61,26 +62,30 @@ class Ranking:
         return [alt for alt, _ in sorted(self.items, key=lambda kv: (kv[1], kv[0]))]
 
 
-def unify(rankings: Sequence[Ranking]) -> Tuple[List[str], List[Ranking]]:
-    """Extend every ranking to the union of all alternatives.
+def _rank_matrix(rankings: Sequence[Ranking]) -> Tuple[List[str], np.ndarray]:
+    """The sorted union of all alternatives and the float (sources x
+    alternatives) rank matrix over it.
 
     A source that omitted an alternative places it at rank m_i + 1,
     where m_i is the number of alternatives it did provide.
     """
     if not rankings:
         raise InvalidArgument("need at least one ranking")
-    universe: Dict[str, None] = {}
-    for r in rankings:
-        for alt in r.alternatives:
-            universe.setdefault(alt)
-    alts = sorted(universe)
-    padded = []
-    for r in rankings:
-        ranks = r.ranks
-        pad = len(r.items) + 1
-        padded.append(Ranking(tuple((a, ranks.get(a, pad)) for a in alts),
-                              source=r.source))
-    return alts, padded
+    alts = sorted({alt for r in rankings for alt, _ in r.items})
+    index = {a: i for i, a in enumerate(alts)}
+    ranks = np.empty((len(rankings), len(alts)))
+    for row, r in zip(ranks, rankings):
+        row.fill(len(r.items) + 1)
+        row[[index[a] for a, _ in r.items]] = [rank for _, rank in r.items]
+    return alts, ranks
+
+
+def unify(rankings: Sequence[Ranking]) -> Tuple[List[str], List[Ranking]]:
+    """Extend every ranking to the union of all alternatives, padded as
+    in :func:`_rank_matrix`."""
+    alts, ranks = _rank_matrix(rankings)
+    return alts, [Ranking(tuple(zip(alts, map(int, row))), source=r.source)
+                  for r, row in zip(rankings, ranks.tolist())]
 
 
 def _weights(rankings: Sequence[Ranking],
@@ -95,39 +100,33 @@ def _weights(rankings: Sequence[Ranking],
     return w
 
 
-def _dense_ranking(alts: Sequence[str], keys: Sequence[float],
+def _dense_ranking(alts: Sequence[str], keys: np.ndarray,
                    source: str) -> Ranking:
     """Rank alternatives by ascending key; equal keys share a rank."""
-    order = sorted(zip(alts, keys), key=lambda kv: (kv[1], kv[0]))
-    items = []
-    rank = 0
-    prev = None
-    for alt, key in order:
-        if prev is None or key != prev:
-            rank += 1
-            prev = key
-        items.append((alt, rank))
-    return Ranking(tuple(sorted(items)), source=source)
+    ranks = np.searchsorted(_distinct(keys), keys) + 1
+    return Ranking(tuple(zip(alts, ranks.tolist())), source=source)
+
+
+def _rank_sums(ranks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted rank sum of every alternative, added in source order (a
+    cumulative sum, where ``w @ ranks`` may add in another order)."""
+    return np.cumsum(w[:, None] * ranks, axis=0)[-1]
 
 
 def borda(rankings: Sequence[Ranking],
           weights: Optional[Sequence[float]] = None) -> Ranking:
     """Weighted rank-sum rule: smaller total rank is better."""
-    alts, padded = unify(rankings)
-    w = _weights(rankings, weights)
-    ranks = [r.ranks for r in padded]
-    sums = [float(sum(wj * rk[a] for wj, rk in zip(w, ranks))) for a in alts]
-    return _dense_ranking(alts, sums, "borda")
+    alts, ranks = _rank_matrix(rankings)
+    return _dense_ranking(alts, _rank_sums(ranks, _weights(rankings, weights)),
+                          "borda")
 
 
-def _rank_vector(r: Ranking, alts: Sequence[str]) -> np.ndarray:
-    ranks = r.ranks
-    return np.array([ranks[a] for a in alts], dtype=float)
-
-
-def _sign_matrix(r: Ranking, alts: Sequence[str]) -> np.ndarray:
-    ranks = _rank_vector(r, alts)
-    return np.sign(ranks[None, :] - ranks[:, None])  # +1 where row beats col
+def _signs(x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """int8 pair signs of the rank vector x, for the row alternatives in
+    ``rows``: +1 where the row one is ranked ahead of the column one, -1
+    behind, 0 tied."""
+    xs = x[rows, None]
+    return (xs < x).view(np.int8) - (xs > x).view(np.int8)
 
 
 def condorcet(rankings: Sequence[Ranking],
@@ -139,14 +138,13 @@ def condorcet(rankings: Sequence[Ranking],
     report lists the strongly connected components (size > 1) of the
     strict-domination tournament — the Condorcet-paradox groups.
     """
-    alts, padded = unify(rankings)
+    alts, ranks = _rank_matrix(rankings)
     w = _weights(rankings, weights)
     acc = np.zeros((len(alts), len(alts)))
-    for wj, r in zip(w, padded):
-        acc += wj * _sign_matrix(r, alts)
+    for wj, x in zip(w, ranks):
+        acc += wj * _signs(x)
     majority = np.sign(acc)
-    line_sums = majority.sum(axis=1)
-    ranking = _dense_ranking(alts, [-s for s in line_sums], "condorcet")
+    ranking = _dense_ranking(alts, -majority.sum(axis=1), "condorcet")
     # Warshall closure of strict majority; a cycle is a mutual-reachability
     # class of more than one alternative.
     reach = majority > 0
@@ -160,31 +158,24 @@ def condorcet(rankings: Sequence[Ranking],
 
 def kemeny_distance(r1: Ranking, r2: Ranking) -> int:
     """Hamming-style distance between the pairwise sign matrices: the sum
-    of |sign1 - sign2| over ordered pairs. The signs are int8 and built a
-    block of rows (about 2**20 cells) at a time, so memory does not grow
-    as n**2."""
-    alts = sorted(r1.alternatives)
-    if alts != sorted(r2.alternatives):
+    of |sign1 - sign2| over ordered pairs. The signs are built a block of
+    rows (about 2**20 cells) at a time, so memory does not grow as n**2."""
+    if set(r1.alternatives) != set(r2.alternatives):
         raise InvalidArgument("rankings cover different universes")
-    x, y = _rank_vector(r1, alts), _rank_vector(r2, alts)
+    _, (x, y) = _rank_matrix((r1, r2))
     total = 0
-    block = max(1, 2 ** 20 // max(1, len(alts)))
-    for lo in range(0, len(alts), block):
-        xs, ys = x[lo:lo + block, None], y[lo:lo + block, None]
-        sx = (xs < x).view(np.int8) - (xs > x).view(np.int8)
-        sy = (ys < y).view(np.int8) - (ys > y).view(np.int8)
-        total += int(np.abs(sx - sy).sum())
+    block = max(1, 2 ** 20 // max(1, x.size))
+    for lo in range(0, x.size, block):
+        rows = slice(lo, lo + block)
+        total += int(np.abs(_signs(x, rows) - _signs(y, rows)).sum())
     return total
 
 
-def _pair_costs(padded: Sequence[Ranking], w: np.ndarray,
-                alts: Sequence[str]) -> np.ndarray:
-    """C[a, b]: weighted Kemeny cost of placing alts[a] before alts[b]."""
-    cost = np.zeros((len(alts), len(alts)))
-    for wj, r in zip(w, padded):
-        ranks = _rank_vector(r, alts)
-        cost += wj * (4.0 * (ranks[:, None] > ranks[None, :])
-                      + 2.0 * (ranks[:, None] == ranks[None, :]))
+def _pair_costs(ranks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """C[a, b]: weighted Kemeny cost of placing alternative a before b."""
+    cost = np.zeros((ranks.shape[1],) * 2)
+    for wj, x in zip(w, ranks):
+        cost += wj * (2 - 2 * _signs(x))
     np.fill_diagonal(cost, 0.0)
     return cost
 
@@ -257,24 +248,24 @@ def kemeny_median(rankings: Sequence[Ranking],
     The returned objective is sum_j w_j * kemeny_distance(median, r_j),
     summed in source order.
     """
-    alts, padded = unify(rankings)
+    alts, ranks = _rank_matrix(rankings)
     w = _weights(rankings, weights)
     if mode not in ("exact", "heuristic"):
         raise InvalidArgument(f"unknown mode {mode!r}")
     if mode == "exact" and len(alts) > KEMENY_EXACT_LIMIT:
         raise DimensionalityExceeded(
             f"exact search limited to {KEMENY_EXACT_LIMIT} alternatives")
-    cost = _pair_costs(padded, w, alts)
+    cost = _pair_costs(ranks, w)
     if mode == "exact":
         order = _exact_order(cost.tolist())
     else:
-        index = {a: i for i, a in enumerate(alts)}
-        order = _swap_descent([index[a] for a in borda(rankings, weights).order()],
-                              cost)
+        # the Borda order: rank sums ascending, alternatives (sorted) on ties
+        order = _swap_descent(
+            np.argsort(_rank_sums(ranks, w), kind="stable").tolist(), cost)
     del cost  # n^2 floats, not needed by the per-source distances below
     fused = Ranking.from_order([alts[i] for i in order], source="kemeny")
-    objective = float(sum(wj * kemeny_distance(fused, r)
-                          for wj, r in zip(w, padded)))
+    objective = float(sum(wj * kemeny_distance(fused, padded)
+                          for wj, padded in zip(w, unify(rankings)[1])))
     return fused, objective
 
 
@@ -326,13 +317,8 @@ def source_weights(sources: Dict[str, Tuple[float, Sequence[str]]],
         raise InvalidRanking("duplicate alternative within one source")
     n = len(names)
     m = np.array([len(lst) for lst in lists], dtype=float)
-    union: Dict[str, int] = {}
-    for lst in lists:
-        for alt in lst:
-            union[alt] = union.get(alt, 0) + 1
-    p = len(union)
-    h_sum = float(sum(union.values()))
-    rho = h_sum / (n * p)
+    p = len({alt for lst in lists for alt in lst})
+    rho = float(m.sum()) / (n * p)  # each source names an alternative once
     v = m / m.sum()
     o = m / p
     if mode == "density":

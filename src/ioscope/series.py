@@ -51,35 +51,23 @@ class TimeSeries:
 
     def with_values(self, values: np.ndarray, label: Optional[str] = None,
                     allow_undefined: bool = False) -> "TimeSeries":
+        """The same sampling with new values. ``allow_undefined`` lets NaN
+        samples mark undefined positions; it is reserved for operator
+        outputs (centered smoothing windows), so user input still goes
+        through the strict constructor."""
+        label = self.label if label is None else label
         if not allow_undefined:
             return TimeSeries(values, step=self.step, origin=self.origin,
-                              label=self.label if label is None else label)
-        return TimeSeries._with_undefined(
-            values, step=self.step, origin=self.origin,
-            label=self.label if label is None else label)
-
-    @classmethod
-    def _with_undefined(cls, values: np.ndarray, step: float = 1.0,
-                        origin: Optional[str] = None,
-                        label: str = "") -> "TimeSeries":
-        """Build a series whose NaN samples mark undefined positions.
-
-        Reserved for operator outputs (centered smoothing windows); user
-        input still goes through the strict constructor.
-        """
+                              label=label)
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise InvalidArgument("series must be a non-empty 1-D sequence")
         if np.any(np.isinf(v)):
             raise InvalidArgument("series contains infinite samples")
-        if not (step > 0):
-            raise InvalidArgument("step must be positive")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "values", v)
-        object.__setattr__(obj, "step", float(step))
-        object.__setattr__(obj, "origin", origin)
-        object.__setattr__(obj, "label", label)
-        return obj
+        out = object.__new__(TimeSeries)
+        out.__dict__.update(values=v, step=float(self.step),
+                            origin=self.origin, label=label)
+        return out
 
 
 @dataclass
@@ -136,6 +124,15 @@ def _unit_scale(xs: np.ndarray) -> Tuple[np.ndarray, int]:
     values in range, so the estimators that use it are scale-free."""
     e = int(np.frexp(np.max(np.abs(xs)))[1])
     return np.ldexp(xs, -e), e
+
+
+def _distinct(xs: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of xs: ``np.unique`` on finite input,
+    without the ``numpy.ma`` import that ``np.unique`` brings."""
+    xs = np.sort(np.ravel(xs))
+    keep = np.ones(xs.size, dtype=bool)
+    keep[1:] = xs[1:] != xs[:-1]
+    return xs[keep]
 
 
 def _wma(x: np.ndarray, weights: np.ndarray) -> np.ndarray:

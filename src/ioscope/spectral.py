@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgument
-from .series import ScaleField, TimeSeries
+from .series import ScaleField, TimeSeries, _distinct
 
 __all__ = ["Spectrum", "dft", "idft", "gabor", "sinusoid_filter"]
 
@@ -65,8 +65,8 @@ def gabor(x: TimeSeries, centers: Sequence[float], width: float,
     """
     if not (width > 0):
         raise InvalidArgument("window width must be positive")
-    taus = np.unique(np.asarray(list(centers), dtype=float))
-    nus = np.unique(np.asarray(list(freqs), dtype=float))
+    taus = _distinct(np.asarray(list(centers), dtype=float))
+    nus = _distinct(np.asarray(list(freqs), dtype=float))
     if taus.size == 0 or nus.size == 0:
         raise InvalidArgument("centers and freqs must be non-empty")
     t = x.times

@@ -105,19 +105,25 @@ def builtin_bank(length: int = 45) -> List[Template]:
             snake_template(length)]
 
 
+def _resample(samples: np.ndarray, k: int) -> np.ndarray:
+    """Linear interpolation of samples onto k equally spaced points over
+    their index span; k == samples.size returns them unchanged."""
+    L = samples.size
+    if k == L:
+        return samples
+    return np.interp(np.linspace(0.0, L - 1.0, k), np.arange(L, dtype=float),
+                     samples)
+
+
 def resample_template(t: Template, k: int) -> Template:
-    """Linear interpolation onto k equally spaced points over the
-    template's index span; k == len(t) returns the samples unchanged."""
+    """The template resampled by :func:`_resample` onto k >= 3 points,
+    with its phase marks moved to the nearest new index."""
     if k < 3:
         raise InvalidArgument("resampled length must be >= 3")
     L = len(t)
-    if k == L:
-        return t
-    xi = np.linspace(0.0, L - 1.0, k)
-    samples = np.interp(xi, np.arange(L, dtype=float), t.samples)
     marks = tuple((int(round(idx * (k - 1) / (L - 1))), label)
                   for idx, label in t.phase_marks)
-    return Template(samples, name=t.name, phase_marks=marks)
+    return Template(_resample(t.samples, k), name=t.name, phase_marks=marks)
 
 
 def correlation_diagram(x: TimeSeries, t: Template,
@@ -128,7 +134,8 @@ def correlation_diagram(x: TimeSeries, t: Template,
     ``correlation.pattern_correlation_field``).
 
     Cells are undefined where the window overruns the series or either
-    side is constant.
+    side is constant; a whole row is undefined where the template
+    resamples to a constant.
     """
     ks = sorted({int(k) for k in k_range})
     if not ks:
@@ -142,11 +149,11 @@ def correlation_diagram(x: TimeSeries, t: Template,
             raise InvalidArgument("window length must be >= 3")
         if k > T:
             continue
-        p = resample_template(t, k).samples
+        p = _resample(t.samples, k)
+        if np.ptp(p) == 0:
+            continue
         pm = p - p.mean()
         npnorm = np.sqrt(np.sum(pm * pm))
-        if npnorm == 0:
-            continue
         win = np.lib.stride_tricks.sliding_window_view(xs, k)
         wc = win - win.mean(axis=1, keepdims=True)
         wnorm = np.sqrt(np.sum(wc * wc, axis=1))

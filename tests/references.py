@@ -13,7 +13,7 @@ from ioscope.fractal import (MultifractalResult, _chord_hurst, _legendre,
                              _log_moments, _mfdfa_scales, _q_grid,
                              find_skeleton)
 from ioscope.netimpact import ImpactGraph
-from ioscope.rankfuse import Ranking
+from ioscope.rankfuse import Ranking, unify
 from ioscope.series import ScaleField, TimeSeries
 from ioscope.templates import Detection, Template, correlation_diagram
 from ioscope.wavelet import (Wavelet, _convolve, cwt, default_scale_grid,
@@ -70,6 +70,31 @@ def kemeny_distance_dense(r1: Ranking, r2: Ranking) -> int:
         return np.sign(ranks[None, :] - ranks[:, None])
 
     return int(np.sum(np.abs(signs(r1) - signs(r2))))
+
+
+def borda_loop(rankings: Sequence[Ranking],
+               weights: Optional[Sequence[float]] = None) -> Dict[str, int]:
+    """Borda ranks from a per-alternative Python sum of w_j * rank_j over
+    the unified rankings, in source order, then a dense rank."""
+    alts, padded = unify(rankings)
+    w = np.ones(len(rankings)) if weights is None else np.asarray(weights, float)
+    ranks = [r.ranks for r in padded]
+    sums = [float(sum(wj * rk[a] for wj, rk in zip(w, ranks))) for a in alts]
+    levels = sorted(set(sums))
+    return {a: levels.index(s) + 1 for a, s in zip(alts, sums)}
+
+
+def pair_costs_loop(padded: Sequence[Ranking], w: np.ndarray,
+                    alts: Sequence[str]) -> np.ndarray:
+    """Kemeny pair costs C[a, b] as a sum over sources of w_j times 4 where
+    source j ranks b strictly ahead of a and 2 where it ties them."""
+    cost = np.zeros((len(alts), len(alts)))
+    for wj, r in zip(w, padded):
+        ranks = np.array([r.ranks[a] for a in alts], dtype=float)
+        cost += wj * (4.0 * (ranks[:, None] > ranks[None, :])
+                      + 2.0 * (ranks[:, None] == ranks[None, :]))
+    np.fill_diagonal(cost, 0.0)
+    return cost
 
 
 def to_networkx(g: ImpactGraph) -> nx.DiGraph:

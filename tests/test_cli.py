@@ -437,6 +437,19 @@ class TestScan:
                      "--out", out]) == 0
         assert load_report(out)["results"]["detections"] == 0
 
+    def test_template_resampling_to_constant_exit_0(self, tmp_path, rng):
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        (bank / "spike.csv").write_text("0\n0\n0\n1\n0\n0\n0\n0\n0\n")
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(100))
+        out = str(tmp_path / "out")
+        assert main(["scan", "--input", path, "--templates", str(bank),
+                     "--scales", "4:8:1", "--threshold", "0.5",
+                     "--out", out]) == 0
+        with open(os.path.join(out, "detections.json")) as fh:
+            scales = {d["scale"] for d in json.load(fh)["detections"]}
+        assert scales and 5 not in scales
+
 
 class TestSimulate:
     def test_invalid_probability_exit_2(self, tmp_path):
@@ -611,3 +624,29 @@ def test_runtime_loads_only_numpy_and_the_standard_library():
     assert {"ioscope", "numpy"} <= loaded
     assert "networkx" not in loaded
     assert loaded - set(sys.stdlib_module_names) == {"ioscope", "numpy"}
+
+
+def test_ops_load_no_numpy_ma(tmp_path, rng):
+    """The ops that used to take distinct values from np.unique (hurst,
+    mfdfa, gabor, hurst-profile, the rank rules, graph adjacency) run
+    without loading numpy.ma."""
+    series = write_series_csv(tmp_path / "x.csv", rng.poisson(3.0, 400))
+    ranks = write_rankings(tmp_path / "r.csv",
+                           [("s1", "a", 1), ("s1", "b", 2), ("s1", "c", 3),
+                            ("s2", "c", 1), ("s2", "a", 2), ("s3", "b", 1)])
+    edges = write_edges(tmp_path / "e.tsv",
+                        [("a", "b", 2), ("b", "c", 1), ("c", "a", 1), ("a", "c", 1)])
+    runs = [["analyze", "--input", series, "--ops", "hurst,mfdfa,gabor,hurst-profile"]]
+    runs += [["fuse", "--rankings", ranks, "--method", m]
+             for m in ("borda", "condorcet", "kemeny")]
+    runs += [["graph", "--edges", edges, "--ops", "stats,hits"]]
+    runs = [argv + ["--out", str(tmp_path / f"o{i}")] for i, argv in enumerate(runs)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, sys\n"
+             "from ioscope.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[0] * len(runs), False]

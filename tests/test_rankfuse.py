@@ -12,7 +12,7 @@ from ioscope.errors import (DegenerateEstimates, DimensionalityExceeded,
 from ioscope.rankfuse import (Ranking, borda, condorcet, kemeny_distance,
                               kemeny_median, source_weights, unify)
 
-from references import kemeny_distance_dense
+from references import borda_loop, kemeny_distance_dense, pair_costs_loop
 
 
 def R(order, source="s"):
@@ -477,6 +477,42 @@ class TestCondorcetCyclesOracle:
         want_ranks, want_cycles = condorcet_reference(rs, weights)
         assert got.ranks == want_ranks
         assert cycles == want_cycles
+
+
+@st.composite
+def weighted_profiles(draw):
+    """The Condorcet oracle's source profiles with an integer or a float
+    weight draw, not all zero."""
+    sources = draw(st.lists(_source, min_size=1, max_size=6))
+    rs = [Ranking(tuple(items), str(j)) for j, items in enumerate(sources)]
+    weights = draw(st.one_of(
+        st.lists(st.integers(min_value=0, max_value=3).map(float),
+                 min_size=len(rs), max_size=len(rs)),
+        st.lists(st.floats(min_value=0.0, max_value=3.0),
+                 min_size=len(rs), max_size=len(rs))))
+    if not any(v > 0 for v in weights):
+        weights[0] = 1.0
+    return rs, weights
+
+
+class TestRankMatrixOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(profile=weighted_profiles())
+    def test_borda_matches_loop(self, profile):
+        rs, weights = profile
+        assert borda(rs, weights).ranks == borda_loop(rs, weights)
+        assert borda(rs).ranks == borda_loop(rs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile=weighted_profiles())
+    def test_pair_costs_match_loop(self, profile):
+        rs, weights = profile
+        w = np.asarray(weights, dtype=float)
+        alts, padded = unify(rs)
+        got_alts, ranks = rankfuse._rank_matrix(rs)
+        assert got_alts == alts
+        assert np.array_equal(rankfuse._pair_costs(ranks, w),
+                              pair_costs_loop(padded, w, alts))
 
 
 @st.composite

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ioscope.errors import InvalidArgument
-from ioscope.series import (TimeSeries, deseasonalize_weekly, sample_stats,
-                            smooth, smoothing_field)
+from ioscope.series import (TimeSeries, _distinct, deseasonalize_weekly,
+                            sample_stats, smooth, smoothing_field)
 
 finite_arrays = arrays(
     np.float64,
@@ -149,3 +149,31 @@ class TestSampleStats:
         _, v1 = sample_stats(TimeSeries(vals + c))
         assert v0 >= 0
         assert v1 == pytest.approx(v0, abs=1e-6 * (1 + abs(v0)))
+
+
+class TestWithValues:
+    def test_undefined_samples_only_when_allowed(self):
+        x = TimeSeries([1.0, 2.0, 3.0], step=0.5, origin="2020-01-01", label="x")
+        y = x.with_values([np.nan, 1.0, np.nan], allow_undefined=True)
+        assert (y.step, y.origin, y.label) == (0.5, "2020-01-01", "x")
+        assert np.isnan(y.values[[0, 2]]).all() and y.values[1] == 1.0
+        assert x.with_values([4.0, 5.0], label="y").label == "y"
+        with pytest.raises(InvalidArgument):
+            x.with_values([np.nan, 1.0])
+        for bad in ([np.inf, 1.0], [], [[1.0]]):
+            with pytest.raises(InvalidArgument):
+                x.with_values(bad, allow_undefined=True)
+
+
+class TestDistinct:
+    @given(arrays(np.float64, st.integers(min_value=0, max_value=40),
+                  elements=st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 1e300])))
+    def test_matches_unique_on_floats(self, xs):
+        got, want = _distinct(xs), np.unique(xs)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(arrays(np.int64, st.integers(min_value=0, max_value=40),
+                  elements=st.integers(min_value=-5, max_value=5)))
+    def test_matches_unique_on_ints(self, xs):
+        got, want = _distinct(xs), np.unique(xs)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -146,6 +146,19 @@ class TestCorrelationDiagram:
         assert fld.cells[0, 30] > 0.9
         assert fld.cells[1, 150] > 0.9
 
+    @pytest.mark.parametrize("base", [0.0, 0.11])
+    def test_constant_resample_row_undefined(self, rng, base):
+        # at k = 5 the 9-sample spike samples indices 0, 2, 4, 6, 8 only,
+        # all equal to base; five 0.11s average to 0.11000000000000001, so
+        # a zero-norm test on the centered samples would not catch that one
+        tpl = Template(base + np.array([0, 0, 0, 1, 0, 0, 0, 0, 0.0]))
+        x = TimeSeries(rng.standard_normal(60))
+        fld = correlation_diagram(x, tpl, range(4, 9))
+        assert not fld.mask[1].any() and np.isnan(fld.cells[1]).all()
+        for r, k in enumerate(range(4, 9)):
+            if k != 5:
+                assert fld.mask[r, :60 - k + 1].all()
+
 
 class TestKuntchenko:
     def make_basis(self, rng, length=20, order=2):
