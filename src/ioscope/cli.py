@@ -58,9 +58,55 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _csv_line(vals: list) -> str:
-    """Cells with 12 significant digits, nan cells empty."""
-    return ",".join(["" if v != v else format(v, ".12g") for v in vals]) + "\n"
+# Cells of a 1-D array encoded per json.dumps call: large enough that the
+# C encoder does the work, small enough that a report streams to its file.
+_CHUNK = 4096
+
+
+def _dump(obj, fh, sort_keys: bool, pad: str = "\n") -> None:
+    """Write obj to fh as json.dump(obj, fh, indent=2, sort_keys=sort_keys,
+    default=_json_default) does, except that every non-finite number,
+    scalar or array cell, is null. A 1-D real array is encoded by the C
+    encoder a chunk of cells at a time, each chunk written when built."""
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
+        if not obj.size:
+            fh.write("[]")
+            return
+        for i in range(0, obj.size, _CHUNK):
+            a = obj[i:i + _CHUNK].astype(float)
+            finite = np.isfinite(a)
+            cells = (a if finite.all() else np.where(finite, a, None)).tolist()
+            fh.write(("[" if i == 0 else ",") + inner
+                     + json.dumps(cells)[1:-1].replace(", ", "," + inner))
+        fh.write(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            fh.write("{}")
+            return
+        sep = "{"
+        for k, v in (sorted(obj.items()) if sort_keys else obj.items()):
+            key = k if isinstance(k, str) else json.dumps(k)
+            fh.write(sep + inner + json.dumps(key) + ": ")
+            _dump(v, fh, sort_keys, inner)
+            sep = ","
+        fh.write(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            fh.write("[]")
+            return
+        sep = "["
+        for v in obj:
+            fh.write(sep + inner)
+            _dump(v, fh, sort_keys, inner)
+            sep = ","
+        fh.write(pad + "]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        fh.write("null")
+    elif obj is None or isinstance(obj, (str, int, float)):
+        fh.write(json.dumps(obj))
+    else:
+        _dump(_json_default(obj), fh, sort_keys, pad)
 
 
 def write_matrix_csv(path: Path, fld: ScaleField) -> None:
@@ -68,15 +114,17 @@ def write_matrix_csv(path: Path, fld: ScaleField) -> None:
     cells empty; 12 significant digits. Complex fields store modulus.
 
     The whole table, axes included, is built as one float matrix with
-    nan for every empty cell, then written one row at a time.
+    nan for every empty cell, then written one row at a time, each row
+    by one %-format call whose "nan" cells are then blanked.
     """
     cells = np.abs(fld.cells) if fld.is_complex else fld.cells
     table = np.vstack([np.r_[np.nan, fld.cols],
                        np.column_stack([fld.rows, np.where(fld.mask, cells, np.nan)])])
     table[~np.isfinite(table)] = np.nan
+    fmt = ",".join(["%.12g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         for row in table.tolist():
-            fh.write(_csv_line(row))
+            fh.write((fmt % tuple(row)).replace("nan", ""))
     gp = path.with_suffix(".gnuplot")
     with open(gp, "w") as fh:
         fh.write("set datafile separator ','\n"
@@ -268,7 +316,7 @@ def _write_report(out_dir: Path, command: str, inputs: Sequence[Path],
     }
     path = out_dir / "report.json"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        _dump(report, fh, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -488,7 +536,7 @@ def cmd_scan(args, out_dir: Path) -> int:
     }
     path = out_dir / "detections.json"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
+        _dump(payload, fh, sort_keys=False)
         fh.write("\n")
     _write_report(out_dir, "scan", [Path(args.input)],
                   {"detections": len(payload["detections"]),

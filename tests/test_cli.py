@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from ioscope.agentsim import SimConfig, lifespan_survival
-from ioscope.cli import (Q_MFDFA, _json_default, _write_report, main,
-                         write_matrix_csv)
+from ioscope import cli
+from ioscope.cli import (Q_MFDFA, _CHUNK, _dump, _json_default, _write_report,
+                         main, write_matrix_csv)
 from ioscope.fractal import brownian, mfdfa
 from ioscope.series import ScaleField, TimeSeries
 
@@ -364,6 +366,114 @@ class TestWriteReport:
             back = json.load(fh)
         assert back["results"]["acf"]["lags"][:2] == [0.0, 1.0]
         assert back["results"]["sma"]["values"][5:7] == [None, None]
+
+
+def dumped(obj, sort_keys=True):
+    buf = io.StringIO()
+    _dump(obj, buf, sort_keys)
+    return buf.getvalue()
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def mixed_report(rng):
+    """Finite scalars; arrays at the chunk edges, with non-finite cells;
+    strings with escapes and non-ASCII text; nested lists of dicts."""
+    edge = rng.standard_normal(_CHUNK + 1)
+    edge[[0, _CHUNK - 1, _CHUNK]] = [np.nan, np.inf, -np.inf]
+    return {
+        "one_chunk": rng.standard_normal(_CHUNK) * 1e-300,
+        "chunk_plus_one": edge,
+        "empty": np.array([]),
+        "ints": np.array([-2, 0, 2 ** 60 + 1]),
+        "bools": np.array([True, False]),
+        "float32": np.array([0.25, np.nan], dtype=np.float32),
+        "text": 'naïve "quoted" \\ back\tslash\n\u2028 \x00 \U0001f600',
+        "nested": [{"z": [None, True, False, {}], "a": []},
+                   ({"b": np.int64(3)}, np.float32(0.5), np.float64(1.5)), []],
+        "none": None, "int": 7, "float": -0.0,
+        "üñí": {"x": 1e300, "y": 5e-324},
+    }
+
+
+class TestDump:
+    def test_report_file_matches_json_dumps(self, tmp_path, rng):
+        results = mixed_report(rng)
+        path = _write_report(tmp_path, "analyze", [], results, ["w"], ["a.csv"], 3)
+        head = json.loads(path.read_text())
+        report = {k: head[k] for k in ("version", "command", "timestamp",
+                                       "input_fingerprint", "preprocessing")}
+        report.update(seed=3, results=results, warnings=["w"],
+                      artifacts=["a.csv"])
+        want = json.dumps(report, indent=2, sort_keys=True,
+                          default=json_default_loop) + "\n"
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK + 3])
+    @pytest.mark.parametrize("dtype", [float, np.int32, bool])
+    def test_arrays_at_chunk_edges(self, rng, n, dtype):
+        a = (rng.standard_normal(n) * 1e3).astype(dtype)
+        if dtype is float and n:
+            a[n - 1] = np.nan
+            a[:: max(1, n // 3)] = np.inf
+        obj = {"b": [a, {"c": a}], "a": a}
+        assert dumped(obj) == json.dumps(obj, indent=2, sort_keys=True,
+                                         default=json_default_loop)
+
+    def test_two_dimensional_and_complex_arrays(self):
+        obj = {"m": np.array([[1.0, np.nan], [np.inf, 2.0]]),
+               "e": np.zeros((2, 0)),
+               "c": np.array([1 + 2j, 3 + 0j, complex(np.nan, 1.0)]),
+               "c2": np.array([[1j], [2 + 0j]])}
+        text = dumped(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True,
+                                  default=_json_default)
+        assert json.loads(text)["m"] == [[1.0, None], [None, 2.0]]
+
+    def test_non_finite_scalars_are_null(self, tmp_path):
+        results = {"a": np.float64(np.inf), "b": float("nan"),
+                   "c": [np.float64(-np.inf)], "d": np.float32(np.nan)}
+        path = _write_report(tmp_path, "analyze", [], results, [], [], None)
+        with open(path) as fh:
+            back = json.load(fh, parse_constant=reject_constant)
+        assert back["results"] == {"a": None, "b": None, "c": [None],
+                                   "d": None}
+
+    def test_insertion_order_without_sort_keys(self):
+        obj = {"z": 1, "a": [{"y": np.arange(3), "b": None}], 1: "k",
+               2.5: "f", False: "n", None: "v"}
+        assert dumped(obj, sort_keys=False) == json.dumps(
+            obj, indent=2, default=_json_default)
+
+    def test_unserializable_objects_rejected(self):
+        for obj in ({"a": object()}, [np.array(["a"])], np.bool_(True)):
+            with pytest.raises(TypeError):
+                dumped(obj)
+
+    def test_detections_keep_insertion_order(self, tmp_path, rng, monkeypatch):
+        written = []
+
+        def recording_dump(obj, fh, sort_keys, *rest):
+            if not rest:
+                written.append((obj, sort_keys))
+            _dump(obj, fh, sort_keys, *rest)
+
+        monkeypatch.setattr(cli, "_dump", recording_dump)
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(300))
+        out = tmp_path / "out"
+        assert main(["scan", "--input", path, "--threshold", "0.3",
+                     "--scales", "3:60:3", "--out", str(out)]) == 0
+        payload, sort_keys = written[0]
+        assert not sort_keys and payload["detections"]
+        text = (out / "detections.json").read_text()
+        assert text == json.dumps(payload, indent=2,
+                                  default=_json_default) + "\n"
+        first = json.loads(text)["detections"][0]
+        assert list(first) == ["template", "scale", "location", "score",
+                               "phase_marks"]
 
 
 class TestScan:
