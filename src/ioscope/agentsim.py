@@ -58,8 +58,8 @@ class SimConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise InvalidArgument(f"{name} must lie in [0, 1]")
-        if self.e0 < 1:
-            raise InvalidArgument("e0 must be a positive integer")
+        if not 1 <= self.e0 < 2 ** 62:  # energies are int64
+            raise InvalidArgument("e0 must be an integer in [1, 2**62)")
         if self.t_max < 1:
             raise InvalidArgument("t_max must be >= 1")
         if self.seed is not None and self.seed < 0:

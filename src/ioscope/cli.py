@@ -1,8 +1,10 @@
 """Command-line surface: file I/O, report generation, and thin wrappers
 around the analysis modules.
 
-Exit codes: 0 success, 2 usage or parse error, 3 an operation's
-precondition or numeric failure.
+Exit codes: 0 success; 2 a usage error, a flag value outside its range
+or an input file that does not parse; 3 an operation whose precondition
+or numeric computation fails on this input. A failure prints one stderr
+line, ``ioscope: [op '<name>': ]<message>``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +42,13 @@ class OpFailure(IoscopeError):
     def __init__(self, op: str, cause: Exception):
         super().__init__(f"op {op!r}: {cause}")
         self.op = op
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error takes main's failure path: exit 2, one stderr line."""
+
+    def error(self, message: str):
+        raise InvalidArgument(message)
 
 
 def _json_default(obj):
@@ -153,7 +162,8 @@ def _read_rows(path: Path, sep: str, parse: Callable[[List[str]], object]) -> li
     Blank lines and '#' lines are skipped and fields are trimmed. A row
     that does not parse (ValueError) is skipped on line 1, as a header,
     and is an error on any other line; an out-of-range value
-    (InvalidArgument) is an error on every line. Errors name path:lineno.
+    (InvalidArgument, or ArgumentTypeError from a converter) is an error
+    on every line. Errors name path:lineno.
     """
     rows = []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
@@ -165,7 +175,7 @@ def _read_rows(path: Path, sep: str, parse: Callable[[List[str]], object]) -> li
         except ValueError as exc:
             if lineno > 1:
                 raise InvalidArgument(f"{path}:{lineno}: {exc}") from None
-        except InvalidArgument as exc:
+        except (InvalidArgument, argparse.ArgumentTypeError) as exc:
             raise InvalidArgument(f"{path}:{lineno}: {exc}") from None
     return rows
 
@@ -180,25 +190,24 @@ def _fields(layout: str, *types: Callable, optional: int = 0) -> Callable:
     return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise InvalidArgument(f"{value} is not a positive integer")
-    return value
+def _converter(convert: Callable, ok: Callable, what: str) -> Callable:
+    """A flag and field converter: ``convert`` the text (a ValueError if
+    it does not parse), then refuse a value that ``ok`` rejects with an
+    ArgumentTypeError saying what the value must be."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise InvalidArgument(f"{text} is not a finite number")
-    return value
-
-
-def _nonnegative(text: str) -> float:
-    value = _finite(text)
-    if value < 0:
-        raise InvalidArgument(f"{text} is negative")
-    return value
+_positive_int = _converter(int, lambda v: v >= 1, "a positive integer")
+_finite = _converter(float, math.isfinite, "a finite number")
+_nonnegative = _converter(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_positive = _converter(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_unit = _converter(float, lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 def read_series_csv(path: Path) -> TimeSeries:
@@ -365,7 +374,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             return
         try:
             typed = (action.type or str)(value)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise InvalidArgument(f"bad value {value!r} for {key}") from None
         if action.choices and typed not in action.choices:
             raise InvalidArgument(f"{key} must be one of " + ", ".join(action.choices))
@@ -393,13 +402,20 @@ def _cwt(r, *series: TimeSeries) -> List[ScaleField]:
     return [wavelet.cwt(s, w, scales) for s in series]
 
 
+def _y(r) -> TimeSeries:
+    """The second series, for the ops that compare two."""
+    if r.y is None:
+        raise InvalidArgument("needs --input2")
+    return r.y
+
+
 def _op_acf(r) -> Dict:
     curve = correlation.autocorrelation(r.x)
     return {"lags": curve.lags, "values": curve.values, "se": curve.se_band}
 
 
 def _op_ccf(r) -> Dict:
-    curve = correlation.cross_correlation(r.x, r.y, len(r.x) // 4)
+    curve = correlation.cross_correlation(r.x, _y(r), len(r.x) // 4)
     return {"lags": curve.lags, "values": curve.values,
             "argmax_lag": curve.argmax_lag}
 
@@ -417,7 +433,7 @@ def _op_gabor(r) -> ScaleField:
 
 
 def _op_wcc(r) -> Dict:
-    wx, wy = _cwt(r, r.x, r.y)
+    wx, wy = _cwt(r, r.x, _y(r))
     return {"scales": wx.rows, "values": wavelet.wcc_measure(wx, wy)}
 
 
@@ -437,32 +453,51 @@ def _op_mfdfa(r) -> Dict:
     return _mf_json(fractal.mfdfa(series, Q_MFDFA))
 
 
-# op -> (needs --input2, kernel). A kernel takes the run context and
-# returns a JSON block, or a ScaleField written as a matrix artifact.
-# Kernels look module functions up when they run, so that wrappers
-# installed on the modules (profilers, tracers) see every call.
-ANALYZE_OPS: Dict[str, Tuple[bool, Callable]] = {
-    "sma": (False, lambda r: _curve_json(smooth(r.x, "sma", r.args.window))),
-    "ewma": (False, lambda r: _curve_json(smooth(r.x, "ewma", r.args.alpha))),
-    "deseason": (False, lambda r: _curve_json(deseasonalize_weekly(r.x))),
-    "acf": (False, _op_acf),
-    "ccf": (True, _op_ccf),
-    "dft": (False, _op_dft),
-    "gabor": (False, _op_gabor),
-    "filter": (False, lambda r: _curve_json(spectral.sinusoid_filter(r.x, r.args.bin))),
-    "cwt": (False, lambda r: _cwt(r, r.x)[0]),
-    "scalogram": (False, lambda r: wavelet.scalogram(_cwt(r, r.x)[0])),
-    "coherence": (True, lambda r: wavelet.wavelet_coherence(*_cwt(r, r.x, r.y))),
-    "wcc": (True, _op_wcc),
-    "hurst": (False, _op_hurst),
-    "hurst-profile": (False, lambda r: _curve_json(fractal.hurst_profile(r.x))),
-    "dl": (False, lambda r: fractal.delta_l_field(r.x)),
-    "mfdfa": (False, _op_mfdfa),
-    "wtmm": (False, lambda r: _mf_json(fractal.wtmm(r.x, Q_WAVELET,
-                                                    wavelet=r.args.wavelet))),
-    "leaders": (False, lambda r: _mf_json(fractal.wavelet_leaders(
-        r.x, Q_WAVELET, wavelet=r.args.wavelet))),
+# op -> kernel. A kernel takes the run context and returns a JSON block,
+# or a ScaleField written as a matrix artifact. Kernels look module
+# functions up when they run, so that wrappers installed on the modules
+# (profilers, tracers) see every call.
+ANALYZE_OPS: Dict[str, Callable] = {
+    "sma": lambda r: _curve_json(smooth(r.x, "sma", r.args.window)),
+    "ewma": lambda r: _curve_json(smooth(r.x, "ewma", r.args.alpha)),
+    "deseason": lambda r: _curve_json(deseasonalize_weekly(r.x)),
+    "acf": _op_acf,
+    "ccf": _op_ccf,
+    "dft": _op_dft,
+    "gabor": _op_gabor,
+    "filter": lambda r: _curve_json(spectral.sinusoid_filter(r.x, r.args.bin)),
+    "cwt": lambda r: _cwt(r, r.x)[0],
+    "scalogram": lambda r: wavelet.scalogram(_cwt(r, r.x)[0]),
+    "coherence": lambda r: wavelet.wavelet_coherence(*_cwt(r, r.x, _y(r))),
+    "wcc": _op_wcc,
+    "hurst": _op_hurst,
+    "hurst-profile": lambda r: _curve_json(fractal.hurst_profile(r.x)),
+    "dl": lambda r: fractal.delta_l_field(r.x),
+    "mfdfa": _op_mfdfa,
+    "wtmm": lambda r: _mf_json(fractal.wtmm(r.x, Q_WAVELET, wavelet=r.args.wavelet)),
+    "leaders": lambda r: _mf_json(fractal.wavelet_leaders(
+        r.x, Q_WAVELET, wavelet=r.args.wavelet)),
 }
+
+
+def _run_ops(run, table: Dict[str, Callable], ops: Sequence[str],
+             results: Dict) -> List[str]:
+    """Put each op's block into ``results``; return the artifact names.
+    A kernel's library error becomes an OpFailure naming the op, and a
+    returned ScaleField is written into ``run.out_dir`` as a matrix."""
+    artifacts: List[str] = []
+    for op in ops:
+        try:
+            out = table[op](run)
+        except IoscopeError as exc:
+            raise OpFailure(op, exc) from exc
+        if isinstance(out, ScaleField):
+            path = run.out_dir / f"{op}.csv"
+            write_matrix_csv(path, out)
+            artifacts.extend([path.name, path.with_suffix(".gnuplot").name])
+            out = {"artifact": path.name, "kind": out.kind}
+        results[op] = out
+    return artifacts
 
 
 def cmd_analyze(args, out_dir: Path) -> int:
@@ -473,39 +508,18 @@ def cmd_analyze(args, out_dir: Path) -> int:
     if args.input2:
         y = read_series_csv(Path(args.input2))
         inputs.append(Path(args.input2))
-    preprocessing = {
-        "steps": [],
-        "window": args.window,
-        "alpha": args.alpha,
-        "bin": args.bin,
-        "wavelet": args.wavelet,
-        "gabor_width": args.gabor_width,
-        "aggregated": args.aggregated,
-        "deseason_first": args.deseason_first,
-    }
+    preprocessing = {"steps": [], **{flag: getattr(args, flag) for flag in (
+        "window", "alpha", "bin", "wavelet", "gabor_width", "aggregated",
+        "deseason_first")}}
     if args.deseason_first:
         x = deseasonalize_weekly(x)
         ok = np.isfinite(x.values)
         x = x.with_values(x.values[ok])
         preprocessing["steps"].append("deseasonalize-weekly")
-    run = SimpleNamespace(x=x, y=y, args=args, warnings=[],
+    run = SimpleNamespace(x=x, y=y, args=args, out_dir=out_dir, warnings=[],
                           steps=preprocessing["steps"])
     results: Dict = {}
-    artifacts: List[str] = []
-    for op in ops:
-        needs_y, kernel = ANALYZE_OPS[op]
-        try:
-            if needs_y and y is None:
-                raise InvalidArgument(f"{op} needs --input2")
-            out = kernel(run)
-        except IoscopeError as exc:
-            raise OpFailure(op, exc) from exc
-        if isinstance(out, ScaleField):
-            path = out_dir / f"{op}.csv"
-            write_matrix_csv(path, out)
-            artifacts.extend([path.name, path.with_suffix(".gnuplot").name])
-            out = {"artifact": path.name, "kind": out.kind}
-        results[op] = out
+    artifacts = _run_ops(run, ANALYZE_OPS, ops, results)
     _write_report(out_dir, "analyze", inputs, results, run.warnings,
                   artifacts, None, preprocessing)
     return EXIT_OK
@@ -605,9 +619,9 @@ def _hits_json(g: netimpact.ImpactGraph) -> Dict:
 
 
 GRAPH_OPS: Dict[str, Callable] = {
-    "stats": lambda g: network_stats_json(g),
-    "hits": _hits_json,
-    "ioscore": lambda g: netimpact.io_scenario_score(g),
+    "stats": lambda r: network_stats_json(r.g),
+    "hits": lambda r: _hits_json(r.g),
+    "ioscore": lambda r: netimpact.io_scenario_score(r.g),
 }
 
 
@@ -624,8 +638,7 @@ def cmd_graph(args, out_dir: Path) -> int:
     g = netimpact.build_impact_graph(citations, ratings=ratings)
     results: Dict = {"n": g.n, "m": g.m,
                      "dropped_self_loops": g.dropped_self_loops}
-    for op in ops:
-        results[op] = GRAPH_OPS[op](g)
+    _run_ops(SimpleNamespace(g=g, out_dir=out_dir), GRAPH_OPS, ops, results)
     _write_report(out_dir, "graph", inputs, results, [], [], None)
     return EXIT_OK
 
@@ -672,38 +685,36 @@ def cmd_fuse(args, out_dir: Path) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ioscope",
-                                     description="Publication-dynamics and "
-                                     "influence-network analysis toolkit")
+    parser = _Parser(prog="ioscope", description="Publication-dynamics and "
+                     "influence-network analysis toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="time-series analyses")
+    def command(name: str, func: Callable, about: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(_subparser=p, func=func)
+        return p
+
+    pa = command("analyze", cmd_analyze, "time-series analyses")
     pa.add_argument("--input", required=True)
     pa.add_argument("--input2", default=None)
     pa.add_argument("--ops", required=True,
                     help="comma list from: " + ",".join(ANALYZE_OPS))
-    pa.add_argument("--out", default="ioscope-out")
-    pa.add_argument("--window", type=int, default=7)
-    pa.add_argument("--alpha", type=float, default=0.3)
-    pa.add_argument("--bin", type=int, default=1)
-    pa.add_argument("--wavelet", default="mexican-hat")
-    pa.add_argument("--gabor-width", type=float, default=16.0)
+    pa.add_argument("--window", type=_positive_int, default=7)
+    pa.add_argument("--alpha", type=_unit, default=0.3)
+    pa.add_argument("--bin", type=_positive_int, default=1)
+    pa.add_argument("--wavelet", default="mexican-hat", choices=list(wavelet.WAVELETS))
+    pa.add_argument("--gabor-width", type=_positive, default=16.0)
     pa.add_argument("--aggregated", action="store_true")
     pa.add_argument("--deseason-first", action="store_true")
-    pa.add_argument("--config", default=None)
-    pa.set_defaults(_subparser=pa, func=cmd_analyze)
 
-    ps = sub.add_parser("scan", help="template-bank detection scan")
+    ps = command("scan", cmd_scan, "template-bank detection scan")
     ps.add_argument("--input", required=True)
     ps.add_argument("--templates", default="builtin")
-    ps.add_argument("--threshold", type=float, default=0.9)
+    ps.add_argument("--threshold", type=_unit, default=0.9)
     ps.add_argument("--scales", default="5:60:1")
-    ps.add_argument("--out", default="ioscope-out")
-    ps.add_argument("--config", default=None)
-    ps.set_defaults(_subparser=ps, func=cmd_scan)
 
-    pm = sub.add_parser("simulate", help="agent population simulation")
+    pm = command("simulate", cmd_simulate, "agent population simulation")
     pm.add_argument("--pl", type=float, default=0.4)
     pm.add_argument("--pd", type=float, default=0.0)
     pm.add_argument("--pr", type=float, default=0.1)
@@ -714,19 +725,13 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--phi-e-ref", type=float, default=10.0)
     pm.add_argument("--ticks", type=int, default=100)
     pm.add_argument("--seed", type=int, default=None)
-    pm.add_argument("--out", default="ioscope-out")
-    pm.add_argument("--config", default=None)
-    pm.set_defaults(_subparser=pm, func=cmd_simulate)
 
-    pg = sub.add_parser("graph", help="impact-graph analyses")
+    pg = command("graph", cmd_graph, "impact-graph analyses")
     pg.add_argument("--edges", required=True)
     pg.add_argument("--ratings", default=None)
     pg.add_argument("--ops", default="stats")
-    pg.add_argument("--out", default="ioscope-out")
-    pg.add_argument("--config", default=None)
-    pg.set_defaults(_subparser=pg, func=cmd_graph)
 
-    pf = sub.add_parser("fuse", help="rank aggregation")
+    pf = command("fuse", cmd_fuse, "rank aggregation")
     pf.add_argument("--rankings", required=True)
     pf.add_argument("--estimates", default=None)
     pf.add_argument("--method", default="borda",
@@ -734,30 +739,27 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--weighting", default="none",
                     choices=("none", "density", "dispersion"))
     pf.add_argument("--heuristic", action="store_true")
-    pf.add_argument("--out", default="ioscope-out")
-    pf.add_argument("--config", default=None)
-    pf.set_defaults(_subparser=pf, func=cmd_fuse)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", default="ioscope-out")
+        p.add_argument("--config", default=None)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _apply_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args, out_dir)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help, --version
         return int(exc.code or 0)
-    except OpFailure as exc:
-        print(f"ioscope: {exc}", file=sys.stderr)
-        return EXIT_OPFAIL
     except (InvalidArgument, OSError) as exc:
         print(f"ioscope: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IoscopeError as exc:
-        print(f"ioscope: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"ioscope: {exc}", file=sys.stderr)
         return EXIT_OPFAIL
 
 

@@ -107,11 +107,6 @@ class MultifractalResult:
         if np.any(np.diff(self.tau, 2) > 1e-6):
             raise InvalidArgument("tau estimate is not concave")
 
-    def generalized_hurst(self) -> np.ndarray:
-        """h(q) = (tau(q) + 1) / q, undefined (nan) at q = 0."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.q != 0, (self.tau + 1) / self.q, np.nan)
-
 
 def _q_grid(q: Sequence[float]) -> np.ndarray:
     qs = np.asarray(q, dtype=float)

@@ -77,7 +77,9 @@ def gabor(x: TimeSeries, centers: Sequence[float], width: float,
     cells = np.empty((nus.size, taus.size), dtype=complex)
     block = max(1, 2 ** 20 // t.size)
     for lo in range(0, taus.size, block):
-        windows = np.exp(-((t[None, :] - taus[lo:lo + block, None]) ** 2) / width ** 2)
+        with np.errstate(over="ignore"):  # far from a narrow window: weight 0
+            z = ((t[None, :] - taus[lo:lo + block, None]) / width) ** 2
+        windows = np.exp(-z)
         cells[:, lo:lo + block] = (wx @ windows.T) * x.step
     return ScaleField(rows=nus, cols=taus, cells=cells, kind="gabor")
 

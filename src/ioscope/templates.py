@@ -201,17 +201,6 @@ class KuntchenkoBasis:
     def order(self) -> int:
         return self.transforms.shape[0] - 1
 
-    @classmethod
-    def from_template(cls, t: Template, window_length: int) -> "KuntchenkoBasis":
-        """Default detection basis: the template resampled to the window
-        plus its first difference."""
-        p = resample_template(t, window_length).samples
-        dp = np.gradient(p)
-        rows = [np.ones(window_length), p]
-        if np.ptp(dp) > 0:
-            rows.append(dp)
-        return cls(np.vstack(rows))
-
 
 def _solve_correlants(signal: np.ndarray, basis: KuntchenkoBasis):
     """The signal as floats, the solution c_1..c_n of the centered-correlant

@@ -99,7 +99,7 @@ class Wavelet:
         return scale / self.center_frequency
 
 
-_WAVELETS = {w.name: w for w in (
+WAVELETS = {w.name: w for w in (
     Wavelet("gaussian-wave", _gaussian_wave, 1, False, 8.0),
     Wavelet("mexican-hat", _mexican_hat, 2, False, 8.0),
     Wavelet("haar", _haar, 1, False, 1.5, invertible=False),
@@ -109,7 +109,7 @@ _WAVELETS = {w.name: w for w in (
 
 def get_wavelet(name: str) -> Wavelet:
     try:
-        return _WAVELETS[name]
+        return WAVELETS[name]
     except KeyError:
         raise InvalidArgument(f"unknown wavelet {name!r}") from None
 

@@ -60,6 +60,12 @@ class TestSimConfig:
         with pytest.raises(InvalidArgument):
             SimConfig(e0=0)
 
+    def test_e0_fits_int64(self):
+        assert SimConfig(e0=2 ** 62 - 1).e0 == 2 ** 62 - 1
+        for e0 in (2 ** 62, 10 ** 20):
+            with pytest.raises(InvalidArgument, match="e0"):
+                SimConfig(e0=e0)
+
     def test_seed_non_negative(self):
         with pytest.raises(InvalidArgument):
             SimConfig(seed=-3)

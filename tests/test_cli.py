@@ -177,9 +177,19 @@ class TestAnalyze:
         # gnuplot companion next to the matrix
         assert any(a.endswith(".gnuplot") for a in report["artifacts"])
 
-    def test_ccf_requires_second_input(self, tmp_path, brownian_csv):
+    def test_ccf_requires_second_input(self, tmp_path, capsys, brownian_csv):
         assert main(["analyze", "--input", brownian_csv, "--ops", "ccf",
                      "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "ioscope: op 'ccf': needs --input2\n"
+
+    @pytest.mark.filterwarnings("error")  # pytest captures warnings, not stderr
+    @pytest.mark.parametrize("width", ["1e200", "1e-300"])
+    def test_extreme_gabor_width(self, tmp_path, capsys, brownian_csv, width):
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", brownian_csv, "--ops", "gabor",
+                     "--gabor-width", width, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_report(out)["results"]["gabor"]["artifact"] == "gabor.csv"
 
     def test_ccf_finds_delay(self, tmp_path, rng):
         T, delay = 400, 5
@@ -637,10 +647,12 @@ class TestGraph:
         assert io["score"] >= 0.9
         assert any(c["flagged"] for c in io["components"].values())
 
-    def test_ioscore_without_ratings_exit_3(self, tmp_path):
+    def test_ioscore_without_ratings_exit_3(self, tmp_path, capsys):
         path = write_edges(tmp_path / "e.tsv", [("a", "b", 1)])
         assert main(["graph", "--edges", path, "--ops", "ioscore",
                      "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ioscope: op 'ioscore': ")
 
     def test_hits_reports_out_degree_too(self, tmp_path):
         path = write_edges(tmp_path / "e.tsv",
@@ -678,11 +690,13 @@ class TestFuse:
                                           key=lambda kv: (kv[1], kv[0]))]
         assert order == ["c", "a", "b"]
 
-    def test_kemeny_exact_bound_exit_3(self, tmp_path):
+    def test_kemeny_exact_bound_exit_3(self, tmp_path, capsys):
         rows = [("s1", f"x{i:02d}", i + 1) for i in range(12)]
         path = write_rankings(tmp_path / "r.csv", rows)
         assert main(["fuse", "--rankings", path, "--method", "kemeny",
                      "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "ioscope: exact search limited to 8 alternatives\n"
 
     def test_kemeny_heuristic_large_ok(self, tmp_path):
         rows = [("s1", f"x{i:02d}", i + 1) for i in range(12)]

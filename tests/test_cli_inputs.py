@@ -184,6 +184,62 @@ def test_bad_input_exits_2_naming_the_line(tmp_path, case):
     assert where in err
 
 
+# One exit rule for flag values: a value invalid for any input exits 2
+# when the flags are parsed, from the command line or a config file; a
+# value that does not fit this input exits 3 when its op runs.
+# (argv, exit code, the one stderr line or its start); `{F}` are files.
+ANALYZE = ["analyze", "--input", "{series}", "--ops"]
+FLAG_VALUES = [
+    (ANALYZE + ["sma", "--alpha", "2"], 2, "ioscope: argument --alpha: 2 is not in (0, 1]"),
+    (ANALYZE + ["sma", "--window", "0"], 2,
+     "ioscope: argument --window: 0 is not a positive integer"),
+    (ANALYZE + ["sma", "--window", "abc"], 2,
+     "ioscope: argument --window: invalid int value: 'abc'"),
+    (ANALYZE + ["filter", "--bin", "-3"], 2,
+     "ioscope: argument --bin: -3 is not a positive integer"),
+    (ANALYZE + ["gabor", "--gabor-width", "-1"], 2,
+     "ioscope: argument --gabor-width: -1 is not a finite number > 0"),
+    (ANALYZE + ["gabor", "--gabor-width", "inf"], 2,
+     "ioscope: argument --gabor-width: inf is not a finite number > 0"),
+    (ANALYZE + ["wtmm", "--wavelet", "bogus"], 2,
+     "ioscope: argument --wavelet: invalid choice: 'bogus'"),
+    (ANALYZE + ["sma", "--config", "{alpha_cfg}"], 2,
+     "ioscope: {alpha_cfg}:1: bad value '0' for alpha"),
+    (ANALYZE + ["sma", "--config", "{wavelet_cfg}"], 2,
+     "ioscope: {wavelet_cfg}:1: wavelet must be one of gaussian-wave, mexican-hat"),
+    (ANALYZE + ["sma", "--window", "65"], 3,
+     "ioscope: op 'sma': window 65 larger than series length 64"),
+    (ANALYZE + ["filter", "--bin", "32"], 3,
+     "ioscope: op 'filter': bin index must lie in [1, 31]"),
+    (ANALYZE + ["ccf"], 3, "ioscope: op 'ccf': needs --input2"),
+    (["scan", "--input", "{series}", "--threshold", "-5"], 2,
+     "ioscope: argument --threshold: -5 is not in (0, 1]"),
+    (["simulate", "--e0", "100000000000000000000"], 2,
+     "ioscope: e0 must be an integer in [1, 2**62)"),
+    (["graph", "--edges", "{edges}", "--ops", "ioscore"], 3,
+     "ioscope: op 'ioscore': ratings present on fewer than 80% of nodes"),
+    (["graph", "--edges", "{no_edges}", "--ops", "stats"], 3,
+     "ioscope: op 'stats': graph must have at least one node"),
+    (["fuse"], 2, "ioscope: the following arguments are required: --rankings"),
+    (["analyze", "--input", "", "--ops", "sma"], 2, "ioscope: .: Is a directory"),
+    (["graph", "--edges", ""], 2, "ioscope: .: Is a directory"),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", FLAG_VALUES,
+                         ids=[" ".join(argv) for argv, _, _ in FLAG_VALUES])
+def test_flag_value_exit_rule(tmp_path, argv, code, line):
+    files = {"series": write(tmp_path / "x.csv", SERIES),
+             "edges": write(tmp_path / "e.tsv", EDGES),
+             "no_edges": write(tmp_path / "none.tsv", "# no edges\n"),
+             "alpha_cfg": write(tmp_path / "a.cfg", "alpha=0\n"),
+             "wavelet_cfg": write(tmp_path / "w.cfg", "wavelet=bogus\n")}
+    got, err = run([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert got == code
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line.format(**files)), err
+
+
 # Fuzzed file contents: rows of plausible and arbitrary fields in the
 # format's separator, arbitrary lines, or arbitrary bytes.
 TOKENS = st.sampled_from(["", " ", "#", "0", "1", "2", "-3", "2.5", "1e400",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,22 @@ class TestGabor:
         # rows are freqs sorted ascending: 1/32 first, 1/8 second
         assert mag[1, 0] > 3 * mag[1, 1]
         assert mag[0, 1] > 3 * mag[0, 0]
+
+    def test_huge_width_is_a_flat_window(self, rng):
+        x = TimeSeries(rng.standard_normal(64))
+        flat = gabor(x, [8.0, 40.0], np.inf, [0.1, 0.2])
+        assert np.array_equal(gabor(x, [8.0, 40.0], 1e200, [0.1, 0.2]).cells,
+                              flat.cells)
+
+    def test_tiny_width_picks_the_center_sample_without_warning(self, rng):
+        x = TimeSeries(rng.standard_normal(64), step=0.5)
+        centers, freqs = np.array([4.0, 20.0]), np.array([0.1, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fld = gabor(x, centers, 1e-300, freqs)
+        want = (np.exp(-2j * np.pi * np.outer(freqs, centers))
+                * x.values[(centers / x.step).astype(int)] * x.step)
+        np.testing.assert_allclose(fld.cells, want, rtol=1e-12)
 
     def test_nonpositive_width(self):
         with pytest.raises(InvalidArgument):
