@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgument, NoConvergence
+from .errors import DimensionalityExceeded, InvalidArgument, NoConvergence
 
 __all__ = [
     "SimConfig",
@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 POPULATION_CAP = 10 ** 6
+
+# Cells of the exact chain: (e0 + 2t + 2) energy rows times the like-count
+# columns plus four event probabilities; ~80 bytes a cell at peak, 0.7 GB.
+_FORWARD_CELLS = 2 ** 23
 
 
 def make_phi(tag: str, e_ref: float = 10.0) -> Callable[[np.ndarray], np.ndarray]:
@@ -131,8 +135,12 @@ def _forward(e0: int, cfg: SimConfig, t: int, likes: bool):
     if t < 0:
         raise InvalidArgument("horizon must be >= 0")
     # row i holds energy i - 1: a tick adds at most 2, a death lands on 0 or -1
-    p = _event_probs(cfg, np.arange(-1, e0 + 2 * t + 1)[:, None])
-    state = np.zeros((p.shape[1], t + 1 if likes else 1))
+    rows, cols = int(e0) + 2 * int(t) + 2, t + 1 if likes else 1
+    if rows * (cols + 4) > _FORWARD_CELLS:
+        raise DimensionalityExceeded(f"exact agent chain from e0 = {e0} over "
+                                     f"{t} ticks exceeds {_FORWARD_CELLS} cells")
+    p = _event_probs(cfg, np.arange(-1, rows - 1)[:, None])
+    state = np.zeros((rows, cols))
     state[e0 + 1, 0] = 1.0
     dead = np.zeros(state.shape[1])
     for k in range(t):

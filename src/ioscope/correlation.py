@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidArgument
-from .series import TimeSeries, _unit_scale
+from .series import TimeSeries, _correlate, _unit_scale
 from .templates import correlation_diagram as pattern_correlation_field
 
 __all__ = [
@@ -40,26 +40,6 @@ class LagCurve:
         return int(self.lags[int(np.argmax(self.values))])
 
 
-def _lag_products(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
-    """sum_t (x_t - mean x)(y_{t+k} - mean y) / T for k = -max_lag..max_lag.
-
-    Every lag comes from one zero-padded rfft/irfft pair (Wiener-Khinchin):
-    at length T + max_lag, the shortest with no wrap-around, the circular
-    cross-correlation of the padded series is the linear one.
-    """
-    T = x.size
-    n = T + max_lag
-    spec = np.fft.rfft(x - x.mean(), n)
-    if y is x:
-        spec *= spec.conj()
-    else:
-        spec = spec.conj()
-        spec *= np.fft.rfft(y - y.mean(), n)
-    c = np.fft.irfft(spec, n)
-    c /= T
-    return np.concatenate([c[n - max_lag:], c[:max_lag + 1]])
-
-
 def cross_covariance(x: TimeSeries, y: TimeSeries, max_lag: int) -> LagCurve:
     """Lag-k cross-covariance estimates with divisor T (as printed), for
     lags -max_lag..max_lag."""
@@ -68,8 +48,8 @@ def cross_covariance(x: TimeSeries, y: TimeSeries, max_lag: int) -> LagCurve:
         raise InvalidArgument("series length mismatch")
     if not (0 <= max_lag < xs.size):
         raise InvalidArgument("max_lag must satisfy 0 <= max_lag < T")
-    return LagCurve(np.arange(-max_lag, max_lag + 1),
-                    _lag_products(xs, ys, max_lag))
+    c = _correlate(xs - xs.mean(), ys - ys.mean(), -max_lag, 2 * max_lag + 1)
+    return LagCurve(np.arange(-max_lag, max_lag + 1), c / xs.size)
 
 
 def cross_correlation(x: TimeSeries, y: TimeSeries, max_lag: int,
@@ -113,6 +93,7 @@ def autocorrelation(x: TimeSeries, max_lag: Optional[int] = None) -> LagCurve:
         raise InvalidArgument("max_lag must satisfy 0 <= max_lag < T")
     if np.ptp(xs) == 0:
         raise DegenerateVariance("constant series has no autocorrelation")
-    g = _lag_products(xs, xs, max_lag)[max_lag:]
+    xc = xs - xs.mean()
+    g = _correlate(xc, xc, 0, max_lag + 1) / T
     return LagCurve(np.arange(0, max_lag + 1), g / g[0],
                     se_band=1.0 / np.sqrt(T))

@@ -135,6 +135,33 @@ def _distinct(xs: np.ndarray) -> np.ndarray:
     return xs[keep]
 
 
+def _fast_len(n: int) -> int:
+    """The least 2**a * 3**b * 5**c >= n: an FFT length with small factors."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _correlate(k: np.ndarray, x: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """sum_i conj(k[i]) * x[..., i + j] for the lags j = lo .. lo + count - 1,
+    x taken as 0 outside its samples along its last axis: one FFT product
+    (rfft when both are real; one spectrum when ``k is x``), zero-padded to
+    the least 2**a 3**b 5**c >= max(len(x) - lo, lo + count - 1 + len(k)),
+    the shortest length at which no lag with a nonzero sum wraps onto a
+    requested one."""
+    n = _fast_len(max(x.shape[-1] - lo, lo + count - 1 + k.size))
+    real = not (np.iscomplexobj(k) or np.iscomplexobj(x))
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    spec = fft(x, n)
+    spec = spec * spec.conj() if k is x else fft(k, n).conj() * spec
+    return ifft(spec, n)[..., np.arange(lo, lo + count) % n]
+
+
 def _wma(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Centered weighted moving average, NaN where the window does not fit."""
     w = weights.size

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgument
-from .series import ScaleField, TimeSeries, _distinct
+from .series import ScaleField, TimeSeries, _correlate, _distinct
 
 __all__ = ["Spectrum", "dft", "idft", "gabor", "sinusoid_filter"]
 
@@ -58,10 +58,9 @@ def gabor(x: TimeSeries, centers: Sequence[float], width: float,
           freqs: Sequence[float]) -> ScaleField:
     """Windowed transform with a Gaussian window exp(-(t-tau)^2/s^2).
 
-    Returns a complex field with frequency rows and center columns:
-    cells = ((waves * x) @ windows.T) * step, with the windows built a
-    block of centers at a time, so memory is O((F + B) * T) for F
-    frequencies, T samples and blocks of B <= 2**20 / T centers.
+    Returns a complex field with frequency rows and center columns, each
+    center one of the sample times ``x.times``: one correlation of the
+    waves x_t exp(-2 pi i nu t) with the window over offsets -(T-1)..T-1.
     """
     if not (width > 0):
         raise InvalidArgument("window width must be positive")
@@ -70,17 +69,13 @@ def gabor(x: TimeSeries, centers: Sequence[float], width: float,
     if taus.size == 0 or nus.size == 0:
         raise InvalidArgument("centers and freqs must be non-empty")
     t = x.times
-    if taus.min() < t[0] or taus.max() > t[-1]:
-        raise InvalidArgument("window centers must lie within the series span")
-    # waves[nu_j, t] * x[t], then one windows[tau_i, t] block at a time
+    idx = np.minimum(np.searchsorted(t, taus), t.size - 1)
+    if np.any(t[idx] != taus):
+        raise InvalidArgument("window centers must be sample times")
     wx = np.exp(-2j * np.pi * nus[:, None] * t[None, :]) * x.values
-    cells = np.empty((nus.size, taus.size), dtype=complex)
-    block = max(1, 2 ** 20 // t.size)
-    for lo in range(0, taus.size, block):
-        with np.errstate(over="ignore"):  # far from a narrow window: weight 0
-            z = ((t[None, :] - taus[lo:lo + block, None]) / width) ** 2
-        windows = np.exp(-z)
-        cells[:, lo:lo + block] = (wx @ windows.T) * x.step
+    with np.errstate(over="ignore"):  # far from a narrow window: weight 0
+        window = np.exp(-(np.arange(1 - t.size, t.size) * x.step / width) ** 2)
+    cells = _correlate(window, wx, 1 - t.size, t.size)[:, idx] * x.step
     return ScaleField(rows=nus, cols=taus, cells=cells, kind="gabor")
 
 
@@ -101,7 +96,10 @@ def sinusoid_filter(x: TimeSeries, k: int, mode: str = "modulus-of-sum") -> Time
     else:
         raise InvalidArgument(f"unknown filter mode {mode!r}")
     coeffs = spec.coeffs.copy()
-    old = coeffs[k]
-    phase = old / abs(old) if abs(old) > 0 else 1.0
+    old, size = coeffs[k], abs(coeffs[k])
+    # numpy's old / size on parts scaled by 2**-e: 1 / subnormal overflows
+    e = np.frexp(size)[1]
+    phase = complex(*np.ldexp([old.real, old.imag], -e)
+                    * (1.0 / np.ldexp(size, -e))) if size > 0 else 1.0
     coeffs[k] = new_mag * phase
     return idft(Spectrum(spec.freqs, coeffs, spec.length, spec.step))

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidArgument, UnsupportedWavelet
-from .series import ScaleField, TimeSeries
+from .series import ScaleField, TimeSeries, _correlate
 
 __all__ = [
     "Wavelet",
@@ -126,17 +126,6 @@ def _kernel(w: Wavelet, scale: float, step: float) -> np.ndarray:
     return w.evaluate(u / scale) / np.sqrt(scale)
 
 
-def _convolve(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Linear convolution of x with kern by an FFT zero-padded to a power
-    of two, cut to the len(x) samples from index (len(kern) - 1) // 2."""
-    n = 1 << (x.size + kern.size - 2).bit_length()
-    if np.iscomplexobj(x) or np.iscomplexobj(kern):
-        full = np.fft.ifft(np.fft.fft(x, n) * np.fft.fft(kern, n))
-    else:
-        full = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(kern, n), n)
-    return full[(kern.size - 1) // 2:][:x.size]
-
-
 def cwt(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
     """Continuous wavelet transform W(s, l) = (1/sqrt(s)) sum_t x_t
     psi*((t - l)/s) dt evaluated at every sample location."""
@@ -147,14 +136,10 @@ def cwt(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
         raise InvalidArgument("scales must be positive")
     if len(x) < 8:
         raise InvalidArgument("series too short for a wavelet transform")
-    xs = x.values
-    dtype = complex if w.is_complex else float
-    cells = np.empty((s.size, xs.size), dtype=dtype)
+    cells = np.empty((s.size, len(x)), dtype=complex if w.is_complex else float)
     for i, si in enumerate(s):
-        kern = np.conj(_kernel(w, si, x.step))
-        # W(l) = sum_m x[m] * conj(psi)((m - l) dt / s) dt
-        row = _convolve(xs, kern[::-1]) * x.step
-        cells[i] = row if w.is_complex else row.real
+        kern = _kernel(w, si, x.step)
+        cells[i] = _correlate(kern, x.values, -(kern.size // 2), len(x)) * x.step
     return ScaleField(rows=s, cols=x.times, cells=cells, kind="cwt")
 
 
@@ -169,9 +154,9 @@ def icwt(fld: ScaleField, w: Wavelet) -> TimeSeries:
     ds = np.gradient(scales)
     acc = np.zeros(fld.cols.size, dtype=complex)
     for i, si in enumerate(scales):
-        kern = _kernel(w, si, step)
-        row = _convolve(fld.cells[i], kern) * step
-        acc += row * ds[i] / si ** 2
+        kern = np.conj(_kernel(w, si, step)[::-1])
+        row = _correlate(kern, fld.cells[i], -(kern.size // 2), fld.cols.size)
+        acc += row * step * ds[i] / si ** 2
     cg = w.admissibility
     if w.analytic:
         values = 2.0 * acc.real / cg

@@ -16,8 +16,7 @@ from ioscope.netimpact import ImpactGraph
 from ioscope.rankfuse import Ranking, unify
 from ioscope.series import ScaleField, TimeSeries
 from ioscope.templates import Detection, Template, correlation_diagram
-from ioscope.wavelet import (Wavelet, _convolve, cwt, default_scale_grid,
-                             get_wavelet)
+from ioscope.wavelet import Wavelet, cwt, default_scale_grid, get_wavelet
 
 
 def cwt_direct(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField:
@@ -501,10 +500,10 @@ def wavelet_constants_loop(w: Wavelet) -> Tuple[float, float]:
     return cg, float(wp[np.argmax(p2)] / (2.0 * np.pi))
 
 
-def smooth_local_fft(cells: np.ndarray, scales: np.ndarray, step: float,
-                     time_widths: Optional[np.ndarray] = None,
-                     scale_width: int = 3) -> np.ndarray:
-    """The coherence smoother with one FFT convolution pair per row for
+def smooth_local_convolve(cells: np.ndarray, scales: np.ndarray, step: float,
+                          time_widths: Optional[np.ndarray] = None,
+                          scale_width: int = 3) -> np.ndarray:
+    """The coherence smoother with one np.convolve pair per row for
     the time boxcar and one row mean per scale for the scale boxcar."""
     n_s, n_l = cells.shape
     out = np.empty_like(cells)
@@ -513,7 +512,9 @@ def smooth_local_fft(cells: np.ndarray, scales: np.ndarray, step: float,
     for i in range(n_s):
         w = int(min(time_widths[i], n_l))
         kern = np.ones(w) / w
-        out[i] = _convolve(cells[i], kern) / _convolve(np.ones(n_l), kern)
+        cut = slice((w - 1) // 2, (w - 1) // 2 + n_l)
+        out[i] = (np.convolve(cells[i], kern)[cut]
+                  / np.convolve(np.ones(n_l), kern)[cut])
     if scale_width > 1 and n_s > 1:
         sm = np.empty_like(out)
         half = scale_width // 2

@@ -191,6 +191,16 @@ class TestAnalyze:
         assert capsys.readouterr().err == ""
         assert load_report(out)["results"]["gabor"]["artifact"] == "gabor.csv"
 
+    @pytest.mark.filterwarnings("error")
+    def test_filter_on_subnormal_series(self, tmp_path, capsys, rng):
+        path = write_series_csv(tmp_path / "x.csv", 1e-310 * rng.uniform(size=512))
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", path, "--ops", "filter",
+                     "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        values = load_report(out)["results"]["filter"]["values"]
+        assert len(values) == 512 and None not in values
+
     def test_ccf_finds_delay(self, tmp_path, rng):
         T, delay = 400, 5
         z = rng.standard_normal(T + delay)

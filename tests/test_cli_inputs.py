@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,23 @@ def test_flag_value_exit_rule(tmp_path, argv, code, line):
     assert got == code
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(line.format(**files)), err
+
+
+@pytest.mark.parametrize("e0", ["4611686018427387903", "100000000"])
+def test_simulate_large_e0_exits_3_at_once(tmp_path, e0):
+    # the exact survival chain would need ~4 e0 energy rows
+    tracemalloc.start()
+    try:
+        code, err = run(["simulate", "--e0", e0, "--ticks", "1",
+                         "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        f"ioscope: exact agent chain from e0 = {e0} over"), err
+    assert peak < 2 ** 25
 
 
 # Fuzzed file contents: rows of plausible and arbitrary fields in the

@@ -5,7 +5,7 @@ import pytest
 
 from ioscope.errors import InvalidArgument
 from ioscope.series import TimeSeries
-from ioscope.spectral import dft, gabor, idft, sinusoid_filter
+from ioscope.spectral import Spectrum, dft, gabor, idft, sinusoid_filter
 
 
 def naive_dft(values):
@@ -80,7 +80,7 @@ class TestGabor:
     @pytest.mark.parametrize("n,width,step", [(200, 16.0, 1.0),
                                               (1500, 40.0, 0.5)])
     def test_matches_broadcast_formulation(self, rng, n, width, step):
-        # n = 1500 makes the center blocks (2**20 // n = 699) split the grid
+        # n = 1500 pads to 3000, a length with a factor 3
         x = TimeSeries(rng.standard_normal(n), step=step)
         centers = x.times[n // 8: n - n // 8]
         freqs = np.linspace(1.0 / n, 0.5, 5) / step
@@ -130,6 +130,10 @@ class TestGabor:
         with pytest.raises(InvalidArgument):
             gabor(TimeSeries(np.ones(16)), [8.0], 0.0, [0.1])
 
+    def test_centers_must_be_sample_times(self):
+        with pytest.raises(InvalidArgument, match="sample times"):
+            gabor(TimeSeries(np.ones(16)), [3.5], 4.0, [0.1])
+
 
 class TestSinusoidFilter:
     def test_neighbor_rule_magnitude(self, rng):
@@ -166,6 +170,25 @@ class TestSinusoidFilter:
         for bad in (0, n_bins - 1):
             with pytest.raises(InvalidArgument):
                 sinusoid_filter(x, bad)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_phase_is_complex_division(self, rng, scale):
+        # the kept phase is bit for bit numpy's old / |old| where that is finite
+        x = TimeSeries(scale * rng.standard_normal(256))
+        spec = dft(x)
+        c = spec.coeffs.copy()
+        c[10] = 0.5 * abs(c[9] + c[11]) * (c[10] / abs(c[10]))
+        want = idft(Spectrum(spec.freqs, c, spec.length, spec.step)).values
+        assert np.array_equal(sinusoid_filter(x, 10).values, want)
+
+    def test_subnormal_series(self, rng):
+        x = TimeSeries(1e-310 * rng.uniform(size=512))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = sinusoid_filter(x, 10)
+        assert np.all(np.isfinite(y.values))
+        assert np.angle(dft(y).coeffs[10]) == pytest.approx(
+            np.angle(dft(x).coeffs[10]), abs=1e-9)
 
     def test_unknown_mode(self, rng):
         with pytest.raises(InvalidArgument):

@@ -3,12 +3,13 @@ import pytest
 from scipy.integrate import quad
 
 from ioscope.errors import InvalidArgument, UnsupportedWavelet
-from ioscope.series import TimeSeries
-from ioscope.wavelet import (_convolve, _smooth_local, cwt, compare_fields,
+from ioscope.series import TimeSeries, _correlate, _fast_len
+from ioscope.wavelet import (_smooth_local, cwt, compare_fields,
                              default_scale_grid, energy_by_scale, get_wavelet,
                              icwt, scalogram, wavelet_coherence, wcc_measure)
 
-from references import cwt_direct, smooth_local_fft, wavelet_constants_loop
+from references import (cwt_direct, smooth_local_convolve,
+                        wavelet_constants_loop)
 
 ALL_NAMES = ["gaussian-wave", "mexican-hat", "haar", "morlet"]
 
@@ -63,23 +64,69 @@ class TestWaveletFunctions:
         assert np.all(np.diff(grid) > 0)
 
 
-class TestConvolve:
-    """The FFT convolution is np.convolve's full output cut to the len(x)
-    samples from index (len(kern) - 1) // 2."""
+def correlate_direct(k, x, lo, count):
+    """sum_i conj(k[i]) x[i + j] for j = lo .. lo + count - 1 from
+    np.correlate's full output, 0 at lags where k and x do not overlap."""
+    full = np.correlate(x, k, "full")  # lags -(len(k) - 1) .. len(x) - 1
+    j = np.arange(lo, lo + count) + k.size - 1
+    inside = (j >= 0) & (j < full.size)
+    return np.where(inside, full[np.clip(j, 0, full.size - 1)], 0)
+
+
+class TestCorrelate:
+    """The FFT correlation is np.correlate at every requested lag, with 0
+    where the two sides do not overlap."""
 
     @pytest.mark.parametrize("n_x, n_k", [(64, 9), (64, 10), (20, 129),
                                           (7, 8), (1, 1)])
     @pytest.mark.parametrize("complex_side", [None, "x", "kern"])
-    def test_matches_np_convolve(self, n_x, n_k, complex_side, rng):
+    @pytest.mark.parametrize("window", ["transform", "negative lo", "partial count"])
+    def test_matches_np_correlate(self, n_x, n_k, complex_side, window, rng):
         x, kern = rng.standard_normal(n_x), rng.standard_normal(n_k)
         if complex_side == "x":
             x = x + 1j * rng.standard_normal(n_x)
         elif complex_side == "kern":
             kern = kern + 1j * rng.standard_normal(n_k)
-        want = np.convolve(x, kern, "full")[(n_k - 1) // 2:][:n_x]
-        got = _convolve(x, kern)
+        if window == "transform":  # the len(x) lags centred on the kernel
+            lo, count = -(n_k // 2), n_x
+        elif window == "negative lo":  # every lag with a sum, zeros past both ends
+            lo, count = -(n_k + 3), n_x + 2 * n_k + 5
+        else:
+            lo, count = n_x // 3, max(1, n_x // 2)
+        want = correlate_direct(kern, x, lo, count)
+        got = _correlate(kern, x, lo, count)
         assert got.shape == want.shape
         assert np.iscomplexobj(got) == (complex_side is not None)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("complex_side", [None, "x", "kern"])
+    def test_two_dimensional_x_row_by_row(self, complex_side, rng):
+        x, kern = rng.standard_normal((3, 40)), rng.standard_normal(11)
+        if complex_side == "x":
+            x = x + 1j * rng.standard_normal(x.shape)
+        elif complex_side == "kern":
+            kern = kern + 1j * rng.standard_normal(kern.shape)
+        got = _correlate(kern, x, -20, 45)
+        want = np.array([correlate_direct(kern, row, -20, 45) for row in x])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_padded_length_is_the_least_5_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+        for n in range(1, 2000):
+            assert _fast_len(n) == next(m for m in range(n, 2 * n + 1) if smooth(m))
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_k_is_x(self, is_complex, rng):
+        x = rng.standard_normal(50)
+        if is_complex:
+            x = x + 1j * rng.standard_normal(50)
+        got = _correlate(x, x, -49, 99)
+        want = correlate_direct(x, x.copy(), -49, 99)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -318,7 +365,7 @@ class TestCoherenceSmoothing:
         cells = np.abs(f.cells) ** 2 if part == "power" else np.conj(f.cells) * g.cells
         tw = None if widths is None else rng.integers(1, 301, scales.size)
         got = _smooth_local(cells, scales, 1.0, tw)
-        want = smooth_local_fft(cells, scales, 1.0, tw)
+        want = smooth_local_convolve(cells, scales, 1.0, tw)
         assert got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(cells))
 
@@ -327,7 +374,7 @@ class TestCoherenceSmoothing:
         cells = rng.standard_normal((9, 40))
         scales = np.arange(1.0, 10.0)
         got = _smooth_local(cells, scales, 1.0, scale_width=scale_width)
-        want = smooth_local_fft(cells, scales, 1.0, scale_width=scale_width)
+        want = smooth_local_convolve(cells, scales, 1.0, scale_width=scale_width)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [[4, 4], [4, 0, 4], [4, -2, 4], 4])
