@@ -60,7 +60,8 @@ def _json_default(obj):
             return obj.astype(complex).astype(str).tolist()
         if obj.dtype.kind in "biuf":
             a = obj.astype(float)
-            return np.where(np.isfinite(a), a, None).tolist()
+            finite = np.isfinite(a)
+            return (a if finite.all() else np.where(finite, a, None)).tolist()
     if isinstance(obj, (np.floating, np.integer)):
         v = obj.item()
         return None if isinstance(v, float) and not np.isfinite(v) else v
@@ -83,11 +84,9 @@ def _dump(obj, fh, sort_keys: bool, pad: str = "\n") -> None:
             fh.write("[]")
             return
         for i in range(0, obj.size, _CHUNK):
-            a = obj[i:i + _CHUNK].astype(float)
-            finite = np.isfinite(a)
-            cells = (a if finite.all() else np.where(finite, a, None)).tolist()
+            cells = json.dumps(_json_default(obj[i:i + _CHUNK]))
             fh.write(("[" if i == 0 else ",") + inner
-                     + json.dumps(cells)[1:-1].replace(", ", "," + inner))
+                     + cells[1:-1].replace(", ", "," + inner))
         fh.write(pad + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -128,7 +127,7 @@ def write_matrix_csv(path: Path, fld: ScaleField) -> None:
     """
     cells = np.abs(fld.cells) if fld.is_complex else fld.cells
     table = np.vstack([np.r_[np.nan, fld.cols],
-                       np.column_stack([fld.rows, np.where(fld.mask, cells, np.nan)])])
+                       np.column_stack([fld.rows, cells])])
     table[~np.isfinite(table)] = np.nan
     fmt = ",".join(["%.12g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
@@ -370,6 +369,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         if getattr(args, key) != action.default:
             return
         if isinstance(action.default, bool):
+            if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise InvalidArgument(f"bad value {value!r} for {key}")
             setattr(args, key, value.lower() in ("1", "true", "yes"))
             return
         try:
@@ -495,7 +496,8 @@ def _run_ops(run, table: Dict[str, Callable], ops: Sequence[str],
             path = run.out_dir / f"{op}.csv"
             write_matrix_csv(path, out)
             artifacts.extend([path.name, path.with_suffix(".gnuplot").name])
-            out = {"artifact": path.name, "kind": out.kind}
+            out = {"artifact": path.name, "kind": out.kind,
+                   "undefined_cells": int(np.count_nonzero(np.isnan(out.cells)))}
         results[op] = out
     return artifacts
 

@@ -264,8 +264,7 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
     if max_window < 3:
         raise InsufficientScales("series too short for roughness field")
     sizes = np.arange(3, max_window + 1)
-    cells = np.zeros((sizes.size, n))
-    mask = np.zeros((sizes.size, n), dtype=bool)
+    cells = np.full((sizes.size, n), np.nan)
     eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.arange(n, dtype=float)
@@ -295,10 +294,8 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
             elif redo.size:
                 rms[redo] = _direct_rms(vals, s, redo)
             cells[s - 3, s // 2: s // 2 + k] = rms
-            mask[s - 3, s // 2: s // 2 + k] = True
     rows = sizes.astype(float) * x.step
-    return ScaleField(rows, x.times, np.ldexp(cells, e), mask=mask,
-                      kind="deltaL")
+    return ScaleField(rows, x.times, np.ldexp(cells, e), kind="deltaL")
 
 
 def _mfdfa_scales(n: int) -> np.ndarray:
@@ -429,13 +426,13 @@ def _l1_modulus_field(x: TimeSeries, wavelet: str,
     # a pure singularity of exponent h scales as s**h along its line
     mod = np.abs(fld.cells) / np.sqrt(fld.rows)[:, None]
     if coi > 0:
-        # zero out the cone of influence: cells whose wavelet reaches
-        # past either end of the series carry truncated (biased) moduli
+        # zero the cone of influence, where the wavelet overruns the series
+        # (truncated moduli); NaN there would hide the maxima beside it
         n = fld.cols.size
         pad = np.minimum(n // 2, np.ceil(coi * fld.rows / x.step))[:, None]
         cols = np.arange(n)
         mod[(cols < pad) | (cols >= n - pad)] = 0.0
-    return ScaleField(fld.rows, fld.cols, mod, mask=fld.mask, kind="wtmm-mod")
+    return ScaleField(fld.rows, fld.cols, mod, kind="wtmm-mod")
 
 
 def wtmm(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -74,7 +74,8 @@ class TimeSeries:
 class ScaleField:
     """Real or complex matrix indexed by (scale/parameter, location).
 
-    ``mask`` is True where a cell is defined. ``kind`` tags the producing
+    A NaN cell is undefined (a window that does not fit, a zero
+    denominator); every other cell is defined. ``kind`` tags the producing
     operation (smoothing | cwt | scalogram | deltaL | corr-diagram |
     coherence | crwt | gabor | diffmod | ratiomod | phase-diff).
     """
@@ -82,25 +83,23 @@ class ScaleField:
     rows: np.ndarray
     cols: np.ndarray
     cells: np.ndarray
-    mask: np.ndarray = field(default=None)
     kind: str = ""
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
         self.cols = np.asarray(self.cols, dtype=float)
         self.cells = np.asarray(self.cells)
-        if self.mask is None:
-            self.mask = np.ones(self.cells.shape, dtype=bool)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
         if np.any(np.diff(self.rows) <= 0):
             raise InvalidArgument("field rows must be strictly increasing")
         if np.any(np.diff(self.cols) <= 0):
             raise InvalidArgument("field cols must be strictly increasing")
         if self.cells.shape != (self.rows.size, self.cols.size):
             raise InvalidArgument("cell matrix shape does not match axes")
-        if self.mask.shape != self.cells.shape:
-            raise InvalidArgument("mask shape does not match cells")
+
+    @property
+    def mask(self) -> np.ndarray:
+        """True where a cell is defined (not NaN)."""
+        return ~np.isnan(self.cells)
 
     @property
     def is_complex(self) -> bool:
@@ -221,18 +220,9 @@ def smoothing_field(series: TimeSeries, method: str,
     grid = list(param_grid)
     if not grid:
         raise InvalidArgument("parameter grid must be non-empty")
-    rows = []
-    masks = []
-    for p in grid:
-        sm = smooth(series, method, p)
-        rows.append(sm.values)
-        masks.append(np.isfinite(sm.values))
-    cells = np.vstack(rows)
-    mask = np.vstack(masks)
-    cells = np.where(mask, cells, np.nan)
+    cells = np.vstack([smooth(series, method, p).values for p in grid])
     return ScaleField(rows=np.asarray(grid, dtype=float),
-                      cols=series.times, cells=cells, mask=mask,
-                      kind="smoothing")
+                      cols=series.times, cells=cells, kind="smoothing")
 
 
 def deseasonalize_weekly(series: TimeSeries) -> TimeSeries:

@@ -143,7 +143,6 @@ def correlation_diagram(x: TimeSeries, t: Template,
     T = len(x)
     xs = x.values
     cells = np.full((len(ks), T), np.nan)
-    mask = np.zeros((len(ks), T), dtype=bool)
     for r, k in enumerate(ks):
         if k < 3:
             raise InvalidArgument("window length must be >= 3")
@@ -162,10 +161,9 @@ def correlation_diagram(x: TimeSeries, t: Template,
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.where(denom > 0, dot / denom, np.nan)
         cells[r, :T - k + 1] = corr
-        mask[r, :T - k + 1] = np.isfinite(corr)
     return ScaleField(rows=np.asarray(ks, dtype=float),
                       cols=np.arange(T, dtype=float),
-                      cells=cells, mask=mask, kind="corr-diagram")
+                      cells=cells, kind="corr-diagram")
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,7 @@ def scan_detect(x: TimeSeries, bank: Sequence[Template],
         lo = np.searchsorted(ks, ks - half, side="left").tolist()
         hi = np.searchsorted(ks, ks + half, side="right").tolist()
         ks, half = ks.tolist(), half.tolist()
-        r, c = np.nonzero(fld.mask & (fld.cells >= threshold))
+        r, c = np.nonzero(fld.cells >= threshold)
         score = fld.cells[r, c]
         order = np.lexsort((r, c, -score))  # rows ascend with the scale
         kept = np.zeros(fld.cells.shape, dtype=bool)

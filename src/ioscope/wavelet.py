@@ -170,8 +170,7 @@ def scalogram(fld: ScaleField) -> ScaleField:
     if fld.kind != "cwt":
         raise InvalidArgument("scalogram requires a cwt field")
     return ScaleField(rows=fld.rows, cols=fld.cols,
-                      cells=np.abs(fld.cells) ** 2, mask=fld.mask.copy(),
-                      kind="scalogram")
+                      cells=np.abs(fld.cells) ** 2, kind="scalogram")
 
 
 def energy_by_scale(fld: ScaleField, w: Wavelet) -> np.ndarray:
@@ -190,14 +189,12 @@ def compare_fields(wx: ScaleField, wy: ScaleField, metric: str) -> ScaleField:
     """
     if not wx.same_grid(wy):
         raise InvalidArgument("fields are on different (scale, location) grids")
-    mask = wx.mask & wy.mask
     if metric == "diffmod":
         cells = np.abs(wx.cells) - np.abs(wy.cells)
         kind = "diffmod"
     elif metric == "ratiomod":
         denom = np.abs(wy.cells)
         ok = denom >= 1e-12
-        mask = mask & ok
         with np.errstate(divide="ignore", invalid="ignore"):
             cells = np.where(ok, np.abs(wx.cells) / np.where(ok, denom, 1.0), np.nan)
         kind = "ratiomod"
@@ -214,7 +211,7 @@ def compare_fields(wx: ScaleField, wy: ScaleField, metric: str) -> ScaleField:
         kind = "crwt"
     else:
         raise InvalidArgument(f"unknown comparison metric {metric!r}")
-    return ScaleField(rows=wx.rows, cols=wx.cols, cells=cells, mask=mask, kind=kind)
+    return ScaleField(rows=wx.rows, cols=wx.cols, cells=cells, kind=kind)
 
 
 def wcc_measure(wx: ScaleField, wy: ScaleField, shift: int = 0) -> np.ndarray:
@@ -295,5 +292,4 @@ def wavelet_coherence(wx: ScaleField, wy: ScaleField,
     with np.errstate(divide="ignore", invalid="ignore"):
         coh = np.where(ok, np.abs(sc) ** 2 / np.where(ok, denom, 1.0), np.nan)
     coh = np.clip(coh, 0.0, 1.0)
-    return ScaleField(rows=wx.rows, cols=wx.cols, cells=coh,
-                      mask=wx.mask & wy.mask & ok, kind="coherence")
+    return ScaleField(rows=wx.rows, cols=wx.cols, cells=coh, kind="coherence")

@@ -392,7 +392,7 @@ def l1_modulus_field_loop(x: TimeSeries, wavelet: str,
             pad = min(n // 2, int(np.ceil(coi * sc / x.step)))
             mod[r, :pad] = 0.0
             mod[r, n - pad:] = 0.0
-    return ScaleField(fld.rows, fld.cols, mod, mask=fld.mask, kind="wtmm-mod")
+    return ScaleField(fld.rows, fld.cols, mod, kind="wtmm-mod")
 
 
 def wtmm_loop(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",

@@ -133,6 +133,20 @@ class TestAnalyze:
         cells = np.genfromtxt(os.path.join(out, "dl.csv"), delimiter=",")
         assert np.nanmax(cells[1:, 1:]) > 0
 
+    def test_matrix_blocks_count_undefined_cells(self, tmp_path):
+        # a window of length s leaves s - 1 of the n dl cells undefined
+        n = 200
+        path = write_series_csv(tmp_path / "x.csv", brownian(n, seed=6).values)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", path, "--ops", "dl,cwt",
+                     "--out", str(out)]) == 0
+        results = load_report(str(out))["results"]
+        with open(out / "dl.csv") as fh:
+            empty = sum(line.rstrip("\n").split(",")[1:].count("") for line in fh)
+        assert results["dl"]["undefined_cells"] == empty == sum(
+            s - 1 for s in range(3, n // 4 + 1))
+        assert results["cwt"]["undefined_cells"] == 0
+
     def test_aggregated_mfdfa_differences_the_series(self, tmp_path):
         path_values = brownian(2048, seed=4).values
         path = write_series_csv(tmp_path / "agg.csv", path_values)
@@ -265,8 +279,8 @@ class TestWriteMatrixCsv:
         mask = rng.random((6, 9)) > 0.2
         mask[:3, :5] = True
         rows = np.array([1e-300, 0.5, 1.0, 2.0000000000005, 1e300, 1e301])
-        return ScaleField(rows, np.arange(9) * 0.1 - 0.3, cells, mask=mask,
-                          kind="test")
+        return ScaleField(rows, np.arange(9) * 0.1 - 0.3,
+                          np.where(mask, cells, np.nan), kind="test")
 
     @pytest.mark.parametrize("complex_cells", [False, True])
     def test_bytes_match_per_cell_writer(self, tmp_path, rng, complex_cells):

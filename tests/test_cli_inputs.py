@@ -4,6 +4,7 @@ and a failure prints one stderr line; a bad row names path:lineno."""
 import argparse
 import contextlib
 import io
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -96,6 +97,11 @@ def case_config_value_wrong_type(d):
             "--config", write(d / "c.cfg", "# defaults\nwindow=abc\n")], "c.cfg:2:"
 
 
+def case_config_boolean_misspelled(d):
+    return ["analyze", "--input", write(d / "x.csv", SERIES), "--ops", "sma",
+            "--config", write(d / "c.cfg", "# defaults\naggregated=ture\n")], "c.cfg:2:"
+
+
 def case_duplicate_alternative(d):
     rows = "source,alternative,rank\ns1,a,1\ns1,b,2\ns1,a,3\n"
     return ["fuse", "--rankings", write(d / "r.csv", rows)], "r.csv:4:"
@@ -169,6 +175,7 @@ BREACHES = [case_edge_count_not_integer, case_edge_count_zero,
             case_estimate_not_numeric, case_estimate_for_unknown_source,
             case_estimate_repeated, case_estimate_missing, case_input_not_utf8,
             case_input_is_directory, case_config_value_wrong_type,
+            case_config_boolean_misspelled,
             case_duplicate_alternative, case_rating_repeated, case_series_value_nan,
             case_series_timestamp_overflow, case_template_sample_nan,
             case_template_sample_overflow, case_rating_nan, case_rating_overflow,
@@ -239,6 +246,19 @@ def test_flag_value_exit_rule(tmp_path, argv, code, line):
     assert got == code
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(line.format(**files)), err
+
+
+@pytest.mark.parametrize("value,flag", [("1", True), ("TRUE", True), ("Yes", True),
+                                        ("0", False), ("False", False), ("NO", False)])
+def test_config_boolean_spellings(tmp_path, value, flag):
+    out = tmp_path / "out"
+    code, err = run(["analyze", "--input", write(tmp_path / "x.csv", SERIES),
+                     "--ops", "sma", "--config",
+                     write(tmp_path / "c.cfg", f"aggregated={value}\n"),
+                     "--out", str(out)])
+    assert code == 0, err
+    report = json.loads((out / "report.json").read_text())
+    assert report["preprocessing"]["aggregated"] is flag
 
 
 @pytest.mark.parametrize("e0", ["4611686018427387903", "100000000"])

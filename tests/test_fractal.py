@@ -120,7 +120,7 @@ def reference_delta_l_field(vals, max_window):
     centred window and its least-squares slope."""
     n = vals.size
     sizes = np.arange(3, max_window + 1)
-    cells = np.zeros((sizes.size, n))
+    cells = np.full((sizes.size, n), np.nan)
     mask = np.zeros((sizes.size, n), dtype=bool)
     for r, s in enumerate(sizes):
         win = np.lib.stride_tricks.sliding_window_view(vals, s)
@@ -460,6 +460,15 @@ class TestWtmm:
         np.testing.assert_allclose(res.f_alpha,
                                    res.q * res.alpha - res.tau, atol=1e-9)
         assert np.all(np.diff(res.tau, 2) <= 1e-6)
+
+    def test_cone_of_influence_is_zero_not_undefined(self):
+        # the cone's cells are 0.0, not NaN: a maximum test against NaN is
+        # False, which would drop the maxima beside the cone
+        fld = fractal._l1_modulus_field(brownian(256, seed=22), "mexican-hat",
+                                        [2.0, 8.0, 32.0], coi=4.0)
+        assert not np.isnan(fld.cells).any()
+        np.testing.assert_array_equal(fld.cells[2, :128], 0.0)
+        assert np.all(fld.cells[0, 8:-8] > 0)
 
     def test_insufficient_structure(self):
         x = TimeSeries(np.sin(np.arange(64.0) / 64))

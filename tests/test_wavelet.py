@@ -212,8 +212,7 @@ class TestIcwt:
         grid = np.geomspace(0.5, 128, 64)
         f = cwt(TimeSeries(rng.standard_normal(128)), w, grid)
         g = cwt(TimeSeries(rng.standard_normal(128)), w, grid)
-        mixed = f.__class__(f.rows, f.cols, 2 * f.cells + 3 * g.cells,
-                            f.mask, f.kind)
+        mixed = f.__class__(f.rows, f.cols, 2 * f.cells + 3 * g.cells, f.kind)
         lhs = icwt(mixed, w).values
         rhs = 2 * icwt(f, w).values + 3 * icwt(g, w).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
