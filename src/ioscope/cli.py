@@ -121,18 +121,19 @@ def write_matrix_csv(path: Path, fld: ScaleField) -> None:
     """First row: location axis; first column: scale axis; undefined
     cells empty; 12 significant digits. Complex fields store modulus.
 
-    The whole table, axes included, is built as one float matrix with
-    nan for every empty cell, then written one row at a time, each row
-    by one %-format call whose "nan" cells are then blanked.
+    The table is written one row at a time: each row, axis value first,
+    is copied into one float buffer with nan for every empty cell, then
+    becomes Python floats for one %-format call whose "nan" cells are
+    blanked. No copy of the whole table is made.
     """
-    cells = np.abs(fld.cells) if fld.is_complex else fld.cells
-    table = np.vstack([np.r_[np.nan, fld.cols],
-                       np.column_stack([fld.rows, cells])])
-    table[~np.isfinite(table)] = np.nan
-    fmt = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    line = np.empty(fld.cols.size + 1)
+    fmt = ",".join(["%.12g"] * line.size) + "\n"
     with open(path, "w") as fh:
-        for row in table.tolist():
-            fh.write((fmt % tuple(row)).replace("nan", ""))
+        for label, row in zip(np.r_[np.nan, fld.rows], [fld.cols, *fld.cells]):
+            line[0] = label
+            line[1:] = np.abs(row) if np.iscomplexobj(row) else row
+            line[~np.isfinite(line)] = np.nan
+            fh.write((fmt % tuple(line.tolist())).replace("nan", ""))
     gp = path.with_suffix(".gnuplot")
     with open(gp, "w") as fh:
         fh.write("set datafile separator ','\n"
@@ -397,10 +398,13 @@ def _mf_json(res: fractal.MultifractalResult) -> Dict:
 
 
 def _cwt(r, *series: TimeSeries) -> List[ScaleField]:
-    """Transforms of the given series on the first one's default grid."""
-    w = wavelet.get_wavelet(r.args.wavelet)
-    scales = wavelet.default_scale_grid(series[0])
-    return [wavelet.cwt(s, w, scales) for s in series]
+    """Transforms of the given series on r.x's default grid, each taken
+    once per run and kept in ``r.cwts``."""
+    for s in series:
+        if id(s) not in r.cwts:
+            r.cwts[id(s)] = wavelet.cwt(s, wavelet.get_wavelet(r.args.wavelet),
+                                        wavelet.default_scale_grid(r.x))
+    return [r.cwts[id(s)] for s in series]
 
 
 def _y(r) -> TimeSeries:
@@ -519,7 +523,7 @@ def cmd_analyze(args, out_dir: Path) -> int:
         x = x.with_values(x.values[ok])
         preprocessing["steps"].append("deseasonalize-weekly")
     run = SimpleNamespace(x=x, y=y, args=args, out_dir=out_dir, warnings=[],
-                          steps=preprocessing["steps"])
+                          steps=preprocessing["steps"], cwts={})
     results: Dict = {}
     artifacts = _run_ops(run, ANALYZE_OPS, ops, results)
     _write_report(out_dir, "analyze", inputs, results, run.warnings,

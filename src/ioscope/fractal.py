@@ -125,13 +125,18 @@ def _log_moments(qs: np.ndarray, lg: np.ndarray,
 
 
 def _fit_lines(x: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Least-squares slope and intercept of every row of ys against x,
-    in closed form on the centred abscissa."""
-    xm = x.mean()
+    """Least-squares slope and intercept of every row of ys against x, or
+    against the matching row of a 2-D x, in closed form on the centred
+    abscissa."""
+    xm = x.mean(axis=-1, keepdims=True)
     xc = x - xm
-    ym = ys.mean(axis=-1)
-    slope = ((ys - ym[..., None]) @ xc) / (xc @ xc)
-    return slope, ym - slope * xm
+    ym = ys.mean(axis=-1, keepdims=True)
+    if x.ndim == 1:
+        slope = ((ys - ym) @ xc) / (xc @ xc)
+    else:
+        slope = (np.einsum("...j,...j->...", ys - ym, xc)
+                 / np.einsum("...j,...j->...", xc, xc))
+    return slope, ym[..., 0] - slope * xm[..., 0]
 
 
 def _rs_ladder(n: int, min_window: int, n_scales: int) -> np.ndarray:
@@ -141,17 +146,50 @@ def _rs_ladder(n: int, min_window: int, n_scales: int) -> np.ndarray:
     return sizes[sizes >= min_window]
 
 
-def _segment_rs(vals: np.ndarray, w: int) -> Tuple[np.ndarray, np.ndarray]:
-    """R/S of every whole segment of width w in vals, and whether the
-    segment has std > 0; the ratio is 0 where it does not."""
-    nseg = vals.size // w
-    seg = vals[: nseg * w].reshape(nseg, w)
-    dev = seg - seg.mean(axis=1, keepdims=True)
-    walk = np.cumsum(dev, axis=1)
-    rng = walk.max(axis=1) - walk.min(axis=1)
-    std = seg.std(axis=1)
-    ok = std > 0
-    return np.divide(rng, std, out=np.zeros(nseg), where=ok), ok
+# Samples gathered per pass of _rs_segments: bounds its temporaries
+# (about 24 bytes a sample) whatever the series length and widths.
+_RS_CHUNK = 1 << 13
+
+
+def _rs_segments(vals: np.ndarray,
+                 widths: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R/S of every whole segment of every width in vals, width by width:
+    the ratios, whether each segment counts (its max exceeds its min, and
+    its std is not 0 by underflow), and the offset of each width's first
+    segment (one more offset closes the last width). A segment that does
+    not count has ratio 0.
+
+    The segments are gathered a chunk of at most _RS_CHUNK samples at a
+    time (a longer segment alone) and reduced over their starts; the
+    walk is one cumsum of the chunk's deviations, whose range within a
+    segment ignores the offset carried in from the segments before it.
+    """
+    nseg = vals.size // widths
+    off = np.concatenate([[0], np.cumsum(nseg)])
+    lens = np.repeat(widths, nseg)
+    starts = np.arange(off[-1]) - np.repeat(off[:-1], nseg)
+    starts *= lens
+    ends = np.cumsum(lens)
+    ratio = np.zeros(off[-1])
+    ok = np.zeros(off[-1], dtype=bool)
+    a = 0
+    while a < off[-1]:
+        base = ends[a] - lens[a]
+        b = max(a + 1, int(np.searchsorted(ends, base + _RS_CHUNK, "right")))
+        w = lens[a:b]
+        first = ends[a:b] - w - base
+        # the chunk's samples, in place their deviations, then their squares
+        dev = vals[np.arange(ends[b - 1] - base) + np.repeat(starts[a:b] - first, w)]
+        ok[a:b] = np.maximum.reduceat(dev, first) > np.minimum.reduceat(dev, first)
+        dev -= np.repeat(np.add.reduceat(dev, first) / w, w)
+        walk = np.cumsum(dev)
+        rng = np.maximum.reduceat(walk, first) - np.minimum.reduceat(walk, first)
+        dev *= dev
+        std = np.sqrt(np.add.reduceat(dev, first) / w)
+        ok[a:b] &= std > 0
+        np.divide(rng, std, out=ratio[a:b], where=ok[a:b])
+        a = b
+    return ratio, ok, off
 
 
 def hurst_rs(x: TimeSeries, min_window: int = 8,
@@ -161,7 +199,8 @@ def hurst_rs(x: TimeSeries, min_window: int = 8,
     For each window size the series is cut into non-overlapping segments;
     per segment the range of the mean-adjusted cumulative sum is divided
     by the segment standard deviation, and the exponent is the slope of
-    log mean(R/S) against log window size.
+    log mean(R/S) against log window size. A constant segment (max equal
+    to min) has no rescaled range and is left out of the mean.
     """
     vals = _unit_scale(x.values)[0]
     if np.ptp(vals) == 0:
@@ -169,12 +208,12 @@ def hurst_rs(x: TimeSeries, min_window: int = 8,
     sizes = _rs_ladder(vals.size, min_window, n_scales)
     if sizes.size < 4:
         raise InsufficientScales("need at least 4 window sizes")
-    rs = np.empty(sizes.size)
-    for i, w in enumerate(sizes):
-        ratio, ok = _segment_rs(vals, w)
-        if not np.any(ok):
-            raise DegenerateSignal(f"all segments constant at window size {w}")
-        rs[i] = np.mean(ratio[ok])
+    ratio, ok, off = _rs_segments(vals, sizes)
+    cnt = np.add.reduceat(ok, off[:-1])
+    if not cnt.all():
+        w = sizes[np.argmin(cnt)]
+        raise DegenerateSignal(f"all segments constant at window size {w}")
+    rs = np.add.reduceat(ratio, off[:-1]) / cnt
     slope, intercept = _fit_lines(np.log(sizes.astype(float)), np.log(rs))
     return HurstResult(float(slope), sizes.astype(float), rs, float(intercept))
 
@@ -187,42 +226,55 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
     constant, non-finite slope).
 
     The segments of x[:t] at width w are the first t // w segments of x,
-    so each segment's R/S is computed once per width, and a prefix's
-    mean R/S per width comes from prefix sums over segments. The ladder
-    depends on t // 2 only. Cost: one O(n) segment pass per distinct
-    ladder width (about n / 2 of them) and one small closed-form
-    regression per ladder, where n full hurst_rs calls made up to 16
-    passes each.
+    so each segment's R/S is computed once, and a prefix's mean R/S per
+    width comes from prefix sums over segments. The ladder depends on
+    t // 2 only: all ladders are one (ladders, 16) matrix, and the
+    ladders with the same number of distinct widths share one
+    closed-form regression. Cost: the segments of all distinct widths
+    (about n / 2 of them) go through chunked array passes of bounded
+    memory, but their element work is still O(n^2).
     """
     vals = _unit_scale(x.values)[0]
     n = vals.size
     if n < min_prefix:
         raise InvalidArgument("series shorter than the minimum prefix")
     out = np.full(n, np.nan)
-    ts = np.arange(n + 1)
+    hs = np.arange(max(min_prefix // 2, min_window), n // 2 + 1)
+    # hurst_rs's ladder for every t // 2, n_scales = 16
+    ladders = np.geomspace(min_window, hs, 16, axis=-1).round().astype(int)
+    fresh = np.diff(ladders, axis=1, prepend=0) > 0  # distinct within a row
+    nsizes = fresh.sum(axis=1)
+    widths = _distinct(ladders[nsizes >= 4])
+    ratio, ok, off = _rs_segments(vals, widths)
+    # prefix sums over each width's segments: a row of nseg + 1 per width,
+    # the widths with equal nseg (neighbours, nseg falls with w) in one block
+    nseg = np.diff(off)
+    first = off + np.arange(widths.size + 1)
+    sums = np.zeros(first[-1])
+    counts = np.zeros(first[-1], dtype=int)
+    cut = np.flatnonzero(np.diff(nseg, prepend=-1, append=-1))
+    for i, j in zip(cut[:-1], cut[1:]):
+        m = nseg[i]
+        blk = slice(first[i], first[j])
+        seg = slice(off[i], off[j])
+        sums[blk].reshape(j - i, m + 1)[:, 1:] = np.cumsum(
+            ratio[seg].reshape(j - i, m), axis=1)
+        counts[blk].reshape(j - i, m + 1)[:, 1:] = np.cumsum(
+            ok[seg].reshape(j - i, m), axis=1)
     nonconst = np.maximum.accumulate(vals) > np.minimum.accumulate(vals)
-    ladders = {}
-    for h in range(max(min_prefix // 2, min_window), n // 2 + 1):
-        sizes = _rs_ladder(2 * h, min_window, 16)  # hurst_rs's n_scales
-        if sizes.size >= 4:
-            ladders[h] = sizes
-    sums, counts = {}, {}
-    for w in {int(w) for sizes in ladders.values() for w in sizes}:
-        ratio, ok = _segment_rs(vals, w)
-        sums[w] = np.concatenate([[0.0], np.cumsum(ratio)])
-        counts[w] = np.concatenate([[0], np.cumsum(ok)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for h, sizes in ladders.items():
-            t = ts[max(2 * h, min_prefix): 2 * h + 2]
-            t = t[nonconst[t - 1]]
-            if t.size == 0:
-                continue
-            k = t[:, None] // sizes[None, :]
-            tot = np.stack([sums[w][k[:, i]] for i, w in enumerate(sizes)], 1)
-            cnt = np.stack([counts[w][k[:, i]] for i, w in enumerate(sizes)], 1)
-            slope, _ = _fit_lines(np.log(sizes.astype(float)),
-                                  np.log(tot / cnt))
-            good = np.isfinite(slope)  # a size with cnt = 0 gives 0/0
+        for size in range(4, 17):
+            rows = np.flatnonzero(nsizes == size)
+            # t = 2h and 2h + 1, within [min_prefix, n], not constant
+            t = (2 * hs[rows, None] + np.arange(2)).ravel()
+            keep = (t >= min_prefix) & (t <= n) & nonconst[np.minimum(t, n) - 1]
+            sizes = ladders[rows][fresh[rows]].reshape(-1, size)
+            sizes = np.repeat(sizes, 2, axis=0)[keep]
+            t = t[keep]
+            at = first[np.searchsorted(widths, sizes)]
+            at += t[:, None] // sizes
+            slope, _ = _fit_lines(np.log(sizes), np.log(sums[at] / counts[at]))
+            good = np.isfinite(slope)  # a size with no counted segment gives 0/0
             out[t[good] - 1] = slope[good]
     return x.with_values(out, label=f"hurst({x.label})" if x.label else "hurst",
                          allow_undefined=True)

@@ -334,6 +334,21 @@ def like_count_distribution_loop(e0: int, cfg: SimConfig, t_max: int) -> np.ndar
     return out
 
 
+def _segment_rs(vals: np.ndarray, w: int) -> Tuple[np.ndarray, np.ndarray]:
+    """R/S of every whole segment of width w in vals, one width at a time
+    as a (segments, w) matrix, and whether the segment counts: its max
+    exceeds its min (and its std is not 0); the ratio is 0 where it does
+    not count."""
+    nseg = vals.size // w
+    seg = vals[: nseg * w].reshape(nseg, w)
+    dev = seg - seg.mean(axis=1, keepdims=True)
+    walk = np.cumsum(dev, axis=1)
+    rng = walk.max(axis=1) - walk.min(axis=1)
+    std = seg.std(axis=1)
+    ok = (seg.max(axis=1) > seg.min(axis=1)) & (std > 0)
+    return np.divide(rng, std, out=np.zeros(nseg), where=ok), ok
+
+
 def mfdfa_loop(x: TimeSeries, q: Sequence[float],
                scales: Optional[Sequence[int]] = None,
                aggregated: bool = False) -> MultifractalResult:

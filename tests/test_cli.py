@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from ioscope.agentsim import SimConfig, lifespan_survival
-from ioscope import cli
+from ioscope import cli, wavelet
 from ioscope.cli import (Q_MFDFA, _CHUNK, _dump, _json_default, _write_report,
                          main, write_matrix_csv)
-from ioscope.fractal import brownian, mfdfa
+from ioscope.fractal import brownian, delta_l_field, mfdfa
 from ioscope.series import ScaleField, TimeSeries
 
 from conftest import write_series_csv
@@ -227,6 +227,23 @@ class TestAnalyze:
         assert block["lags"] == list(range(-(T // 4), T // 4 + 1))
         assert block["argmax_lag"] == delay
 
+    def test_one_cwt_per_series(self, tmp_path, monkeypatch, rng):
+        # four wavelet ops over x and y take each series' transform once
+        calls = []
+        real = wavelet.cwt
+
+        def counting(x, *args):
+            calls.append(x)
+            return real(x, *args)
+
+        monkeypatch.setattr(wavelet, "cwt", counting)
+        x = write_series_csv(tmp_path / "x.csv", rng.poisson(4.0, 256))
+        y = write_series_csv(tmp_path / "y.csv", rng.poisson(4.0, 256))
+        assert main(["analyze", "--input", x, "--input2", y, "--ops",
+                     "cwt,scalogram,coherence,wcc",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
     def test_config_file_fills_defaults(self, tmp_path, rng):
         path = write_series_csv(tmp_path / "x.csv",
                                 rng.standard_normal(300))
@@ -291,6 +308,18 @@ class TestWriteMatrixCsv:
         assert fast == (tmp_path / "ref.csv").read_bytes()
         assert b",," in fast
         assert (b",-0," in fast) != complex_cells
+
+    def test_writes_one_row_at_a_time(self, tmp_path, rng):
+        fld = delta_l_field(TimeSeries(rng.poisson(4.0, 800).astype(float)),
+                            max_window=202)
+        assert fld.cells.shape == (200, 800)
+        tracemalloc.start()
+        try:
+            write_matrix_csv(tmp_path / "dl.csv", fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * fld.cells.nbytes
 
 
 class TestJsonDefault:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ioscope import fractal
 from ioscope.errors import (DegenerateSignal, DegenerateVariance,
@@ -12,7 +13,8 @@ from ioscope.fractal import (MultifractalResult, binomial_cascade,
 from ioscope.series import TimeSeries
 from ioscope.wavelet import cwt, get_wavelet
 
-from references import mfdfa_loop, wavelet_leaders_loop, wtmm_loop
+from references import (_segment_rs, mfdfa_loop, wavelet_leaders_loop,
+                        wtmm_loop)
 
 Q_GRID = np.arange(-4.0, 4.01, 0.5)
 
@@ -69,6 +71,14 @@ class TestHurst:
         res = hurst_rs(TimeSeries(rng.standard_normal(1024)))
         assert len(res.window_sizes) >= 4
         assert len(res.rs_values) == len(res.window_sizes)
+
+    def test_constant_segments_do_not_count(self):
+        # widths 3, 6, 11, 21 on 42 samples: 3, 6 and 21 divide 42, so a
+        # segment of each holds the 0.9; the three width-11 segments are
+        # all 0.3, whose rounded std is above 0 but whose max is their min
+        vals = np.r_[np.full(41, 0.3), 0.9]
+        with pytest.raises(DegenerateSignal, match="window size 11"):
+            hurst_rs(TimeSeries(vals), min_window=3, n_scales=4)
 
     def test_white_noise_near_half(self):
         hs = [hurst_rs(TimeSeries(
@@ -158,8 +168,8 @@ def oracle_series(kind, n):
     if kind == "sparse":
         return gen.poisson(0.05, n).astype(float)
     if kind == "constant-lead":
-        # 0.3 repeated 10 times has a rounded std above 0: only the
-        # constant-prefix test makes those prefixes nan
+        # a run of 0.3 has a rounded std above 0; its segments count for
+        # no window size, since their max is their min
         return np.concatenate([np.full(n // 3, 0.3),
                                gen.standard_normal(n - n // 3)])
     raise ValueError(kind)
@@ -196,12 +206,77 @@ class TestHurstProfileOracle:
         want = assert_profile_matches_reference(TimeSeries(vals))
         assert np.isnan(want[45:65]).all() and np.isfinite(want[65:]).all()
 
+    def test_nan_where_a_window_size_has_only_constant_runs(self):
+        # up to t = 135 every whole segment of some ladder width lies in
+        # the leading run of 0.3 (the first 100 samples); counting those
+        # segments by their rounded std gave t = 114-117, 120-125 and
+        # 128-135 exponents of 0.8-1.3 from rounding residue
+        got = hurst_profile(TimeSeries(oracle_series("constant-lead", 300)))
+        assert np.isnan(got.values[:135]).all()
+        assert np.isfinite(got.values[135:]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_counts_and_runs(self, data):
+        min_window = data.draw(st.integers(2, 16), label="min_window")
+        min_prefix = data.draw(st.integers(1, 64), label="min_prefix")
+        n = data.draw(st.integers(min_prefix, 400), label="n")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        pieces = []
+        while sum(map(len, pieces)) < n:
+            size = data.draw(st.integers(1, 150))
+            if data.draw(st.booleans()):
+                pieces.append(gen.poisson(data.draw(st.sampled_from(
+                    [0.2, 3.0, 40.0])), size).astype(float))
+            else:
+                pieces.append(np.full(size, data.draw(st.sampled_from(
+                    [0.3, 0.1, 1.0 / 3.0, 2.2]))))
+        vals = np.concatenate(pieces)[:n]
+        x = TimeSeries(vals)
+        want = reference_hurst_profile(x, min_prefix, min_window)
+        got = hurst_profile(x, min_prefix, min_window).values
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        np.testing.assert_allclose(got[ok], want[ok], rtol=0, atol=1e-12)
+
     def test_does_not_call_hurst_rs(self, monkeypatch, rng):
         def refuse(*args, **kwargs):
             raise AssertionError("hurst_rs called")
         monkeypatch.setattr(fractal, "hurst_rs", refuse)
         assert np.isfinite(hurst_profile(TimeSeries(rng.standard_normal(128)))
                            .values[-1])
+
+
+class TestSegmentRS:
+    @pytest.mark.parametrize("budget,n", [(37, 500),
+                                          (fractal._RS_CHUNK, 12_000)])
+    def test_matches_per_width_reference(self, monkeypatch, budget, n):
+        # the widths' segments fill many chunks, so some widths straddle a
+        # chunk edge; every width's segments together exceed the budget,
+        # and at budget 37 a segment of width 40 or more does alone
+        monkeypatch.setattr(fractal, "_RS_CHUNK", budget)
+        gen = np.random.default_rng(5)
+        vals = gen.poisson(3.0, n).astype(float)
+        vals[n // 3: n // 3 + 60] = 0.3
+        widths = np.array([2, 3, 7, 11, 40, 41, 97, n // 3, n // 2])
+        assert (n // widths) @ widths > 2 * budget
+        assert (n // widths * widths > budget).all()
+        ratio, ok, off = fractal._rs_segments(vals, widths)
+        np.testing.assert_array_equal(off, np.r_[0, np.cumsum(n // widths)])
+        for i, w in enumerate(widths):
+            want_ratio, want_ok = _segment_rs(vals, w)
+            np.testing.assert_array_equal(ok[off[i]: off[i + 1]], want_ok)
+            np.testing.assert_allclose(ratio[off[i]: off[i + 1]], want_ratio,
+                                       rtol=1e-12, atol=0)
+        assert not ok.all() and ok.any()
+
+    def test_segment_whose_std_underflows_does_not_count(self):
+        # the second segment is not constant, but its squared deviations
+        # (2.5e-601) underflow to 0
+        vals = np.r_[0.75, np.zeros(7), np.tile([1e-300, 2e-300], 4)]
+        with np.errstate(divide="raise", invalid="raise"):
+            ratio, ok, _ = fractal._rs_segments(vals, np.array([8]))
+        assert ok.tolist() == [True, False] and ratio[1] == 0.0
 
 
 class TestDeltaLFieldOracle:
