@@ -238,7 +238,7 @@ def like_count_distribution(e0: int, cfg: SimConfig,
     return dead + live.sum(axis=0)  # survivors at the horizon keep their count
 
 
-def weibull_mle(samples: Sequence[float], max_iter: int = 200) -> Tuple[float, float]:
+def weibull_mle(samples: Sequence[float]) -> Tuple[float, float]:
     """Maximum-likelihood Weibull shape and scale (k, lambda).
 
     The shape solves the profile-likelihood equation, strictly rising in
@@ -262,9 +262,9 @@ def weibull_mle(samples: Sequence[float], max_iter: int = 200) -> Tuple[float, f
     while profile(hi) < 0:
         hi *= 2.0
         it += 1
-        if it > max_iter:
+        if it > 200:
             raise NoConvergence("profile equation has no bracketed root")
-    for _ in range(max_iter):
+    for _ in range(200):
         k = 0.5 * (lo + hi)
         lo, hi = (k, hi) if profile(k) < 0 else (lo, k)
         if hi - lo <= 1e-10 + 4.0 * np.finfo(float).eps * hi:  # brentq's rule

@@ -18,7 +18,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -284,11 +284,13 @@ def _read_ratings(path: Path) -> Dict[str, float]:
     return ratings
 
 
-def _load_template_dir(dir_path: Path) -> List[templates.Template]:
+def _load_template_dir(dir_path: Path) -> Tuple[List[templates.Template], List[Path]]:
+    """One template per CSV file of dir_path, named by the file; the files."""
     if not dir_path.is_dir():
         raise InvalidArgument(f"{dir_path} is not a directory")
     bank = []
-    for p in sorted(dir_path.glob("*.csv")):
+    files = sorted(dir_path.glob("*.csv"))
+    for p in files:
         samples = np.ravel(_read_rows(p, ",", _fields("one sample", _finite)))
         try:
             bank.append(templates.Template(samples, name=p.stem))
@@ -296,7 +298,7 @@ def _load_template_dir(dir_path: Path) -> List[templates.Template]:
             raise InvalidArgument(f"{p}: {exc}") from None
     if not bank:
         raise InvalidArgument(f"no template CSV files in {dir_path}")
-    return bank
+    return bank, files
 
 
 def _fingerprint(paths: Sequence[Path]) -> str:
@@ -450,14 +452,6 @@ def _op_hurst(r) -> Dict:
             "rs": res.rs_values}
 
 
-def _op_mfdfa(r) -> Dict:
-    series = r.x
-    if r.args.aggregated:
-        series = series.with_values(np.diff(series.values))
-        r.steps.append("disaggregate")
-    return _mf_json(fractal.mfdfa(series, Q_MFDFA))
-
-
 # op -> kernel. A kernel takes the run context and returns a JSON block,
 # or a ScaleField written as a matrix artifact. Kernels look module
 # functions up when they run, so that wrappers installed on the modules
@@ -478,7 +472,8 @@ ANALYZE_OPS: Dict[str, Callable] = {
     "hurst": _op_hurst,
     "hurst-profile": lambda r: _curve_json(fractal.hurst_profile(r.x)),
     "dl": lambda r: fractal.delta_l_field(r.x),
-    "mfdfa": _op_mfdfa,
+    "mfdfa": lambda r: _mf_json(fractal.mfdfa(r.x, Q_MFDFA,
+                                              aggregated=r.args.aggregated)),
     "wtmm": lambda r: _mf_json(fractal.wtmm(r.x, Q_WAVELET, wavelet=r.args.wavelet)),
     "leaders": lambda r: _mf_json(fractal.wavelet_leaders(
         r.x, Q_WAVELET, wavelet=r.args.wavelet)),
@@ -522,8 +517,7 @@ def cmd_analyze(args, out_dir: Path) -> int:
         ok = np.isfinite(x.values)
         x = x.with_values(x.values[ok])
         preprocessing["steps"].append("deseasonalize-weekly")
-    run = SimpleNamespace(x=x, y=y, args=args, out_dir=out_dir, warnings=[],
-                          steps=preprocessing["steps"], cwts={})
+    run = SimpleNamespace(x=x, y=y, args=args, out_dir=out_dir, warnings=[], cwts={})
     results: Dict = {}
     artifacts = _run_ops(run, ANALYZE_OPS, ops, results)
     _write_report(out_dir, "analyze", inputs, results, run.warnings,
@@ -533,10 +527,8 @@ def cmd_analyze(args, out_dir: Path) -> int:
 
 def cmd_scan(args, out_dir: Path) -> int:
     x = read_series_csv(Path(args.input))
-    if args.templates == "builtin":
-        bank = templates.builtin_bank()
-    else:
-        bank = _load_template_dir(Path(args.templates))
+    bank, files = ((templates.builtin_bank(), []) if args.templates == "builtin"
+                   else _load_template_dir(Path(args.templates)))
     k_range = _parse_scales(args.scales, len(x))
     hits_found = templates.scan_detect(x, bank, k_range, args.threshold)
     by_name = {t.name: t for t in bank}
@@ -558,7 +550,7 @@ def cmd_scan(args, out_dir: Path) -> int:
     with open(path, "w") as fh:
         _dump(payload, fh, sort_keys=False)
         fh.write("\n")
-    _write_report(out_dir, "scan", [Path(args.input)],
+    _write_report(out_dir, "scan", [Path(args.input), *files],
                   {"detections": len(payload["detections"]),
                    "artifact": path.name},
                   [], [path.name], None)

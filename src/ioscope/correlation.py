@@ -1,4 +1,4 @@
-"""Cross-covariance/correlation, autocorrelation, and pattern-correlation fields."""
+"""Cross-covariance, cross-correlation and autocorrelation over lags."""
 
 from __future__ import annotations
 
@@ -9,14 +9,12 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidArgument
 from .series import TimeSeries, _correlate, _unit_scale
-from .templates import correlation_diagram as pattern_correlation_field
 
 __all__ = [
     "LagCurve",
     "cross_covariance",
     "cross_correlation",
     "autocorrelation",
-    "pattern_correlation_field",
 ]
 
 

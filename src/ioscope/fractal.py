@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (DegenerateSignal, DegenerateVariance, InsufficientScales,
                      InsufficientStructure, InvalidArgument)
 from .series import ScaleField, TimeSeries, _distinct, _unit_scale
-from .wavelet import cwt, default_scale_grid, get_wavelet
+from .wavelet import cwt, get_wavelet
 
 __all__ = [
     "HurstResult",
@@ -280,14 +280,10 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
                          allow_undefined=True)
 
 
-def _direct_rms(vals: np.ndarray, s: int,
-                starts: Optional[np.ndarray] = None) -> np.ndarray:
+def _direct_rms(vals: np.ndarray, s: int, starts: np.ndarray) -> np.ndarray:
     """RMS residual of the least-squares line over each window
-    vals[l:l+s], l in starts (default: every l), from the windows
-    themselves."""
-    win = np.lib.stride_tricks.sliding_window_view(vals, s)
-    if starts is not None:
-        win = win[starts]
+    vals[l:l+s], l in starts, from the windows themselves."""
+    win = np.lib.stride_tricks.sliding_window_view(vals, s)[starts]
     tc = np.arange(s, dtype=float) - (s - 1) / 2.0
     slope, mid = _fit_lines(tc, win)
     resid = win - mid[:, None] - slope[:, None] * tc
@@ -341,9 +337,7 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
             rms = np.sqrt(ss / s)
             # a window whose S2 is exactly 0 lies on the line: its rms is 0
             redo = np.flatnonzero(~(ss > 1e9 * 16 * s * eps * s2) & (s2 > 0))
-            if redo.size == k:
-                rms = _direct_rms(vals, s)
-            elif redo.size:
+            if redo.size:
                 rms[redo] = _direct_rms(vals, s, redo)
             cells[s - 3, s // 2: s // 2 + k] = rms
     rows = sizes.astype(float) * x.step
@@ -467,13 +461,9 @@ def find_skeleton(fld: ScaleField, min_length: int = 3) -> Skeleton:
     return Skeleton(fld.rows.copy(), tuple(tuple(ln) for ln in kept), moduli)
 
 
-def _l1_modulus_field(x: TimeSeries, wavelet: str,
-                      scales: Optional[Sequence[float]],
+def _l1_modulus_field(x: TimeSeries, wavelet: str, scales: Sequence[float],
                       coi: float = 0.0) -> ScaleField:
-    w = get_wavelet(wavelet)
-    if scales is None:
-        scales = default_scale_grid(x)
-    fld = cwt(x, w, scales)
+    fld = cwt(x, get_wavelet(wavelet), scales)
     # renormalize from energy (1/sqrt(s)) to amplitude (1/s) convention so
     # a pure singularity of exponent h scales as s**h along its line
     mod = np.abs(fld.cells) / np.sqrt(fld.rows)[:, None]
@@ -488,23 +478,22 @@ def _l1_modulus_field(x: TimeSeries, wavelet: str,
 
 
 def wtmm(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
-         scales: Optional[Sequence[float]] = None,
-         min_line_length: int = 5, coi: float = 4.0) -> MultifractalResult:
+         scales: Optional[Sequence[float]] = None) -> MultifractalResult:
     """Multifractal exponents from wavelet-transform modulus maxima.
 
-    Builds partition functions Z(q, s) over the maxima skeleton with the
-    sup-over-finer-scales stabilization and reads tau(q) off the log-log
-    slope, then applies the numerical Legendre transform. Maxima inside
-    the boundary cone of influence (``coi`` scale-widths from either
-    edge) are excluded.
+    Builds partition functions Z(q, s) over the maxima skeleton (lines
+    spanning at least 5 scales) with the sup-over-finer-scales
+    stabilization and reads tau(q) off the log-log slope, then applies
+    the numerical Legendre transform. Maxima inside the boundary cone of
+    influence (4 scale-widths from either edge) are excluded.
     """
     qs = _q_grid(q)
     if scales is None:
         n = len(x)
         smax = max(8.0, n / 33.0) * x.step
         scales = np.geomspace(2.0 * x.step, smax, 24)
-    fld = _l1_modulus_field(x, wavelet, scales, coi=coi)
-    skel = find_skeleton(fld, min_length=min_line_length)
+    fld = _l1_modulus_field(x, wavelet, scales, coi=4.0)
+    skel = find_skeleton(fld, min_length=5)
     # running supremum of the modulus along each line; a line holds one
     # maximum on every row from its first to its last, and counts only there
     sup_at_row = np.full((skel.n_lines, fld.rows.size), np.nan)
@@ -557,7 +546,7 @@ def wavelet_leaders(x: TimeSeries, q: Sequence[float],
     return MultifractalResult(qs, tau, alpha, f_alpha)
 
 
-def brownian(n: int, seed: Optional[int] = None, step: float = 1.0) -> TimeSeries:
+def brownian(n: int, seed: Optional[int] = None) -> TimeSeries:
     """Standard Brownian path: zero start, cumulative sum of unit
     Gaussian increments."""
     if n < 2:
@@ -565,7 +554,7 @@ def brownian(n: int, seed: Optional[int] = None, step: float = 1.0) -> TimeSerie
     rng = np.random.default_rng(seed)
     incr = rng.standard_normal(n)
     incr[0] = 0.0
-    return TimeSeries(np.cumsum(incr), step=step, label="brownian")
+    return TimeSeries(np.cumsum(incr), label="brownian")
 
 
 def binomial_cascade(levels: int = 14, p: float = 0.3,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (InsufficientRatings, InvalidArgument, NoConvergence,
                      NoEdges)
-from .series import _distinct
+from .series import _BLOCK_CELLS, _distinct
 
 __all__ = [
     "ImpactGraph",
@@ -84,10 +84,6 @@ def build_impact_graph(citations: Sequence[Tuple[Hashable, ...]],
     return ImpactGraph(tuple(nodes), edges, ratings=ratings,
                        dropped_self_loops=dropped)
 
-
-# Sources per BFS block: the block's B x n arrays and its (source, edge)
-# pairs, at most B x nnz, stay near this many cells.
-_BFS_CELLS = 2 ** 20
 
 # An adjacency in compressed-row form: (indptr, indices), the distinct
 # neighbours of node i being indices[indptr[i]:indptr[i + 1]], ascending.
@@ -224,7 +220,8 @@ def network_stats(g: ImpactGraph) -> Dict[str, object]:
     src, dst, _ = _edge_index(g)
     out_adj = _adjacency(n, src, dst)
     und_adj = _adjacency(n, np.r_[src, dst], np.r_[dst, src])
-    block = max(1, _BFS_CELLS // max(n, und_adj[1].size))
+    # sources per block: its B x n and B x nnz arrays stay near _BLOCK_CELLS
+    block = max(1, _BLOCK_CELLS // max(n, und_adj[1].size))
     ecc = np.zeros(n, dtype=np.int64)
     hops = np.zeros(n, dtype=np.int64)  # ordered pairs at each hop distance
     betweenness = np.zeros(n)
@@ -314,16 +311,15 @@ def _lower_quartile(values: Sequence[float]) -> float:
     return float(b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
 
 
-def io_scenario_score(g: ImpactGraph, ratio_threshold: float = 2.0,
-                      cluster_size: int = 5) -> Dict[str, object]:
+def io_scenario_score(g: ImpactGraph) -> Dict[str, object]:
     """Score the "less influential sources impacting more influential
     ones" dissemination pattern.
 
     The score is the weighted fraction of impact edges running from a
     lower-rated to a strictly higher-rated node; an edge whose rating
-    ratio reaches ``ratio_threshold`` counts double. Components with
-    score > 0.5 are flagged, as is any group of >= ``cluster_size``
-    bottom-quartile nodes sharing an identical out-neighborhood.
+    ratio reaches 2 counts double. Components with score > 0.5 are
+    flagged, as is any group of 5 or more bottom-quartile nodes sharing
+    an identical out-neighborhood.
     """
     if g.m == 0:
         raise NoEdges("scenario scoring needs at least one edge")
@@ -336,7 +332,7 @@ def io_scenario_score(g: ImpactGraph, ratio_threshold: float = 2.0,
     ru, rv = r[src], r[dst]
     rising = rv > ru  # False where either end is unrated (nan)
     ratio = np.divide(rv, ru, out=np.full(g.m, np.inf), where=ru > 0)
-    w_up = np.where(rising, np.where(ratio >= ratio_threshold, 2.0, 1.0) * count, 0.0)
+    w_up = np.where(rising, np.where(ratio >= 2.0, 2.0, 1.0) * count, 0.0)
     w_tot = np.where(rising, w_up, np.where(rated[src] & rated[dst], count, 0.0))
     # cumsum and bincount both add in edge order
     up, tot = np.cumsum([w_up, w_tot], axis=1)[:, -1].tolist()
@@ -363,5 +359,5 @@ def io_scenario_score(g: ImpactGraph, ratio_threshold: float = 2.0,
     return {
         "score": total_score,
         "components": component_flags,
-        "clone_cluster": any(k >= cluster_size for k in groups.values()),
+        "clone_cluster": any(k >= 5 for k in groups.values()),
     }

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (DegenerateEstimates, DimensionalityExceeded, InvalidArgument,
                      InvalidRanking)
-from .series import _distinct
+from .series import _BLOCK_CELLS, _distinct
 
 __all__ = [
     "Ranking",
@@ -158,13 +158,13 @@ def condorcet(rankings: Sequence[Ranking],
 
 def kemeny_distance(r1: Ranking, r2: Ranking) -> int:
     """Hamming-style distance between the pairwise sign matrices: the sum
-    of |sign1 - sign2| over ordered pairs. The signs are built a block of
-    rows (about 2**20 cells) at a time, so memory does not grow as n**2."""
+    of |sign1 - sign2| over ordered pairs, built _BLOCK_CELLS cells of
+    rows at a time, so memory does not grow as n**2."""
     if set(r1.alternatives) != set(r2.alternatives):
         raise InvalidArgument("rankings cover different universes")
     _, (x, y) = _rank_matrix((r1, r2))
     total = 0
-    block = max(1, 2 ** 20 // max(1, x.size))
+    block = max(1, _BLOCK_CELLS // max(1, x.size))
     for lo in range(0, x.size, block):
         rows = slice(lo, lo + block)
         total += int(np.abs(_signs(x, rows) - _signs(y, rows)).sum())

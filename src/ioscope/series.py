@@ -117,6 +117,11 @@ class ScaleField:
                 and np.allclose(self.cols, other.cols))
 
 
+# Cells per block of a blocked array pass (BFS sources in netimpact, sign
+# rows in rankfuse): bounds the block's temporaries whatever the input size.
+_BLOCK_CELLS = 2 ** 20
+
+
 def _unit_scale(xs: np.ndarray) -> Tuple[np.ndarray, int]:
     """xs times the power of two 2**-e that brings max |xs| into [0.5, 1),
     and e: exact, and it keeps the products and squares of huge or tiny

@@ -99,10 +99,11 @@ def snake_template(length: int = 20) -> Template:
     return Template(0.25 * x + np.sin(x), name="snake")
 
 
-def builtin_bank(length: int = 45) -> List[Template]:
-    return [io_phase_template(length, "attack-front"),
-            io_phase_template(length, "full-lifecycle"),
-            snake_template(length)]
+def builtin_bank() -> List[Template]:
+    """The two IO-phase variants and the snake, 45 samples each."""
+    return [io_phase_template(45, "attack-front"),
+            io_phase_template(45, "full-lifecycle"),
+            snake_template(45)]
 
 
 def _resample(samples: np.ndarray, k: int) -> np.ndarray:
@@ -129,9 +130,7 @@ def resample_template(t: Template, k: int) -> Template:
 def correlation_diagram(x: TimeSeries, t: Template,
                         k_range: Sequence[int]) -> ScaleField:
     """Correlation C(l, k) between each series window of length k
-    starting at l and the template resampled to k, for every k in
-    ``k_range`` (also exported as
-    ``correlation.pattern_correlation_field``).
+    starting at l and the template resampled to k, k in ``k_range``.
 
     Cells are undefined where the window overruns the series or either
     side is constant; a whole row is undefined where the template
@@ -194,10 +193,6 @@ class KuntchenkoBasis:
     @property
     def window_length(self) -> int:
         return self.transforms.shape[1]
-
-    @property
-    def order(self) -> int:
-        return self.transforms.shape[0] - 1
 
 
 def _solve_correlants(signal: np.ndarray, basis: KuntchenkoBasis):

@@ -56,7 +56,6 @@ class Wavelet:
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    vanishing_moments: int
     is_complex: bool
     support: float  # effective half-width of the support
     analytic: bool = False  # spectrum concentrated on positive frequencies
@@ -100,10 +99,10 @@ class Wavelet:
 
 
 WAVELETS = {w.name: w for w in (
-    Wavelet("gaussian-wave", _gaussian_wave, 1, False, 8.0),
-    Wavelet("mexican-hat", _mexican_hat, 2, False, 8.0),
-    Wavelet("haar", _haar, 1, False, 1.5, invertible=False),
-    Wavelet("morlet", _morlet, 1, True, 8.0, analytic=True),
+    Wavelet("gaussian-wave", _gaussian_wave, False, 8.0),
+    Wavelet("mexican-hat", _mexican_hat, False, 8.0),
+    Wavelet("haar", _haar, False, 1.5, invertible=False),
+    Wavelet("morlet", _morlet, True, 8.0, analytic=True),
 )}
 
 
@@ -114,10 +113,10 @@ def get_wavelet(name: str) -> Wavelet:
         raise InvalidArgument(f"unknown wavelet {name!r}") from None
 
 
-def default_scale_grid(series: TimeSeries, n: int = 64) -> np.ndarray:
-    """Log-spaced scales from 2*step to (T/4)*step."""
+def default_scale_grid(series: TimeSeries) -> np.ndarray:
+    """64 log-spaced scales from 2*step to (T/4)*step."""
     T = len(series)
-    return np.geomspace(2.0 * series.step, max(2.5, T / 4.0) * series.step, n)
+    return np.geomspace(2.0 * series.step, max(2.5, T / 4.0) * series.step, 64)
 
 
 def _kernel(w: Wavelet, scale: float, step: float) -> np.ndarray:
@@ -214,28 +213,15 @@ def compare_fields(wx: ScaleField, wy: ScaleField, metric: str) -> ScaleField:
     return ScaleField(rows=wx.rows, cols=wx.cols, cells=cells, kind=kind)
 
 
-def wcc_measure(wx: ScaleField, wy: ScaleField, shift: int = 0) -> np.ndarray:
-    """Per-scale wavelet cross-correlation measure in [0, 1].
-
-    ``shift`` slides the second field's location axis; the overlap is
-    truncated. Scales with zero energy on either side come back NaN.
-    """
+def wcc_measure(wx: ScaleField, wy: ScaleField) -> np.ndarray:
+    """Per-scale wavelet cross-correlation measure in [0, 1]. Scales with
+    zero energy on either side come back NaN."""
     if not wx.same_grid(wy):
         raise InvalidArgument("fields are on different (scale, location) grids")
-    n = wx.cols.size
-    if abs(shift) >= n:
-        raise InvalidArgument("shift exceeds the location axis")
-    a = wx.cells
-    b = wy.cells
-    if shift > 0:
-        a_ov, b_ov = a[:, shift:], b[:, : n - shift]
-    elif shift < 0:
-        a_ov, b_ov = a[:, :  n + shift], b[:, -shift:]
-    else:
-        a_ov, b_ov = a, b
-    num = np.abs(np.sum(np.conj(a_ov) * b_ov, axis=1))
-    ex = np.sum(np.abs(a_ov) ** 2, axis=1)
-    ey = np.sum(np.abs(b_ov) ** 2, axis=1)
+    a, b = wx.cells, wy.cells
+    num = np.abs(np.sum(np.conj(a) * b, axis=1))
+    ex = np.sum(np.abs(a) ** 2, axis=1)
+    ey = np.sum(np.abs(b) ** 2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where((ex > 0) & (ey > 0), num / np.sqrt(ex * ey), np.nan)
     return out
@@ -271,8 +257,7 @@ def _smooth_local(cells: np.ndarray, scales: np.ndarray, step: float,
 
 
 def wavelet_coherence(wx: ScaleField, wy: ScaleField,
-                      time_widths: Optional[Sequence[int]] = None,
-                      scale_width: int = 3) -> ScaleField:
+                      time_widths: Optional[Sequence[int]] = None) -> ScaleField:
     """Squared wavelet coherence with local boxcar smoothing in time
     (width ~ scale by default, else ``time_widths``: one width per scale
     row, each from 1 to the location count) and across 3 adjacent scales."""
@@ -283,7 +268,7 @@ def wavelet_coherence(wx: ScaleField, wy: ScaleField,
                            or np.any(tw > wx.cols.size)):
         raise InvalidArgument("time_widths needs one width per scale, each "
                               "from 1 to the location count")
-    args = (wx.rows, wx.col_step, tw, scale_width)
+    args = (wx.rows, wx.col_step, tw)
     sx = _smooth_local(np.abs(wx.cells) ** 2, *args)
     sy = _smooth_local(np.abs(wy.cells) ** 2, *args)
     sc = _smooth_local(np.conj(wx.cells) * wy.cells, *args)

@@ -1,20 +1,23 @@
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from ioscope.agentsim import SimConfig, lifespan_survival
-from ioscope import cli, wavelet
-from ioscope.cli import (Q_MFDFA, _CHUNK, _dump, _json_default, _write_report,
-                         main, write_matrix_csv)
-from ioscope.fractal import brownian, delta_l_field, mfdfa
-from ioscope.series import ScaleField, TimeSeries
+from ioscope import cli, spectral, wavelet
+from ioscope.cli import (Q_MFDFA, Q_WAVELET, _CHUNK, _dump, _json_default,
+                         _write_report, main, write_matrix_csv)
+from ioscope.fractal import brownian, delta_l_field, mfdfa, wavelet_leaders
+from ioscope.series import ScaleField, TimeSeries, deseasonalize_weekly, smooth
 
 from conftest import write_series_csv
 from references import json_default_loop
@@ -147,15 +150,16 @@ class TestAnalyze:
             s - 1 for s in range(3, n // 4 + 1))
         assert results["cwt"]["undefined_cells"] == 0
 
-    def test_aggregated_mfdfa_differences_the_series(self, tmp_path):
+    def test_aggregated_mfdfa_takes_the_series_as_profile(self, tmp_path):
         path_values = brownian(2048, seed=4).values
         path = write_series_csv(tmp_path / "agg.csv", path_values)
         out = str(tmp_path / "out")
         assert main(["analyze", "--input", path, "--ops", "mfdfa",
                      "--aggregated", "--out", out]) == 0
         report = load_report(out)
-        assert report["preprocessing"]["steps"] == ["disaggregate"]
-        want = mfdfa(TimeSeries(np.diff(path_values)), Q_MFDFA)
+        assert report["preprocessing"]["steps"] == []
+        assert report["preprocessing"]["aggregated"] is True
+        want = mfdfa(TimeSeries(path_values), Q_MFDFA, aggregated=True)
         got = report["results"]["mfdfa"]
         for name in ("q", "tau", "alpha", "f_alpha", "h"):
             np.testing.assert_array_equal(got[name], getattr(want, name))
@@ -243,6 +247,72 @@ class TestAnalyze:
                      "cwt,scalogram,coherence,wcc",
                      "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 2 and calls[0] is not calls[1]
+
+    def test_timestamp_column_sets_the_step(self, tmp_path, rng):
+        n = 64
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(n),
+                                timestamps=10.0 + 0.25 * np.arange(n))
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", path, "--ops", "sma,deseason",
+                     "--out", out]) == 0
+        for block in load_report(out)["results"].values():
+            assert block["step"] == 0.25
+            assert block["times"] == (0.25 * np.arange(n)).tolist()
+
+    def test_nonuniform_timestamps_exit_2_naming_the_file(self, tmp_path,
+                                                          capsys, rng):
+        stamps = np.r_[np.arange(30.0), np.arange(31.0, 61.0)]
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(60),
+                                timestamps=stamps)
+        assert main(["analyze", "--input", path, "--ops", "sma",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ioscope: {path}: timestamps not uniformly spaced\n"
+
+    def test_deseason_first_drops_the_undefined_ends(self, tmp_path, rng):
+        vals = rng.standard_normal(100)
+        path = write_series_csv(tmp_path / "x.csv", vals)
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", path, "--ops", "sma",
+                     "--deseason-first", "--out", out]) == 0
+        report = load_report(out)
+        assert report["preprocessing"]["steps"] == ["deseasonalize-weekly"]
+        assert report["preprocessing"]["deseason_first"] is True
+        got = np.array(report["results"]["sma"]["values"], dtype=float)
+        assert got.size == vals.size - 6
+        ds = deseasonalize_weekly(TimeSeries(vals)).values[3:-3]
+        want = smooth(TimeSeries(ds), "sma", 7).values
+        np.testing.assert_array_equal(got, want)
+
+    def test_dft_and_leaders_blocks(self, tmp_path):
+        vals = brownian(1024, seed=7).values
+        path = write_series_csv(tmp_path / "x.csv", vals)
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", path, "--ops", "dft,leaders",
+                     "--wavelet", "morlet", "--out", out]) == 0
+        results = load_report(out)["results"]
+        x = TimeSeries(vals)
+        spec = spectral.dft(x)
+        np.testing.assert_array_equal(results["dft"]["freqs"], spec.freqs)
+        np.testing.assert_array_equal(results["dft"]["amplitude"],
+                                      spec.amplitude)
+        want = wavelet_leaders(x, Q_WAVELET, wavelet="morlet")
+        assert set(results["leaders"]) == {"q", "tau", "alpha", "f_alpha"}
+        for name in ("q", "tau", "alpha", "f_alpha"):
+            np.testing.assert_array_equal(results["leaders"][name],
+                                          getattr(want, name))
+
+    @pytest.mark.parametrize("n,warned", [(199, True), (200, False)])
+    def test_hurst_warns_below_200_samples(self, tmp_path, n, warned):
+        path = write_series_csv(tmp_path / "x.csv",
+                                np.diff(brownian(n + 1, seed=8).values))
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", path, "--ops", "hurst",
+                     "--out", out]) == 0
+        report = load_report(out)
+        assert report["warnings"] == (
+            ["hurst: series shorter than 200 samples"] if warned else [])
+        assert math.isfinite(report["results"]["hurst"]["H"])
 
     def test_config_file_fills_defaults(self, tmp_path, rng):
         path = write_series_csv(tmp_path / "x.csv",
@@ -609,6 +679,34 @@ class TestScan:
         assert main(["scan", "--input", path, "--scales", "101:300:1",
                      "--out", out]) == 0
         assert load_report(out)["results"]["detections"] == 0
+
+    def test_fingerprint_covers_the_template_files(self, tmp_path, rng):
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(200))
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        samples = np.sin(np.linspace(0.0, 2.0 * np.pi, 20))
+        tpl = bank / "wave.csv"
+        prints = []
+        for tweak in (0.0, 0.5):
+            samples[7] += tweak
+            tpl.write_text("".join(f"{v!r}\n" for v in samples.tolist()))
+            out = str(tmp_path / f"out{tweak}")
+            assert main(["scan", "--input", path, "--templates", str(bank),
+                         "--scales", "10:30:5", "--threshold", "0.5",
+                         "--out", out]) == 0
+            prints.append(load_report(out)["input_fingerprint"])
+            want = hashlib.sha256(
+                Path(path).read_bytes() + tpl.read_bytes()).hexdigest()
+            assert prints[-1] == want
+        assert prints[0] != prints[1]
+
+    def test_builtin_bank_fingerprints_the_series_alone(self, tmp_path, rng):
+        path = write_series_csv(tmp_path / "x.csv", rng.standard_normal(200))
+        out = str(tmp_path / "out")
+        assert main(["scan", "--input", path, "--scales", "10:30:5",
+                     "--out", out]) == 0
+        want = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert load_report(out)["input_fingerprint"] == want
 
     def test_template_resampling_to_constant_exit_0(self, tmp_path, rng):
         bank = tmp_path / "bank"

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ioscope.correlation import (autocorrelation, cross_correlation,
-                                 cross_covariance, pattern_correlation_field)
+from ioscope.correlation import autocorrelation, cross_correlation, cross_covariance
 from ioscope.errors import DegenerateVariance, InvalidArgument
 from ioscope.series import TimeSeries
-from ioscope.templates import Template
+from ioscope.templates import Template, correlation_diagram
 
 from references import gamma_xy
 
@@ -198,13 +197,13 @@ class TestPatternCorrelationField:
     def test_window_copy_scores_one(self, rng):
         vals = rng.standard_normal(60)
         pat = Template(tuple(vals[10:20]), "win", ())
-        fld = pattern_correlation_field(TimeSeries(vals), pat, [10])
+        fld = correlation_diagram(TimeSeries(vals), pat, [10])
         assert fld.cells[0, 10] == pytest.approx(1.0)
 
     def test_negated_window_scores_minus_one(self, rng):
         vals = rng.standard_normal(60)
         pat = Template(tuple(-vals[10:20]), "neg", ())
-        fld = pattern_correlation_field(TimeSeries(vals), pat, [10])
+        fld = correlation_diagram(TimeSeries(vals), pat, [10])
         assert fld.cells[0, 10] == pytest.approx(-1.0)
 
     def test_matches_pearson_oracle(self, rng):
@@ -212,7 +211,7 @@ class TestPatternCorrelationField:
         x = TimeSeries(vals)
         pat_vals = rng.standard_normal(8)
         pat = Template(tuple(pat_vals), "p", ())
-        fld = pattern_correlation_field(x, pat, [8])
+        fld = correlation_diagram(x, pat, [8])
         for l in range(50 - 8 + 1):
             assert fld.cells[0, l] == pytest.approx(
                 pearson(vals[l:l + 8], pat_vals), abs=1e-12)
@@ -221,19 +220,19 @@ class TestPatternCorrelationField:
         vals = rng.standard_normal(50)
         x = TimeSeries(vals)
         pat_vals = rng.standard_normal(8)
-        a = pattern_correlation_field(x, Template(tuple(pat_vals), "p", ()), [8])
-        b = pattern_correlation_field(
+        a = correlation_diagram(x, Template(tuple(pat_vals), "p", ()), [8])
+        b = correlation_diagram(
             x, Template(tuple(3.0 * pat_vals + 5.0), "q", ()), [8])
         np.testing.assert_allclose(a.cells[a.mask], b.cells[b.mask], atol=1e-12)
 
     def test_empty_k_range(self, noise_series):
         pat = Template((1.0, 2.0, 3.0), "p", ())
         with pytest.raises(InvalidArgument):
-            pattern_correlation_field(noise_series, pat, [])
+            correlation_diagram(noise_series, pat, [])
 
     def test_out_of_range_windows_masked(self, rng):
         vals = rng.standard_normal(20)
         pat = Template(tuple(rng.standard_normal(6)), "p", ())
-        fld = pattern_correlation_field(TimeSeries(vals), pat, [6])
+        fld = correlation_diagram(TimeSeries(vals), pat, [6])
         assert not fld.mask[0, 15:].any()
         assert fld.mask[0, :15].all()

@@ -245,7 +245,7 @@ class TestNetworkxOracle:
     def test_network_stats(self, g, cells):
         assume(g.n >= 1)
         # a small cell budget splits the sources into several BFS blocks
-        with mock.patch.object(netimpact, "_BFS_CELLS", cells):
+        with mock.patch.object(netimpact, "_BLOCK_CELLS", cells):
             got = network_stats(g)
         want = network_stats_networkx(g)
         for key in ("n", "m", "density", "avg_path", "avg_path_inclusive",
