@@ -11,14 +11,24 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
+import io
 import json
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+# CPython's built-in SHA-256, as random.py takes _sha512: hashlib would
+# map OpenSSL's libcrypto (~3.6 MB resident) into every run for one digest.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -156,28 +166,33 @@ def _read_text(path: Path) -> str:
         raise InvalidArgument(f"{path}:{lineno}: not UTF-8 text") from None
 
 
-def _read_rows(path: Path, sep: str, parse: Callable[[List[str]], object]) -> list:
-    """Parse every row of a delimited input file with ``parse``.
+def _read_rows(path: Path, sep: str,
+               parse: Callable[[List[str]], object]) -> Iterator[Tuple[int, object]]:
+    """Yield (lineno, ``parse`` of the row) for every row of a delimited
+    input file, splitting its text into lines one at a time.
 
-    Blank lines and '#' lines are skipped and fields are trimmed. A row
-    that does not parse (ValueError) is skipped on line 1, as a header,
-    and is an error on any other line; an out-of-range value
-    (InvalidArgument, or ArgumentTypeError from a converter) is an error
-    on every line. Errors name path:lineno.
+    Lines end where str.splitlines ends them. Blank lines and '#' lines
+    are skipped and fields are trimmed. A row that does not parse
+    (ValueError) is skipped on line 1, as a header, and is an error on
+    any other line; an out-of-range value (InvalidArgument, or
+    ArgumentTypeError from a converter) is an error on every line.
+    Errors name path:lineno.
     """
-    rows = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    lines = (line for raw in io.StringIO(_read_text(path), newline=None)
+             for line in raw.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append(parse([f.strip() for f in line.split(sep)]))
+            row = parse([f.strip() for f in line.split(sep)])
         except ValueError as exc:
             if lineno > 1:
                 raise InvalidArgument(f"{path}:{lineno}: {exc}") from None
+            continue
         except (InvalidArgument, argparse.ArgumentTypeError) as exc:
             raise InvalidArgument(f"{path}:{lineno}: {exc}") from None
-    return rows
+        yield lineno, row
 
 
 def _fields(layout: str, *types: Callable, optional: int = 0) -> Callable:
@@ -211,37 +226,47 @@ _unit = _converter(float, lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 def read_series_csv(path: Path) -> TimeSeries:
-    """One `value` column, or `timestamp,value` with uniform spacing."""
-    rows = _read_rows(path, ",", _fields("value or timestamp,value", _finite, _finite,
-                                         optional=1))
-    if len(rows) < 2:
+    """One `value` column, or `timestamp,value` with uniform spacing. The
+    rows stream into one float array; no per-row object outlives its line."""
+    rows = (row for _, row in _read_rows(
+        path, ",", _fields("value or timestamp,value", _finite, _finite, optional=1)))
+    first = next(rows, [])
+    mixed = False
+
+    def cells() -> Iterator[float]:
+        nonlocal mixed
+        yield from first
+        for row in rows:
+            if len(row) != len(first):
+                mixed, row = True, first  # reported once every row has parsed
+            yield from row
+
+    table = np.fromiter(cells(), float).reshape(-1, max(1, len(first)))
+    if len(table) < 2:
         raise InvalidArgument(f"{path}: need at least 2 samples")
-    if len({len(r) for r in rows}) > 1:
+    if mixed:
         raise InvalidArgument(f"{path}: mixed column counts")
     step, origin = 1.0, None
-    if len(rows[0]) == 2:
-        stamps = [r[0] for r in rows]
+    if len(first) == 2:
+        stamps = table[:, 0]
         diffs = np.diff(stamps)
         if (np.any(diffs <= 0)
                 or np.max(np.abs(diffs - diffs[0])) > 1e-9 * max(1.0, abs(diffs[0]))):
             raise InvalidArgument(f"{path}: timestamps not uniformly spaced")
         step, origin = float(diffs[0]), float(stamps[0])
-    return TimeSeries(np.array([r[-1] for r in rows]), step=step, origin=origin,
+    return TimeSeries(np.ascontiguousarray(table[:, -1]), step=step, origin=origin,
                       label=path.stem)
 
 
 def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
     per_source: Dict[str, Dict[str, int]] = {}
-    parse = _fields("source,alternative,rank", str, str, _positive_int)
-
-    def row(fields: List[str]) -> None:
-        src, alt, rank = parse(fields)
+    for lineno, (src, alt, rank) in _read_rows(path, ",", _fields(
+            "source,alternative,rank", str, str, _positive_int)):
         items = per_source.setdefault(src, {})
         if alt in items:
-            raise InvalidArgument(f"alternative {alt!r} repeated in source {src!r}")
+            raise InvalidArgument(f"{path}:{lineno}: alternative {alt!r} "
+                                  f"repeated in source {src!r}")
         items[alt] = rank
-
-    _read_rows(path, ",", row)
     if not per_source:
         raise InvalidArgument(f"{path}: no rankings found")
     return [rankfuse.Ranking(tuple(items.items()), source=src)
@@ -251,17 +276,13 @@ def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
 def _read_estimates(path: Path, sources: Sequence[str]) -> Dict[str, float]:
     """One `source,E` row for each ranking source, and none for any other."""
     estimates: Dict[str, float] = {}
-    parse = _fields("source,E", str, _nonnegative)
-
-    def row(fields: List[str]) -> None:
-        src, value = parse(fields)
+    for lineno, (src, value) in _read_rows(path, ",", _fields("source,E", str,
+                                                              _nonnegative)):
         if src not in sources:
-            raise InvalidArgument(f"source {src!r} has no ranking")
+            raise InvalidArgument(f"{path}:{lineno}: source {src!r} has no ranking")
         if src in estimates:
-            raise InvalidArgument(f"source {src!r} repeated")
+            raise InvalidArgument(f"{path}:{lineno}: source {src!r} repeated")
         estimates[src] = value
-
-    _read_rows(path, ",", row)
     missing = [src for src in sources if src not in estimates]
     if missing:
         raise InvalidArgument(f"{path}: no estimate for source "
@@ -272,15 +293,11 @@ def _read_estimates(path: Path, sources: Sequence[str]) -> Dict[str, float]:
 def _read_ratings(path: Path) -> Dict[str, float]:
     """One `node,rating` row for each rated node."""
     ratings: Dict[str, float] = {}
-    parse = _fields("node,rating", str, _nonnegative)
-
-    def row(fields: List[str]) -> None:
-        node, value = parse(fields)
+    for lineno, (node, value) in _read_rows(path, ",", _fields("node,rating", str,
+                                                               _nonnegative)):
         if node in ratings:
-            raise InvalidArgument(f"node {node!r} repeated")
+            raise InvalidArgument(f"{path}:{lineno}: node {node!r} repeated")
         ratings[node] = value
-
-    _read_rows(path, ",", row)
     return ratings
 
 
@@ -291,7 +308,7 @@ def _load_template_dir(dir_path: Path) -> Tuple[List[templates.Template], List[P
     bank = []
     files = sorted(dir_path.glob("*.csv"))
     for p in files:
-        samples = np.ravel(_read_rows(p, ",", _fields("one sample", _finite)))
+        samples = [v for _, (v,) in _read_rows(p, ",", _fields("one sample", _finite))]
         try:
             bank.append(templates.Template(samples, name=p.stem))
         except InvalidArgument as exc:
@@ -302,7 +319,7 @@ def _load_template_dir(dir_path: Path) -> Tuple[List[templates.Template], List[P
 
 
 def _fingerprint(paths: Sequence[Path]) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for p in paths:
         h.update(p.read_bytes())
     return h.hexdigest()
@@ -362,7 +379,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     actions = {a.dest: a for a in args._subparser._actions if a.dest != "help"}
 
-    def entry(fields: List[str]) -> None:
+    def entry(fields: List[str]) -> Optional[Tuple[str, object]]:
+        """(flag, typed value) of an entry; None for a flag already set."""
         if len(fields) < 2:
             raise InvalidArgument("expected key=value")
         key, value = fields[0].replace("-", "_"), "=".join(fields[1:])
@@ -370,21 +388,22 @@ def _apply_config(args: argparse.Namespace) -> None:
         if action is None:
             raise InvalidArgument(f"unknown key {key!r}")
         if getattr(args, key) != action.default:
-            return
+            return None
         if isinstance(action.default, bool):
             if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
                 raise InvalidArgument(f"bad value {value!r} for {key}")
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-            return
+            return key, value.lower() in ("1", "true", "yes")
         try:
             typed = (action.type or str)(value)
         except (ValueError, argparse.ArgumentTypeError):
             raise InvalidArgument(f"bad value {value!r} for {key}") from None
         if action.choices and typed not in action.choices:
             raise InvalidArgument(f"{key} must be one of " + ", ".join(action.choices))
-        setattr(args, key, typed)
+        return key, typed
 
-    _read_rows(Path(args.config), "=", entry)
+    for _, setting in _read_rows(Path(args.config), "=", entry):
+        if setting:
+            setattr(args, *setting)
 
 
 def _curve_json(x: TimeSeries) -> Dict:
@@ -626,8 +645,8 @@ GRAPH_OPS: Dict[str, Callable] = {
 def cmd_graph(args, out_dir: Path) -> int:
     ops = _parse_ops(args.ops, GRAPH_OPS)
     edges_path = Path(args.edges)
-    citations = _read_rows(edges_path, "\t", _fields(
-        "from<TAB>to[<TAB>count]", str, str, _positive_int, optional=1))
+    citations = [row for _, row in _read_rows(edges_path, "\t", _fields(
+        "from<TAB>to[<TAB>count]", str, str, _positive_int, optional=1))]
     inputs = [edges_path]
     ratings = None
     if args.ratings:

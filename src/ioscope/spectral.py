@@ -16,8 +16,8 @@ __all__ = ["Spectrum", "dft", "idft", "gabor", "sinusoid_filter"]
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided discrete spectrum: frequencies in cycles per tick
-    (0..0.5) and the matching complex coefficients.
+    """One-sided discrete spectrum: frequencies in cycles per unit time
+    (0..0.5/step) and the matching complex coefficients.
 
     ``length`` keeps the original sample count so the inverse transform
     can restore odd-length series exactly.
@@ -44,7 +44,7 @@ def dft(x: TimeSeries) -> Spectrum:
     if len(x) < 2:
         raise InvalidArgument("series too short for a spectrum")
     coeffs = np.fft.rfft(x.values)
-    freqs = np.fft.rfftfreq(len(x))
+    freqs = np.fft.rfftfreq(len(x), d=x.step)
     return Spectrum(freqs=freqs, coeffs=coeffs, length=len(x), step=x.step)
 
 

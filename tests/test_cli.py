@@ -302,6 +302,20 @@ class TestAnalyze:
             np.testing.assert_array_equal(results["leaders"][name],
                                           getattr(want, name))
 
+    def test_dft_frequencies_per_unit_time(self, tmp_path):
+        # 0.5 cycles per unit time sampled every 0.25: bin 32 of 256
+        n, step = 256, 0.25
+        t = step * np.arange(n)
+        path = write_series_csv(tmp_path / "x.csv", np.sin(np.pi * t),
+                                timestamps=t)
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--input", path, "--ops", "dft",
+                     "--out", out]) == 0
+        block = load_report(out)["results"]["dft"]
+        np.testing.assert_array_equal(block["freqs"], np.fft.rfftfreq(n, step))
+        assert block["freqs"][-1] == 2.0
+        assert block["freqs"][int(np.argmax(block["amplitude"]))] == 0.5
+
     @pytest.mark.parametrize("n,warned", [(199, True), (200, False)])
     def test_hurst_warns_below_200_samples(self, tmp_path, n, warned):
         path = write_series_csv(tmp_path / "x.csv",
@@ -899,6 +913,42 @@ def test_runtime_loads_only_numpy_and_the_standard_library():
     assert {"ioscope", "numpy"} <= loaded
     assert "networkx" not in loaded
     assert loaded - set(sys.stdlib_module_names) == {"ioscope", "numpy"}
+
+
+def test_runs_load_no_openssl(tmp_path, rng):
+    """analyze, fuse, graph and scan take the input fingerprint from
+    CPython's built-in SHA-256, so no run maps OpenSSL through hashlib's
+    _hashlib, and the digest is hashlib's. simulate is left out: its
+    numpy.random imports secrets, which loads _hashlib itself."""
+    x = write_series_csv(tmp_path / "x.csv", rng.poisson(3.0, 300))
+    y = write_series_csv(tmp_path / "y.csv", rng.poisson(3.0, 300))
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for name, k in (("a", 1.0), ("b", 2.0)):
+        (bank / f"{name}.csv").write_text(
+            "".join(f"{v!r}\n" for v in np.sin(k * np.arange(12.0)).tolist()))
+    ranks = write_rankings(tmp_path / "r.csv", [("s1", "a", 1), ("s1", "b", 2),
+                                                ("s2", "b", 1), ("s2", "a", 2)])
+    edges = write_edges(tmp_path / "e.tsv", [("a", "b", 2), ("b", "c", 1)])
+    runs = [["analyze", "--input", x, "--input2", y, "--ops", "sma,dft,ccf"],
+            ["fuse", "--rankings", ranks, "--method", "kemeny"],
+            ["graph", "--edges", edges, "--ops", "stats,hits"],
+            ["scan", "--input", x, "--templates", str(bank), "--scales", "5:9:2"]]
+    outs = [str(tmp_path / f"o{i}") for i in range(len(runs))]
+    runs = [argv + ["--out", out] for argv, out in zip(runs, outs)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, sys\n"
+             "from ioscope.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, '_hashlib' in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[0] * len(runs), False]
+    files = {0: [x, y], 3: [x, bank / "a.csv", bank / "b.csv"]}
+    for i, paths in files.items():
+        want = hashlib.sha256(b"".join(Path(p).read_bytes() for p in paths))
+        assert load_report(outs[i])["input_fingerprint"] == want.hexdigest()
 
 
 def test_ops_load_no_numpy_ma(tmp_path, rng):

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ioscope.cli import build_parser, main
+from ioscope.cli import build_parser, main, read_series_csv
+from ioscope.errors import InvalidArgument
 
 SERIES = "value\n" + "".join(f"{np.sin(0.3 * i) + 0.01 * i:.6f}\n"
                              for i in range(64))
@@ -276,6 +278,101 @@ def test_simulate_large_e0_exits_3_at_once(tmp_path, e0):
     assert len(lines) == 1 and lines[0].startswith(
         f"ioscope: exact agent chain from e0 = {e0} over"), err
     assert peak < 2 ** 25
+
+
+# The row reader, pinned through the series format. A line ends at every
+# separator str.splitlines knows, and line numbers count blank, '#' and
+# header lines.
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0c", "\u2028"],
+                         ids=["lf", "crlf", "cr", "ff", "u2028"])
+def test_reader_line_separators(tmp_path, sep):
+    path = Path(write(tmp_path / "x.csv", sep.join(["value", "1", "2", "3", ""])))
+    assert read_series_csv(path).values.tolist() == [1.0, 2.0, 3.0]
+    write(path, sep.join(["value", "1", "# note", "", "x", "2"]))
+    with pytest.raises(InvalidArgument, match=rf"^{re.escape(str(path))}:5: "):
+        read_series_csv(path)
+
+
+def test_reader_skips_blank_and_comment_lines(tmp_path):
+    path = Path(write(tmp_path / "x.csv", "value\n\n# c,1\n 4 \n  \n#\n\t5\n#6\n"))
+    x = read_series_csv(path)
+    assert x.values.tolist() == [4.0, 5.0]
+    assert (x.step, x.origin, x.label) == (1.0, None, "x")
+
+
+@pytest.mark.parametrize("text,lineno", [("1\nvalue\n2\n", 2),
+                                         ("# c\nvalue\n1\n2\n", 2),
+                                         ("\nvalue\n1\n2\n", 2)])
+def test_reader_skips_a_header_on_line_1_only(tmp_path, text, lineno):
+    path = Path(write(tmp_path / "x.csv", text))
+    with pytest.raises(InvalidArgument) as err:
+        read_series_csv(path)
+    assert str(err.value) == (f"{path}:{lineno}: could not convert string "
+                              "to float: 'value'")
+
+
+@pytest.mark.parametrize("row,message", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ("nan", "nan is not a finite number"),
+    ("-inf", "-inf is not a finite number"),
+    ("1e400", "1e400 is not a finite number"),
+    ("2,3,4", "want value or timestamp,value"),
+    ("", None)])
+def test_reader_names_the_bad_line(tmp_path, row, message):
+    path = Path(write(tmp_path / "x.csv", f"value\n1\n2\n{row}\n3\n"))
+    if message is None:
+        assert read_series_csv(path).values.tolist() == [1.0, 2.0, 3.0]
+        return
+    with pytest.raises(InvalidArgument) as err:
+        read_series_csv(path)
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1,1\n2\n", "mixed column counts"),
+    ("1\n2,2\n3\n", "mixed column counts"),
+    ("value\n1\n", "need at least 2 samples"),
+    ("value\n", "need at least 2 samples"),
+    ("", "need at least 2 samples"),
+    ("0,1\n1,2\n3,3\n", "timestamps not uniformly spaced"),
+    ("0,1\n0,2\n", "timestamps not uniformly spaced")])
+def test_reader_file_level_errors(tmp_path, text, message):
+    path = Path(write(tmp_path / "x.csv", text))
+    with pytest.raises(InvalidArgument) as err:
+        read_series_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_reader_bad_line_beats_mixed_columns(tmp_path):
+    path = Path(write(tmp_path / "x.csv", "1,1\n2\n3,x\n"))
+    with pytest.raises(InvalidArgument, match=r":3: could not convert"):
+        read_series_csv(path)
+
+
+def test_reader_timestamps(tmp_path):
+    path = Path(write(tmp_path / "s.csv",
+                      "timestamp,value\n0.5, 1\n0.75,2\r\n1.0 ,-3e-2\n"))
+    x = read_series_csv(path)
+    assert x.values.tolist() == [1.0, 2.0, -0.03]
+    assert (x.step, x.origin, x.label) == (0.25, 0.5, "s")
+    assert x.values.flags.c_contiguous
+
+
+def test_reader_holds_no_per_row_objects(tmp_path):
+    """Reading 2^16 daily counts peaks below four times the bytes of the
+    values: the rows stream into one array, and the file's text (about
+    four bytes a row here) is the only other thing held."""
+    counts = np.random.default_rng(5).poisson(60.0, 2 ** 16)
+    path = Path(write(tmp_path / "x.csv",
+                      "value\n" + "".join(f"{c}\n" for c in counts)))
+    tracemalloc.start()
+    try:
+        x = read_series_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(x.values, counts)
+    assert peak < 4 * x.values.nbytes, peak / x.values.nbytes
 
 
 # Fuzzed file contents: rows of plausible and arbitrary fields in the
