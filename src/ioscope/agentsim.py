@@ -15,7 +15,6 @@ __all__ = [
     "SimConfig",
     "SimOutcome",
     "make_phi",
-    "transition_row",
     "lifespan_survival",
     "simulate_population",
     "like_count_distribution",
@@ -107,22 +106,6 @@ def _moves(mass: np.ndarray, p: np.ndarray):
                         (unliked * repost, 1), (unliked * no_repost, -1)):
         yield delta, part * no_dislike
         yield delta - 1, part * dislike
-
-
-def transition_row(e, cfg: SimConfig) -> np.ndarray:
-    """Distribution of the energy increment delta in {2, 1, 0, -1, -2};
-    ``e`` is an energy or an array of them, with one row per energy.
-
-    A live message loses one energy unit per tick; an (independent) like
-    restores it, a dislike takes one more and a repost adds two.
-    """
-    if np.any(np.asarray(e) <= 0):
-        raise InvalidArgument("transition defined for live agents (E > 0)")
-    p = _event_probs(cfg, np.reshape(e, (-1, 1)))
-    row = np.zeros((p.shape[1], 5))
-    for delta, part in _moves(np.ones((p.shape[1], 1)), p):
-        row[:, 2 - delta] += part[:, 0]
-    return row.reshape(np.shape(e) + (5,))
 
 
 def _forward(e0: int, cfg: SimConfig, t: int, likes: bool):

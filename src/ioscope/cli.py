@@ -249,7 +249,10 @@ def read_series_csv(path: Path) -> TimeSeries:
     step, origin = 1.0, None
     if len(first) == 2:
         stamps = table[:, 0]
-        diffs = np.diff(stamps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = np.diff(stamps)
+        if not np.all(np.isfinite(diffs)):
+            raise InvalidArgument(f"{path}: timestamp spacing is not finite")
         if (np.any(diffs <= 0)
                 or np.max(np.abs(diffs - diffs[0])) > 1e-9 * max(1.0, abs(diffs[0]))):
             raise InvalidArgument(f"{path}: timestamps not uniformly spaced")

@@ -21,10 +21,6 @@ class DegenerateEstimates(IoscopeError):
     """All expert estimates are zero, so no weights can be formed."""
 
 
-class IllConditionedBasis(IoscopeError):
-    """The correlant system of a template basis is numerically singular."""
-
-
 class InsufficientScales(IoscopeError):
     """Too few usable scale values remain for a log-log regression."""
 

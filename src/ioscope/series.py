@@ -1,4 +1,5 @@
-"""Time-series container, smoothing operators, and basic sample statistics."""
+"""Time-series and scale-field containers, smoothing operators, and the
+FFT correlation helper the transforms share."""
 
 from __future__ import annotations
 
@@ -13,9 +14,7 @@ __all__ = [
     "TimeSeries",
     "ScaleField",
     "smooth",
-    "smoothing_field",
     "deseasonalize_weekly",
-    "sample_stats",
 ]
 
 
@@ -38,8 +37,8 @@ class TimeSeries:
             raise InvalidArgument("series must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(v)):
             raise InvalidArgument("series contains NaN or infinite samples")
-        if not (self.step > 0):
-            raise InvalidArgument("step must be positive")
+        if not (0 < self.step < np.inf):
+            raise InvalidArgument("step must be positive and finite")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -76,8 +75,8 @@ class ScaleField:
 
     A NaN cell is undefined (a window that does not fit, a zero
     denominator); every other cell is defined. ``kind`` tags the producing
-    operation (smoothing | cwt | scalogram | deltaL | corr-diagram |
-    coherence | crwt | gabor | diffmod | ratiomod | phase-diff).
+    operation (cwt | scalogram | coherence | gabor | deltaL | wtmm-mod |
+    corr-diagram).
     """
 
     rows: np.ndarray
@@ -100,10 +99,6 @@ class ScaleField:
     def mask(self) -> np.ndarray:
         """True where a cell is defined (not NaN)."""
         return ~np.isnan(self.cells)
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.cells)
 
     @property
     def col_step(self) -> float:
@@ -219,27 +214,9 @@ def smooth(series: TimeSeries, method: str,
     raise InvalidArgument(f"unknown smoothing method {method!r}")
 
 
-def smoothing_field(series: TimeSeries, method: str,
-                    param_grid: Sequence) -> ScaleField:
-    """Stack smoothed versions of one series over a parameter grid."""
-    grid = list(param_grid)
-    if not grid:
-        raise InvalidArgument("parameter grid must be non-empty")
-    cells = np.vstack([smooth(series, method, p).values for p in grid])
-    return ScaleField(rows=np.asarray(grid, dtype=float),
-                      cols=series.times, cells=cells, kind="smoothing")
-
-
 def deseasonalize_weekly(series: TimeSeries) -> TimeSeries:
     """Remove the weekly period by a centered 7-sample moving average."""
     if len(series) < 7:
         raise InvalidArgument("series shorter than one week")
     return smooth(series, "sma", 7)
 
-
-def sample_stats(series: TimeSeries) -> tuple[float, float]:
-    """Sample mean and biased sample variance (divisor T)."""
-    x = series.values
-    mean = float(x.mean())
-    var = float(np.mean((x - mean) ** 2))
-    return mean, var

@@ -1,5 +1,5 @@
-"""IO-phase template bank, resampling, correlation-diagram detection, and
-polynomial template recognition with an efficiency score."""
+"""IO-phase template bank, resampling, correlation diagrams, and the
+multi-scale scan detector over them."""
 
 from __future__ import annotations
 
@@ -8,19 +8,16 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateSignal, IllConditionedBasis, InvalidArgument)
+from .errors import InvalidArgument
 from .series import ScaleField, TimeSeries
 
 __all__ = [
     "Template",
-    "KuntchenkoBasis",
     "io_phase_template",
     "snake_template",
     "builtin_bank",
     "resample_template",
     "correlation_diagram",
-    "kuntchenko_fit",
-    "kuntchenko_efficiency",
     "scan_detect",
     "Detection",
 ]
@@ -163,80 +160,6 @@ def correlation_diagram(x: TimeSeries, t: Template,
     return ScaleField(rows=np.asarray(ks, dtype=float),
                       cols=np.arange(T, dtype=float),
                       cells=cells, kind="corr-diagram")
-
-
-@dataclass(frozen=True)
-class KuntchenkoBasis:
-    """Linearly independent transforms over a fixed window length.
-
-    ``transforms[0]`` must be the constant-one sequence; the remaining
-    rows are the non-constant transforms the signal is projected onto.
-    """
-
-    transforms: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.transforms, dtype=float)
-        if f.ndim != 2 or f.shape[0] < 2:
-            raise InvalidArgument("basis needs the constant transform plus "
-                                  "at least one non-constant transform")
-        if not np.allclose(f[0], f[0][0]) or f[0][0] == 0:
-            raise InvalidArgument("transforms[0] must be a constant sequence")
-        norms = np.linalg.norm(f, axis=1)
-        if np.any(norms == 0):
-            raise InvalidArgument("zero transform in basis")
-        gram = (f / norms[:, None]) @ (f / norms[:, None]).T
-        if abs(np.linalg.det(gram)) <= 1e-12:
-            raise InvalidArgument("basis transforms are linearly dependent")
-        object.__setattr__(self, "transforms", f)
-
-    @property
-    def window_length(self) -> int:
-        return self.transforms.shape[1]
-
-
-def _solve_correlants(signal: np.ndarray, basis: KuntchenkoBasis):
-    """The signal as floats, the solution c_1..c_n of the centered-correlant
-    system F c = rhs, and its right-hand side rhs[i] = F[i, s]."""
-    sig = np.asarray(signal, dtype=float)
-    if sig.size != basis.window_length:
-        raise InvalidArgument("signal length does not match basis window")
-    f0, fs = basis.transforms[0], basis.transforms[1:]
-    d00 = float(f0 @ f0)
-    proj = (fs @ f0) / d00  # mean-like component of each transform
-    sproj = float(sig @ f0) / d00
-    F = fs @ fs.T - np.outer(proj, proj) * d00
-    rhs = fs @ sig - proj * sproj * d00
-    if np.linalg.cond(F) > 1e12:
-        raise IllConditionedBasis("correlant system is numerically singular")
-    return sig, np.linalg.solve(F, rhs), rhs
-
-
-def kuntchenko_fit(signal: np.ndarray, basis: KuntchenkoBasis) -> np.ndarray:
-    """Least-distance polynomial coefficients c_0..c_n.
-
-    c_1..c_n solve the centered-correlant system; c_0 follows from the
-    closed form with the Euclidean inner product over the window.
-    """
-    sig, c, _ = _solve_correlants(signal, basis)
-    f = basis.transforms
-    c0 = (sig @ f[0] - c @ (f[1:] @ f[0])) / (f[0] @ f[0])
-    return np.concatenate(([c0], c))
-
-
-def kuntchenko_efficiency(signal: np.ndarray, basis: KuntchenkoBasis) -> float:
-    """Approximation-quality indicator d_n in [0, 1].
-
-    Computed from the centered correlants (the fraction of the signal's
-    centered energy captured by the fitted polynomial), which makes the
-    in-span value exactly 1 and the centered-orthogonal value exactly 0.
-    """
-    sig, c, rhs = _solve_correlants(signal, basis)
-    f0 = basis.transforms[0]
-    s_energy = float(sig @ sig) - (float(sig @ f0) ** 2) / float(f0 @ f0)
-    if s_energy <= 0:
-        raise DegenerateSignal("signal has zero energy after centering")
-    return float(c @ rhs / s_energy)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ __all__ = [
     "cwt",
     "icwt",
     "scalogram",
-    "energy_by_scale",
-    "compare_fields",
     "wcc_measure",
     "wavelet_coherence",
 ]
@@ -170,47 +168,6 @@ def scalogram(fld: ScaleField) -> ScaleField:
         raise InvalidArgument("scalogram requires a cwt field")
     return ScaleField(rows=fld.rows, cols=fld.cols,
                       cells=np.abs(fld.cells) ** 2, kind="scalogram")
-
-
-def energy_by_scale(fld: ScaleField, w: Wavelet) -> np.ndarray:
-    """Energy distribution by scale E(s) = (1/C_g) sum_l |W(s,l)|^2 dl."""
-    if fld.kind != "cwt":
-        raise InvalidArgument("energy distribution requires a cwt field")
-    return np.sum(np.abs(fld.cells) ** 2, axis=1) * fld.col_step / w.admissibility
-
-
-def compare_fields(wx: ScaleField, wy: ScaleField, metric: str) -> ScaleField:
-    """Cellwise comparison of two transform fields.
-
-    Metrics: ``diffmod`` |Wx|-|Wy|; ``ratiomod`` |Wx|/|Wy| (undefined where
-    |Wy| < 1e-12); ``phase-diff`` (complex fields only, wrapped to
-    (-pi, pi]); ``crwt`` the cross-wavelet product Wx* Wy.
-    """
-    if not wx.same_grid(wy):
-        raise InvalidArgument("fields are on different (scale, location) grids")
-    if metric == "diffmod":
-        cells = np.abs(wx.cells) - np.abs(wy.cells)
-        kind = "diffmod"
-    elif metric == "ratiomod":
-        denom = np.abs(wy.cells)
-        ok = denom >= 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cells = np.where(ok, np.abs(wx.cells) / np.where(ok, denom, 1.0), np.nan)
-        kind = "ratiomod"
-    elif metric == "phase-diff":
-        if not (wx.is_complex and wy.is_complex):
-            raise InvalidArgument("phase comparison requires complex fields")
-        d = np.angle(wx.cells) - np.angle(wy.cells)
-        cells = np.angle(np.exp(1j * d))  # wrap into (-pi, pi]
-        # np.angle wraps into [-pi, pi); fold -pi onto +pi
-        cells = np.where(cells == -np.pi, np.pi, cells)
-        kind = "phase-diff"
-    elif metric == "crwt":
-        cells = np.conj(wx.cells) * wy.cells
-        kind = "crwt"
-    else:
-        raise InvalidArgument(f"unknown comparison metric {metric!r}")
-    return ScaleField(rows=wx.rows, cols=wx.cols, cells=cells, kind=kind)
 
 
 def wcc_measure(wx: ScaleField, wy: ScaleField) -> np.ndarray:

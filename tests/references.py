@@ -1,5 +1,6 @@
 """Slow reference implementations that tests compare the library against."""
 
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -555,6 +556,83 @@ def io_phase_samples_two_branch(length: int, variant: str, a: float = 0.0,
     damp = np.exp(-tail_damping * (x[tail] - x_peak))
     y[tail] = a + b * x[tail] * np.sin(x[tail]) * damp
     return y
+
+
+@dataclass(frozen=True)
+class KuntchenkoBasis:
+    """Linearly independent transforms over a fixed window length, for the
+    Kuntchenko least-distance polynomial fit. Over the basis {1, p} the
+    fit's efficiency is the squared correlation of the window with p, so
+    it checks ``templates.correlation_diagram`` without window norms.
+
+    ``transforms[0]`` must be the constant-one sequence; the remaining
+    rows are the non-constant transforms the signal is projected onto.
+    """
+
+    transforms: np.ndarray
+
+    def __post_init__(self):
+        f = np.asarray(self.transforms, dtype=float)
+        if f.ndim != 2 or f.shape[0] < 2:
+            raise InvalidArgument("basis needs the constant transform plus "
+                                  "at least one non-constant transform")
+        if not np.allclose(f[0], f[0][0]) or f[0][0] == 0:
+            raise InvalidArgument("transforms[0] must be a constant sequence")
+        norms = np.linalg.norm(f, axis=1)
+        if np.any(norms == 0):
+            raise InvalidArgument("zero transform in basis")
+        gram = (f / norms[:, None]) @ (f / norms[:, None]).T
+        if abs(np.linalg.det(gram)) <= 1e-12:
+            raise InvalidArgument("basis transforms are linearly dependent")
+        object.__setattr__(self, "transforms", f)
+
+    @property
+    def window_length(self) -> int:
+        return self.transforms.shape[1]
+
+
+def _solve_correlants(signal: np.ndarray, basis: KuntchenkoBasis):
+    """The signal as floats, the solution c_1..c_n of the centered-correlant
+    system F c = rhs, and its right-hand side rhs[i] = F[i, s]."""
+    sig = np.asarray(signal, dtype=float)
+    if sig.size != basis.window_length:
+        raise InvalidArgument("signal length does not match basis window")
+    f0, fs = basis.transforms[0], basis.transforms[1:]
+    d00 = float(f0 @ f0)
+    proj = (fs @ f0) / d00  # mean-like component of each transform
+    sproj = float(sig @ f0) / d00
+    F = fs @ fs.T - np.outer(proj, proj) * d00
+    rhs = fs @ sig - proj * sproj * d00
+    if np.linalg.cond(F) > 1e12:
+        raise InvalidArgument("correlant system is numerically singular")
+    return sig, np.linalg.solve(F, rhs), rhs
+
+
+def kuntchenko_fit(signal: np.ndarray, basis: KuntchenkoBasis) -> np.ndarray:
+    """Least-distance polynomial coefficients c_0..c_n.
+
+    c_1..c_n solve the centered-correlant system; c_0 follows from the
+    closed form with the Euclidean inner product over the window.
+    """
+    sig, c, _ = _solve_correlants(signal, basis)
+    f = basis.transforms
+    c0 = (sig @ f[0] - c @ (f[1:] @ f[0])) / (f[0] @ f[0])
+    return np.concatenate(([c0], c))
+
+
+def kuntchenko_efficiency(signal: np.ndarray, basis: KuntchenkoBasis) -> float:
+    """Approximation-quality indicator d_n in [0, 1].
+
+    Computed from the centered correlants (the fraction of the signal's
+    centered energy captured by the fitted polynomial), which makes the
+    in-span value exactly 1 and the centered-orthogonal value exactly 0.
+    """
+    sig, c, rhs = _solve_correlants(signal, basis)
+    f0 = basis.transforms[0]
+    s_energy = float(sig @ sig) - (float(sig @ f0) ** 2) / float(f0 @ f0)
+    if s_energy <= 0:
+        raise DegenerateSignal("signal has zero energy after centering")
+    return float(c @ rhs / s_energy)
 
 
 def scan_detect_loop(x: TimeSeries, bank: Sequence[Template],

@@ -25,13 +25,12 @@ from ioscope.rankfuse import (Ranking, borda, condorcet, kemeny_distance,
                               kemeny_median, source_weights)
 from ioscope.series import TimeSeries
 from ioscope.spectral import sinusoid_filter
-from ioscope.templates import (KuntchenkoBasis, io_phase_template,
-                               kuntchenko_efficiency, kuntchenko_fit,
-                               resample_template, scan_detect)
+from ioscope.templates import io_phase_template, resample_template, scan_detect
 from ioscope.wavelet import cwt, get_wavelet, icwt
 
 from conftest import write_series_csv
-from references import cwt_direct
+from references import (KuntchenkoBasis, cwt_direct, kuntchenko_efficiency,
+                        kuntchenko_fit)
 
 MFDFA_SCALES = np.unique(np.geomspace(20, 120, 25).astype(int))
 DYADIC_SCALES = [512, 1024, 2048, 4096]

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ioscope.agentsim import (SimConfig, like_count_distribution,
+from ioscope.agentsim import (SimConfig, _forward, like_count_distribution,
                               lifespan_survival, make_phi,
-                              simulate_population, transition_row,
-                              weibull_mle)
+                              simulate_population, weibull_mle)
 from ioscope.errors import InvalidArgument, NoConvergence
 
 from references import (like_count_distribution_loop,
@@ -72,12 +71,21 @@ class TestSimConfig:
 
 
 class TestTransitionRow:
+    """The one-tick distribution of the energy change, read from the
+    exact chain run forward one tick."""
+
+    @staticmethod
+    def row(e, cfg):
+        # live row i holds energy i: energies e + 2 down to e - 2 (e >= 3)
+        live, _ = _forward(e, cfg, 1, likes=False)
+        return live[e + 2:e - 3:-1, 0]
+
     def test_reference_case(self):
-        row = transition_row(10, BASE_CFG)
+        row = self.row(10, BASE_CFG)
         np.testing.assert_allclose(row, [0.04, 0.06, 0.36, 0.54, 0.0], atol=1e-12)
 
     def test_certain_decay(self):
-        row = transition_row(5, SimConfig(p_l0=0.0, p_r0=0.0))
+        row = self.row(5, SimConfig(p_l0=0.0, p_r0=0.0))
         np.testing.assert_allclose(row, [0, 0, 0, 1, 0])
 
     def test_sums_to_one(self, rng):
@@ -85,27 +93,18 @@ class TestTransitionRow:
             cfg = SimConfig(p_l0=float(rng.uniform()),
                             p_r0=float(rng.uniform()),
                             phi="saturating", phi_e_ref=8.0)
-            assert transition_row(int(rng.integers(1, 30)), cfg).sum() \
-                == pytest.approx(1.0, abs=1e-12)
+            # from e <= 2 part of the mass dies and lands in ``dead``
+            live, dead = _forward(int(rng.integers(1, 30)), cfg, 1, likes=False)
+            assert live.sum() + dead.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dislikes_hand_value(self):
         # delta = -2 is decay and a dislike with neither a like nor a repost
         cfg = SimConfig(p_l0=0.4, p_d0=0.5, p_r0=0.1)
-        row = transition_row(10, cfg)
+        row = self.row(10, cfg)
         assert row[4] == pytest.approx(0.6 * 0.9 * 0.5, abs=1e-15)
         np.testing.assert_allclose(
             row, [0.02, 0.03 + 0.02, 0.18 + 0.03, 0.27 + 0.18, 0.27],
             atol=1e-15)
-
-    def test_one_row_per_energy(self):
-        cfg = SimConfig(p_l0=0.4, p_d0=0.2, p_r0=0.1, phi="saturating")
-        rows = transition_row(np.array([[2, 5], [10, 30]]), cfg)
-        assert rows.shape == (2, 2, 5)
-        np.testing.assert_array_equal(rows[1, 0], transition_row(10, cfg))
-
-    def test_nonpositive_energy(self):
-        with pytest.raises(InvalidArgument):
-            transition_row(0, BASE_CFG)
 
 
 class TestLifespanSurvival:

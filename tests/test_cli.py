@@ -1,8 +1,10 @@
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import ioscope
 from ioscope.agentsim import SimConfig, lifespan_survival
 from ioscope import cli, spectral, wavelet
 from ioscope.cli import (Q_MFDFA, Q_WAVELET, _CHUNK, _dump, _json_default,
@@ -356,7 +359,7 @@ def per_cell_write_matrix_csv(path, fld):
     def fmt(x):
         return "" if not np.isfinite(x) else format(float(x), ".12g")
 
-    cells = np.abs(fld.cells) if fld.is_complex else fld.cells
+    cells = np.abs(fld.cells) if np.iscomplexobj(fld.cells) else fld.cells
     with open(path, "w") as fh:
         fh.write("," + ",".join(fmt(c) for c in fld.cols) + "\n")
         for r in range(fld.rows.size):
@@ -913,6 +916,17 @@ def test_runtime_loads_only_numpy_and_the_standard_library():
     assert {"ioscope", "numpy"} <= loaded
     assert "networkx" not in loaded
     assert loaded - set(sys.stdlib_module_names) == {"ioscope", "numpy"}
+
+
+@pytest.mark.parametrize("module", ["ioscope"] + sorted(
+    "ioscope." + m.name for m in pkgutil.iter_modules(ioscope.__path__)))
+def test_public_names_resolve(module):
+    """Every name a module lists in ``__all__`` exists, so that a star
+    import of the module works."""
+    names = getattr(importlib.import_module(module), "__all__", [])
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def test_runs_load_no_openssl(tmp_path, rng):

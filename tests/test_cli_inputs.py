@@ -335,7 +335,8 @@ def test_reader_names_the_bad_line(tmp_path, row, message):
     ("value\n", "need at least 2 samples"),
     ("", "need at least 2 samples"),
     ("0,1\n1,2\n3,3\n", "timestamps not uniformly spaced"),
-    ("0,1\n0,2\n", "timestamps not uniformly spaced")])
+    ("0,1\n0,2\n", "timestamps not uniformly spaced"),
+    ("-1e308,1\n1e308,2\n1.5e308,3\n", "timestamp spacing is not finite")])
 def test_reader_file_level_errors(tmp_path, text, message):
     path = Path(write(tmp_path / "x.csv", text))
     with pytest.raises(InvalidArgument) as err:

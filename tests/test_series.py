@@ -1,11 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ioscope.errors import InvalidArgument
-from ioscope.series import (TimeSeries, _distinct, deseasonalize_weekly,
-                            sample_stats, smooth, smoothing_field)
+from ioscope.series import TimeSeries, _distinct, deseasonalize_weekly, smooth
 
 finite_arrays = arrays(
     np.float64,
@@ -30,6 +31,10 @@ class TestTimeSeries:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(InvalidArgument):
             TimeSeries([1.0, 2.0], step=0.0)
+
+    def test_rejects_infinite_step(self):
+        with pytest.raises(InvalidArgument):
+            TimeSeries([1.0, 2.0], step=math.inf)
 
     def test_length(self):
         assert len(TimeSeries([1.0, 2.0, 3.0])) == 3
@@ -87,27 +92,6 @@ class TestSmooth:
         np.testing.assert_allclose(defined, c, atol=1e-9 * (1 + abs(c)))
 
 
-class TestSmoothingField:
-    def test_constant_series(self):
-        x = TimeSeries(np.full(30, 4.0))
-        fld = smoothing_field(x, "sma", [2, 7, 12, 18])
-        assert fld.kind == "smoothing"
-        np.testing.assert_allclose(fld.cells[fld.mask], 4.0)
-
-    def test_rows_match_individual_calls(self):
-        x = TimeSeries(np.sin(np.arange(40.0)))
-        grid = [2, 7, 12, 18]
-        fld = smoothing_field(x, "sma", grid)
-        for r, w in enumerate(grid):
-            row = np.where(fld.mask[r], fld.cells[r], np.nan)
-            np.testing.assert_allclose(row, smooth(x, "sma", w).values,
-                                       equal_nan=True)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidArgument):
-            smoothing_field(TimeSeries([1.0, 2.0]), "sma", [])
-
-
 class TestDeseasonalize:
     def test_weekly_square_wave(self):
         base = np.array([0, 0, 0, 0, 7, 7, 7], float)
@@ -129,26 +113,6 @@ class TestDeseasonalize:
     def test_too_short(self):
         with pytest.raises(InvalidArgument):
             deseasonalize_weekly(TimeSeries([1.0] * 6))
-
-
-class TestSampleStats:
-    def test_constant(self):
-        assert sample_stats(TimeSeries([5.0, 5.0, 5.0])) == (5.0, 0.0)
-
-    def test_two_points(self):
-        mean, var = sample_stats(TimeSeries([0.0, 2.0]))
-        assert mean == pytest.approx(1.0)
-        assert var == pytest.approx(1.0)  # biased divisor T
-
-    def test_single_sample(self):
-        assert sample_stats(TimeSeries([1.0])) == (1.0, 0.0)
-
-    @given(finite_arrays, st.floats(min_value=-100, max_value=100))
-    def test_shift_invariance_of_variance(self, vals, c):
-        _, v0 = sample_stats(TimeSeries(vals))
-        _, v1 = sample_stats(TimeSeries(vals + c))
-        assert v0 >= 0
-        assert v1 == pytest.approx(v0, abs=1e-6 * (1 + abs(v0)))
 
 
 class TestWithValues:

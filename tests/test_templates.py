@@ -3,12 +3,13 @@ import pytest
 
 from ioscope.errors import DegenerateSignal, InvalidArgument
 from ioscope.series import TimeSeries
-from ioscope.templates import (KuntchenkoBasis, Template, builtin_bank,
-                               correlation_diagram, io_phase_template,
-                               kuntchenko_efficiency, kuntchenko_fit,
-                               resample_template, scan_detect, snake_template)
+from ioscope.templates import (Template, builtin_bank, correlation_diagram,
+                               io_phase_template, resample_template,
+                               scan_detect, snake_template)
 
-from references import io_phase_samples_two_branch, scan_detect_loop
+from references import (KuntchenkoBasis, io_phase_samples_two_branch,
+                        kuntchenko_efficiency, kuntchenko_fit,
+                        scan_detect_loop)
 
 
 def embed(rng, tpl_samples, n, offset, noise_scale=0.0):
@@ -158,6 +159,23 @@ class TestCorrelationDiagram:
         for r, k in enumerate(range(4, 9)):
             if k != 5:
                 assert fld.mask[r, :60 - k + 1].all()
+
+
+    @pytest.mark.parametrize("tpl", builtin_bank(), ids=lambda t: t.name)
+    def test_cells_match_kuntchenko_efficiency(self, tpl):
+        # over the basis {1, p_k} the least-distance fit's efficiency is the
+        # squared correlation of the window with the resampled template p_k
+        xs = np.random.default_rng(3).poisson(3.0, 300).astype(float)
+        ks = [5, 17, 45]
+        fld = correlation_diagram(TimeSeries(xs), tpl, ks)
+        for r, k in enumerate(ks):
+            basis = KuntchenkoBasis(np.vstack([
+                np.ones(k), resample_template(tpl, k).samples]))
+            defined = np.flatnonzero(fld.mask[r])
+            assert defined.size > 0
+            for l in defined:
+                d = kuntchenko_efficiency(xs[l:l + k], basis)
+                assert abs(d - fld.cells[r, l] ** 2) <= 1e-12
 
 
 class TestKuntchenko:

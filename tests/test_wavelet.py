@@ -4,9 +4,9 @@ from scipy.integrate import quad
 
 from ioscope.errors import InvalidArgument, UnsupportedWavelet
 from ioscope.series import TimeSeries, _correlate, _fast_len
-from ioscope.wavelet import (_smooth_local, cwt, compare_fields,
-                             default_scale_grid, energy_by_scale, get_wavelet,
-                             icwt, scalogram, wavelet_coherence, wcc_measure)
+from ioscope.wavelet import (_smooth_local, cwt, default_scale_grid,
+                             get_wavelet, icwt, scalogram, wavelet_coherence,
+                             wcc_measure)
 
 from references import (cwt_direct, smooth_local_convolve,
                         wavelet_constants_loop)
@@ -151,7 +151,7 @@ class TestCwt:
         x = TimeSeries(np.sin(2 * np.pi * t / 16) + np.sin(2 * np.pi * t / 96))
         w = get_wavelet("mexican-hat")
         scales = np.geomspace(2, 64, 40)
-        e = energy_by_scale(cwt(x, w, scales), w)
+        e = np.sum(np.abs(cwt(x, w, scales).cells) ** 2, axis=1)
         peaks = [i for i in range(1, len(e) - 1)
                  if e[i] > e[i - 1] and e[i] > e[i + 1]
                  and e[i] > 0.05 * e.max()]
@@ -240,70 +240,9 @@ class TestScalogram:
         x = TimeSeries(np.sin(2 * np.pi * t / period))
         w = get_wavelet("morlet")
         scales = np.geomspace(2, 128, 80)
-        e = energy_by_scale(cwt(x, w, scales), w)
+        e = np.sum(np.abs(cwt(x, w, scales).cells) ** 2, axis=1)
         best = w.pseudo_period(scales[int(np.argmax(e))])
         assert abs(best - period) / period < 0.10
-
-    def test_crwt_of_self_is_scalogram(self, rng):
-        w = get_wavelet("morlet")
-        fld = cwt(TimeSeries(rng.standard_normal(128)), w, [3.0, 9.0])
-        cross = compare_fields(fld, fld, "crwt")
-        np.testing.assert_allclose(np.abs(cross.cells),
-                                   scalogram(fld).cells, atol=1e-12)
-
-
-class TestCompareFields:
-    @pytest.fixture
-    def pair(self, rng):
-        w = get_wavelet("morlet")
-        scales = [3.0, 6.0, 12.0]
-        f = cwt(TimeSeries(rng.standard_normal(128)), w, scales)
-        g = cwt(TimeSeries(rng.standard_normal(128)), w, scales)
-        return f, g
-
-    def test_diffmod_self_zero(self, pair):
-        f, _ = pair
-        np.testing.assert_allclose(compare_fields(f, f, "diffmod").cells, 0.0)
-
-    def test_phase_diff_self_zero(self, pair):
-        f, _ = pair
-        out = compare_fields(f, f, "phase-diff")
-        np.testing.assert_allclose(out.cells, 0.0, atol=1e-12)
-
-    def test_phase_diff_range(self, pair):
-        f, g = pair
-        out = compare_fields(f, g, "phase-diff")
-        assert np.all(out.cells > -np.pi - 1e-12)
-        assert np.all(out.cells <= np.pi + 1e-12)
-
-    def test_crwt_modulus_symmetry(self, pair):
-        f, g = pair
-        a = compare_fields(f, g, "crwt")
-        b = compare_fields(g, f, "crwt")
-        np.testing.assert_allclose(np.abs(a.cells), np.abs(b.cells),
-                                   atol=1e-12)
-
-    def test_crwt_modulus_product(self, pair):
-        f, g = pair
-        a = compare_fields(f, g, "crwt")
-        np.testing.assert_allclose(np.abs(a.cells),
-                                   np.abs(f.cells) * np.abs(g.cells),
-                                   atol=1e-12)
-
-    def test_ratiomod_masks_tiny_denominator(self, rng):
-        w = get_wavelet("mexican-hat")
-        scales = [4.0]
-        f = cwt(TimeSeries(rng.standard_normal(64)), w, scales)
-        g = cwt(TimeSeries(np.zeros(64)), w, scales)
-        out = compare_fields(f, g, "ratiomod")
-        assert not out.mask.any()
-
-    def test_grid_mismatch(self, rng):
-        w = get_wavelet("mexican-hat")
-        f = cwt(TimeSeries(rng.standard_normal(64)), w, [3.0])
-        g = cwt(TimeSeries(rng.standard_normal(64)), w, [4.0])
-        with pytest.raises(InvalidArgument):
-            compare_fields(f, g, "diffmod")
 
 
 class TestWccMeasure:
