@@ -246,7 +246,7 @@ def read_series_csv(path: Path) -> TimeSeries:
         raise InvalidArgument(f"{path}: need at least 2 samples")
     if mixed:
         raise InvalidArgument(f"{path}: mixed column counts")
-    step, origin = 1.0, None
+    step = 1.0
     if len(first) == 2:
         stamps = table[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -256,9 +256,8 @@ def read_series_csv(path: Path) -> TimeSeries:
         if (np.any(diffs <= 0)
                 or np.max(np.abs(diffs - diffs[0])) > 1e-9 * max(1.0, abs(diffs[0]))):
             raise InvalidArgument(f"{path}: timestamps not uniformly spaced")
-        step, origin = float(diffs[0]), float(stamps[0])
-    return TimeSeries(np.ascontiguousarray(table[:, -1]), step=step, origin=origin,
-                      label=path.stem)
+        step = float(diffs[0])
+    return TimeSeries(np.ascontiguousarray(table[:, -1]), step=step, label=path.stem)
 
 
 def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
@@ -276,76 +275,79 @@ def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
             for src, items in sorted(per_source.items())]
 
 
-def _read_estimates(path: Path, sources: Sequence[str]) -> Dict[str, float]:
-    """One `source,E` row for each ranking source, and none for any other."""
-    estimates: Dict[str, float] = {}
-    for lineno, (src, value) in _read_rows(path, ",", _fields("source,E", str,
+def _read_values(path: Path, layout: str,
+                 known: Optional[Sequence[str]] = None) -> Dict[str, float]:
+    """One row of ``layout`` (`key,value`) for each key; with ``known``,
+    one for each known source and none for any other."""
+    what = layout.split(",")[0]
+    values: Dict[str, float] = {}
+    for lineno, (key, value) in _read_rows(path, ",", _fields(layout, str,
                                                               _nonnegative)):
-        if src not in sources:
-            raise InvalidArgument(f"{path}:{lineno}: source {src!r} has no ranking")
-        if src in estimates:
-            raise InvalidArgument(f"{path}:{lineno}: source {src!r} repeated")
-        estimates[src] = value
-    missing = [src for src in sources if src not in estimates]
+        if known is not None and key not in known:
+            raise InvalidArgument(f"{path}:{lineno}: {what} {key!r} has no ranking")
+        if key in values:
+            raise InvalidArgument(f"{path}:{lineno}: {what} {key!r} repeated")
+        values[key] = value
+    missing = [key for key in known or () if key not in values]
     if missing:
-        raise InvalidArgument(f"{path}: no estimate for source "
+        raise InvalidArgument(f"{path}: no estimate for {what} "
                               + ", ".join(map(repr, missing)))
-    return estimates
+    return values
 
 
-def _read_ratings(path: Path) -> Dict[str, float]:
-    """One `node,rating` row for each rated node."""
-    ratings: Dict[str, float] = {}
-    for lineno, (node, value) in _read_rows(path, ",", _fields("node,rating", str,
-                                                               _nonnegative)):
-        if node in ratings:
-            raise InvalidArgument(f"{path}:{lineno}: node {node!r} repeated")
-        ratings[node] = value
-    return ratings
+class _Run(SimpleNamespace):
+    """One invocation's record: its args and output directory, the files
+    it read (``inputs``, fingerprinted in order) and wrote (``artifacts``),
+    its warnings and preprocessing, and the state its ops share."""
+
+    def __init__(self, args, out_dir: Path):
+        super().__init__(args=args, out_dir=out_dir, inputs=[], artifacts=[],
+                         warnings=[], preprocessing={"steps": []})
+
+    def input(self, path) -> Path:
+        """Record a file the run reads; its Path."""
+        self.inputs.append(Path(path))
+        return self.inputs[-1]
+
+    def artifact(self, name: str) -> Path:
+        """Record a file the run writes; its path in ``out_dir``."""
+        self.artifacts.append(name)
+        return self.out_dir / name
 
 
-def _load_template_dir(dir_path: Path) -> Tuple[List[templates.Template], List[Path]]:
-    """One template per CSV file of dir_path, named by the file; the files."""
+def _load_template_dir(run: _Run, dir_path: Path) -> List[templates.Template]:
+    """One template per CSV file of dir_path, named by the file."""
     if not dir_path.is_dir():
         raise InvalidArgument(f"{dir_path} is not a directory")
     bank = []
-    files = sorted(dir_path.glob("*.csv"))
-    for p in files:
-        samples = [v for _, (v,) in _read_rows(p, ",", _fields("one sample", _finite))]
+    for p in sorted(dir_path.glob("*.csv")):
+        samples = [v for _, (v,) in _read_rows(run.input(p), ",",
+                                               _fields("one sample", _finite))]
         try:
             bank.append(templates.Template(samples, name=p.stem))
         except InvalidArgument as exc:
             raise InvalidArgument(f"{p}: {exc}") from None
     if not bank:
         raise InvalidArgument(f"no template CSV files in {dir_path}")
-    return bank, files
+    return bank
 
 
-def _fingerprint(paths: Sequence[Path]) -> str:
-    h = sha256()
-    for p in paths:
-        h.update(p.read_bytes())
-    return h.hexdigest()
-
-
-def _write_report(out_dir: Path, command: str, inputs: Sequence[Path],
-                  results: Dict, warnings: List[str],
-                  artifacts: List[str], seed: Optional[int],
-                  preprocessing: Optional[Dict] = None) -> Path:
-    if preprocessing is None:
-        preprocessing = {"steps": []}
+def _write_report(run: _Run, command: str, results: Dict) -> Path:
+    fingerprint = sha256()
+    for p in run.inputs:
+        fingerprint.update(p.read_bytes())
     report = {
         "version": __version__,
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "input_fingerprint": _fingerprint(inputs),
-        "seed": seed,
-        "preprocessing": preprocessing,
+        "input_fingerprint": fingerprint.hexdigest(),
+        "seed": getattr(run.args, "seed", None),
+        "preprocessing": run.preprocessing,
         "results": results,
-        "warnings": warnings,
-        "artifacts": artifacts,
+        "warnings": run.warnings,
+        "artifacts": run.artifacts,
     }
-    path = out_dir / "report.json"
+    path = run.out_dir / "report.json"
     with open(path, "w") as fh:
         _dump(report, fh, sort_keys=True)
         fh.write("\n")
@@ -502,104 +504,88 @@ ANALYZE_OPS: Dict[str, Callable] = {
 }
 
 
-def _run_ops(run, table: Dict[str, Callable], ops: Sequence[str],
-             results: Dict) -> List[str]:
-    """Put each op's block into ``results``; return the artifact names.
-    A kernel's library error becomes an OpFailure naming the op, and a
-    returned ScaleField is written into ``run.out_dir`` as a matrix."""
-    artifacts: List[str] = []
+def _run_ops(run: _Run, table: Dict[str, Callable], ops: Sequence[str]) -> Dict:
+    """Each op's block, by op. A kernel's library error becomes an
+    OpFailure naming the op, and a returned ScaleField is written into
+    ``run.out_dir`` as a matrix artifact."""
+    results: Dict = {}
     for op in ops:
         try:
             out = table[op](run)
         except IoscopeError as exc:
             raise OpFailure(op, exc) from exc
         if isinstance(out, ScaleField):
-            path = run.out_dir / f"{op}.csv"
+            path = run.artifact(f"{op}.csv")
             write_matrix_csv(path, out)
-            artifacts.extend([path.name, path.with_suffix(".gnuplot").name])
+            run.artifact(path.with_suffix(".gnuplot").name)
             out = {"artifact": path.name, "kind": out.kind,
                    "undefined_cells": int(np.count_nonzero(np.isnan(out.cells)))}
         results[op] = out
-    return artifacts
+    return results
 
 
-def cmd_analyze(args, out_dir: Path) -> int:
+def cmd_analyze(run: _Run) -> Dict:
+    args = run.args
     ops = _parse_ops(args.ops, ANALYZE_OPS)
-    x = read_series_csv(Path(args.input))
-    inputs = [Path(args.input)]
-    y = None
-    if args.input2:
-        y = read_series_csv(Path(args.input2))
-        inputs.append(Path(args.input2))
-    preprocessing = {"steps": [], **{flag: getattr(args, flag) for flag in (
+    run.x = read_series_csv(run.input(args.input))
+    run.y = read_series_csv(run.input(args.input2)) if args.input2 else None
+    run.cwts = {}
+    run.preprocessing.update({flag: getattr(args, flag) for flag in (
         "window", "alpha", "bin", "wavelet", "gabor_width", "aggregated",
-        "deseason_first")}}
+        "deseason_first")})
     if args.deseason_first:
-        x = deseasonalize_weekly(x)
-        ok = np.isfinite(x.values)
-        x = x.with_values(x.values[ok])
-        preprocessing["steps"].append("deseasonalize-weekly")
-    run = SimpleNamespace(x=x, y=y, args=args, out_dir=out_dir, warnings=[], cwts={})
-    results: Dict = {}
-    artifacts = _run_ops(run, ANALYZE_OPS, ops, results)
-    _write_report(out_dir, "analyze", inputs, results, run.warnings,
-                  artifacts, None, preprocessing)
-    return EXIT_OK
+        x = deseasonalize_weekly(run.x)
+        run.x = x.with_values(x.values[np.isfinite(x.values)])
+        run.preprocessing["steps"].append("deseasonalize-weekly")
+    return _run_ops(run, ANALYZE_OPS, ops)
 
 
-def cmd_scan(args, out_dir: Path) -> int:
-    x = read_series_csv(Path(args.input))
-    bank, files = ((templates.builtin_bank(), []) if args.templates == "builtin"
-                   else _load_template_dir(Path(args.templates)))
+def cmd_scan(run: _Run) -> Dict:
+    args = run.args
+    x = read_series_csv(run.input(args.input))
+    bank = (templates.builtin_bank() if args.templates == "builtin"
+            else _load_template_dir(run, Path(args.templates)))
     k_range = _parse_scales(args.scales, len(x))
     hits_found = templates.scan_detect(x, bank, k_range, args.threshold)
     by_name = {t.name: t for t in bank}
-    payload = {
-        "templates": [t.name for t in bank],
-        "detections": [{
-            "template": d.template,
-            "scale": d.scale,
-            "location": d.location,
-            "score": d.score,
-            "phase_marks": [
-                {"offset": idx, "label": label} for idx, label in
-                templates.resample_template(by_name[d.template],
-                                            d.scale).phase_marks
-            ],
-        } for d in hits_found],
-    }
-    path = out_dir / "detections.json"
+    detections = [{
+        "template": d.template,
+        "scale": d.scale,
+        "location": d.location,
+        "score": d.score,
+        "phase_marks": [
+            {"offset": idx, "label": label} for idx, label in
+            templates.resample_template(by_name[d.template], d.scale).phase_marks
+        ],
+    } for d in hits_found]
+    path = run.artifact("detections.json")
     with open(path, "w") as fh:
-        _dump(payload, fh, sort_keys=False)
+        _dump({"templates": [t.name for t in bank], "detections": detections},
+              fh, sort_keys=False)
         fh.write("\n")
-    _write_report(out_dir, "scan", [Path(args.input), *files],
-                  {"detections": len(payload["detections"]),
-                   "artifact": path.name},
-                  [], [path.name], None)
-    return EXIT_OK
+    return {"detections": len(detections), "artifact": path.name}
 
 
-def cmd_simulate(args, out_dir: Path) -> int:
+def cmd_simulate(run: _Run) -> Dict:
+    args = run.args
     cfg = agentsim.SimConfig(p_l0=args.pl, p_d0=args.pd, p_r0=args.pr,
                              p_link0=args.plink, p_s=args.ps,
                              e0=args.e0, phi=args.phi,
                              phi_e_ref=args.phi_e_ref,
                              t_max=args.ticks, seed=args.seed)
     outcome = agentsim.simulate_population(cfg, args.ticks)
-    csv_path = out_dir / "population.csv"
-    with open(csv_path, "w") as fh:
+    with open(run.artifact("population.csv"), "w") as fh:
         fh.write("tick,alive,births,deaths\n")
         for t in range(outcome.alive.size):
             fh.write(f"{t},{outcome.alive[t]},{outcome.births[t]},"
                      f"{outcome.deaths[t]}\n")
-    lifespans = outcome.lifespans
     likes = outcome.like_counts
     results: Dict = {
         "config": {"p_l0": cfg.p_l0, "p_d0": cfg.p_d0, "p_r0": cfg.p_r0,
                    "p_link0": cfg.p_link0, "p_s": cfg.p_s, "e0": cfg.e0,
                    "phi": cfg.phi, "ticks": args.ticks},
         "agents": outcome.lifespans.size,
-        "lifespan_histogram": np.bincount(lifespans).tolist(),
+        "lifespan_histogram": np.bincount(outcome.lifespans).tolist(),
         "like_histogram": np.bincount(likes).tolist(),
         "capped": outcome.capped,
     }
@@ -618,12 +604,10 @@ def cmd_simulate(args, out_dir: Path) -> int:
             results["weibull_fit"] = {"error": str(exc)}
     else:
         results["weibull_fit"] = {"error": "too few positive like counts"}
-    _write_report(out_dir, "simulate", [], results, [],
-                  [csv_path.name], args.seed)
-    return EXIT_OK
+    return results
 
 
-def network_stats_json(g: netimpact.ImpactGraph) -> Dict:
+def _network_stats_json(g: netimpact.ImpactGraph) -> Dict:
     stats = netimpact.network_stats(g)
     stats["per_node"] = {str(k): v for k, v in stats["per_node"].items()}
     return stats
@@ -639,49 +623,38 @@ def _hits_json(g: netimpact.ImpactGraph) -> Dict:
 
 
 GRAPH_OPS: Dict[str, Callable] = {
-    "stats": lambda r: network_stats_json(r.g),
+    "stats": lambda r: _network_stats_json(r.g),
     "hits": lambda r: _hits_json(r.g),
     "ioscore": lambda r: netimpact.io_scenario_score(r.g),
 }
 
 
-def cmd_graph(args, out_dir: Path) -> int:
+def cmd_graph(run: _Run) -> Dict:
+    args = run.args
     ops = _parse_ops(args.ops, GRAPH_OPS)
-    edges_path = Path(args.edges)
-    citations = [row for _, row in _read_rows(edges_path, "\t", _fields(
+    citations = [row for _, row in _read_rows(run.input(args.edges), "\t", _fields(
         "from<TAB>to[<TAB>count]", str, str, _positive_int, optional=1))]
-    inputs = [edges_path]
-    ratings = None
-    if args.ratings:
-        ratings = _read_ratings(Path(args.ratings))
-        inputs.append(Path(args.ratings))
-    g = netimpact.build_impact_graph(citations, ratings=ratings)
-    results: Dict = {"n": g.n, "m": g.m,
-                     "dropped_self_loops": g.dropped_self_loops}
-    _run_ops(SimpleNamespace(g=g, out_dir=out_dir), GRAPH_OPS, ops, results)
-    _write_report(out_dir, "graph", inputs, results, [], [], None)
-    return EXIT_OK
+    ratings = (_read_values(run.input(args.ratings), "node,rating")
+               if args.ratings else None)
+    run.g = g = netimpact.build_impact_graph(citations, ratings=ratings)
+    return {"n": g.n, "m": g.m, "dropped_self_loops": g.dropped_self_loops,
+            **_run_ops(run, GRAPH_OPS, ops)}
 
 
-def cmd_fuse(args, out_dir: Path) -> int:
-    rankings = _read_rankings_csv(Path(args.rankings))
-    inputs = [Path(args.rankings)]
-    weights = None
-    profile_json = None
+def cmd_fuse(run: _Run) -> Dict:
+    args = run.args
+    rankings = _read_rankings_csv(run.input(args.rankings))
+    profile = None
     if args.weighting != "none":
         if not args.estimates:
             raise InvalidArgument("weighting needs --estimates")
-        est_path = Path(args.estimates)
-        inputs.append(est_path)
-        estimates = _read_estimates(est_path, [r.source for r in rankings])
-        alt_lists = {r.source: (estimates[r.source], list(r.alternatives))
-                     for r in rankings}
-        profile = rankfuse.source_weights(alt_lists, mode=args.weighting)
-        weights = [float(w) for w in profile.w]
-        profile_json = {"sources": list(profile.sources),
-                        "w": profile.w, "rho": profile.rho,
-                        "x1": profile.x1, "x2": profile.x2,
-                        "mode": profile.mode}
+        estimates = _read_values(run.input(args.estimates), "source,E",
+                                 [r.source for r in rankings])
+        profile = rankfuse.source_weights(
+            {r.source: (estimates[r.source], list(r.alternatives)) for r in rankings},
+            mode=args.weighting)
+    # profile.sources and rankings are both in sorted source order
+    weights = None if profile is None else profile.w
     cycles: List[List[str]] = []
     objective = None
     if args.method == "borda":
@@ -691,17 +664,16 @@ def cmd_fuse(args, out_dir: Path) -> int:
     else:
         mode = "heuristic" if args.heuristic else "exact"
         fused, objective = rankfuse.kemeny_median(rankings, weights, mode=mode)
-    results = {
+    return {
         "method": args.method,
         "ranking": {a: r for a, r in fused.items},
         "cycles": cycles,
         "objective": objective,
-        "weights": (dict(zip(profile_json["sources"], profile_json["w"]))
-                    if profile_json else None),
-        "weight_profile": profile_json,
+        "weights": None if profile is None else dict(zip(profile.sources, profile.w)),
+        "weight_profile": None if profile is None else {
+            "sources": list(profile.sources), "w": profile.w, "rho": profile.rho,
+            "x1": profile.x1, "x2": profile.x2, "mode": profile.mode},
     }
-    _write_report(out_dir, "fuse", inputs, results, [], [], None)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -770,9 +742,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _apply_config(args)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, out_dir)
+        run = _Run(args, Path(args.out))
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_report(run, args.command, args.func(run))
+        return EXIT_OK
     except SystemExit as exc:  # --help, --version
         return int(exc.code or 0)
     except (InvalidArgument, OSError) as exc:

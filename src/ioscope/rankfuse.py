@@ -158,11 +158,16 @@ def condorcet(rankings: Sequence[Ranking],
 
 def kemeny_distance(r1: Ranking, r2: Ranking) -> int:
     """Hamming-style distance between the pairwise sign matrices: the sum
-    of |sign1 - sign2| over ordered pairs, built _BLOCK_CELLS cells of
-    rows at a time, so memory does not grow as n**2."""
+    of |sign1 - sign2| over ordered pairs."""
     if set(r1.alternatives) != set(r2.alternatives):
         raise InvalidArgument("rankings cover different universes")
-    _, (x, y) = _rank_matrix((r1, r2))
+    return _distance(*_rank_matrix((r1, r2))[1])
+
+
+def _distance(x: np.ndarray, y: np.ndarray) -> int:
+    """The Kemeny distance of two rank vectors over one universe, their
+    sign rows built _BLOCK_CELLS cells at a time, so memory does not grow
+    as n**2."""
     total = 0
     block = max(1, _BLOCK_CELLS // max(1, x.size))
     for lo in range(0, x.size, block):
@@ -246,7 +251,7 @@ def kemeny_median(rankings: Sequence[Ranking],
     delta = C[b, a] - C[a, b] is below -1e-9 * max(1, current cost).
 
     The returned objective is sum_j w_j * kemeny_distance(median, r_j),
-    summed in source order.
+    summed in source order over the rows of the rank matrix.
     """
     alts, ranks = _rank_matrix(rankings)
     w = _weights(rankings, weights)
@@ -263,20 +268,15 @@ def kemeny_median(rankings: Sequence[Ranking],
         order = _swap_descent(
             np.argsort(_rank_sums(ranks, w), kind="stable").tolist(), cost)
     del cost  # n^2 floats, not needed by the per-source distances below
-    fused = Ranking.from_order([alts[i] for i in order], source="kemeny")
-    objective = float(sum(wj * kemeny_distance(fused, padded)
-                          for wj, padded in zip(w, unify(rankings)[1])))
-    return fused, objective
+    fused_ranks = np.empty(len(alts))
+    fused_ranks[order] = np.arange(1, len(alts) + 1)
+    objective = float(sum(wj * _distance(fused_ranks, x) for wj, x in zip(w, ranks)))
+    return Ranking.from_order([alts[i] for i in order], source="kemeny"), objective
 
 
 @dataclass(frozen=True)
 class SourceWeightProfile:
     sources: Tuple[str, ...]
-    e: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    o: np.ndarray
-    w_star: np.ndarray
     w: np.ndarray
     rho: float
     x1: float
@@ -335,5 +335,4 @@ def source_weights(sources: Dict[str, Tuple[float, Sequence[str]]],
         raise DegenerateEstimates("weight mass vanished")
     w = w_star / total
     w = w / w.sum()  # second pass pins the total to 1 exactly
-    return SourceWeightProfile(names, e, m, v, o, w_star, w,
-                               rho=rho, x1=x1, x2=x2, mode=mode)
+    return SourceWeightProfile(names, w, rho=rho, x1=x1, x2=x2, mode=mode)

@@ -22,13 +22,11 @@ __all__ = [
 class TimeSeries:
     """Uniformly sampled real-valued sequence.
 
-    ``step`` is the sampling interval in abstract ticks (default one day);
-    ``origin`` is an optional start timestamp carried as metadata only.
+    ``step`` is the sampling interval in abstract ticks (default one day).
     """
 
     values: np.ndarray
     step: float = 1.0
-    origin: Optional[str] = None
     label: str = ""
 
     def __post_init__(self):
@@ -56,16 +54,14 @@ class TimeSeries:
         through the strict constructor."""
         label = self.label if label is None else label
         if not allow_undefined:
-            return TimeSeries(values, step=self.step, origin=self.origin,
-                              label=label)
+            return TimeSeries(values, step=self.step, label=label)
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise InvalidArgument("series must be a non-empty 1-D sequence")
         if np.any(np.isinf(v)):
             raise InvalidArgument("series contains infinite samples")
         out = object.__new__(TimeSeries)
-        out.__dict__.update(values=v, step=float(self.step),
-                            origin=self.origin, label=label)
+        out.__dict__.update(values=v, step=float(self.step), label=label)
         return out
 
 

@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidArgument
-from .series import ScaleField, TimeSeries
+from .series import ScaleField, TimeSeries, _unit_scale
 
 __all__ = [
     "Template",
@@ -129,15 +129,17 @@ def correlation_diagram(x: TimeSeries, t: Template,
     """Correlation C(l, k) between each series window of length k
     starting at l and the template resampled to k, k in ``k_range``.
 
-    Cells are undefined where the window overruns the series or either
-    side is constant; a whole row is undefined where the template
-    resamples to a constant.
+    The series is first scaled by a power of two, which leaves every
+    correlation as it is and keeps the window norms from overflowing or
+    underflowing. Cells are undefined where the window overruns the
+    series or either side is constant; a whole row is undefined where
+    the template resamples to a constant.
     """
     ks = sorted({int(k) for k in k_range})
     if not ks:
         raise InvalidArgument("empty window-length range")
     T = len(x)
-    xs = x.values
+    xs = _unit_scale(x.values)[0]
     cells = np.full((len(ks), T), np.nan)
     for r, k in enumerate(ks):
         if k < 3:

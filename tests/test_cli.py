@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+from argparse import Namespace
 from pathlib import Path
 
 import jsonschema
@@ -17,7 +18,7 @@ import pytest
 import ioscope
 from ioscope.agentsim import SimConfig, lifespan_survival
 from ioscope import cli, spectral, wavelet
-from ioscope.cli import (Q_MFDFA, Q_WAVELET, _CHUNK, _dump, _json_default,
+from ioscope.cli import (Q_MFDFA, Q_WAVELET, _CHUNK, _Run, _dump, _json_default,
                          _write_report, main, write_matrix_csv)
 from ioscope.fractal import brownian, delta_l_field, mfdfa, wavelet_leaders
 from ioscope.series import ScaleField, TimeSeries, deseasonalize_weekly, smooth
@@ -506,7 +507,7 @@ class TestWriteReport:
         results = six_long_arrays(rng)
         tracemalloc.start()
         try:
-            path = _write_report(tmp_path, "analyze", [], results, [], [], None)
+            path = _write_report(_Run(Namespace(), tmp_path), "analyze", results)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -551,7 +552,10 @@ def mixed_report(rng):
 class TestDump:
     def test_report_file_matches_json_dumps(self, tmp_path, rng):
         results = mixed_report(rng)
-        path = _write_report(tmp_path, "analyze", [], results, ["w"], ["a.csv"], 3)
+        run = _Run(Namespace(seed=3), tmp_path)
+        run.warnings.append("w")
+        run.artifacts.append("a.csv")
+        path = _write_report(run, "analyze", results)
         head = json.loads(path.read_text())
         report = {k: head[k] for k in ("version", "command", "timestamp",
                                        "input_fingerprint", "preprocessing")}
@@ -586,7 +590,7 @@ class TestDump:
     def test_non_finite_scalars_are_null(self, tmp_path):
         results = {"a": np.float64(np.inf), "b": float("nan"),
                    "c": [np.float64(-np.inf)], "d": np.float32(np.nan)}
-        path = _write_report(tmp_path, "analyze", [], results, [], [], None)
+        path = _write_report(_Run(Namespace(), tmp_path), "analyze", results)
         with open(path) as fh:
             back = json.load(fh, parse_constant=reject_constant)
         assert back["results"] == {"a": None, "b": None, "c": [None],
@@ -963,6 +967,43 @@ def test_runs_load_no_openssl(tmp_path, rng):
     for i, paths in files.items():
         want = hashlib.sha256(b"".join(Path(p).read_bytes() for p in paths))
         assert load_report(outs[i])["input_fingerprint"] == want.hexdigest()
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan", "simulate", "graph", "fuse"])
+def test_report_lists_files_read_and_written(tmp_path, rng, command):
+    """``artifacts`` names exactly the files beside report.json, and
+    ``input_fingerprint`` is the SHA-256 of the bytes of the files read,
+    in the order they were read."""
+    x = write_series_csv(tmp_path / "x.csv", rng.poisson(3.0, 256))
+    y = write_series_csv(tmp_path / "y.csv", rng.poisson(3.0, 256))
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for name, k in (("b", 2.0), ("a", 1.0)):
+        (bank / f"{name}.csv").write_text(
+            "".join(f"{v!r}\n" for v in np.sin(k * np.arange(12.0)).tolist()))
+    ranks = write_rankings(tmp_path / "r.csv", [("s1", "a", 1), ("s1", "b", 2),
+                                                ("s2", "b", 1), ("s2", "a", 2)])
+    est = tmp_path / "est.csv"
+    est.write_text("source,E\ns2,0.5\ns1,2\n")
+    edges = write_edges(tmp_path / "e.tsv", [("a", "b", 2), ("b", "c", 1), ("c", "a")])
+    ratings = write_ratings(tmp_path / "ratings.csv", {"a": 1.0, "b": 2.0, "c": 3.0})
+    argv, read = {
+        "analyze": (["--input", x, "--input2", y, "--ops", "sma,cwt,wcc,dl"], [x, y]),
+        "scan": (["--input", x, "--templates", str(bank), "--scales", "5:9:2"],
+                 [x, bank / "a.csv", bank / "b.csv"]),
+        "simulate": (["--ticks", "5", "--seed", "1"], []),
+        "graph": (["--edges", edges, "--ratings", ratings, "--ops", "stats,hits"],
+                  [edges, ratings]),
+        "fuse": (["--rankings", ranks, "--estimates", str(est), "--weighting",
+                  "density", "--method", "kemeny"], [ranks, est]),
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    report = load_report(out)
+    assert sorted(report["artifacts"]) == sorted(
+        p.name for p in out.iterdir() if p.name != "report.json")
+    want = hashlib.sha256(b"".join(Path(p).read_bytes() for p in read))
+    assert report["input_fingerprint"] == want.hexdigest()
 
 
 def test_ops_load_no_numpy_ma(tmp_path, rng):

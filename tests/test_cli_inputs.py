@@ -297,7 +297,7 @@ def test_reader_skips_blank_and_comment_lines(tmp_path):
     path = Path(write(tmp_path / "x.csv", "value\n\n# c,1\n 4 \n  \n#\n\t5\n#6\n"))
     x = read_series_csv(path)
     assert x.values.tolist() == [4.0, 5.0]
-    assert (x.step, x.origin, x.label) == (1.0, None, "x")
+    assert (x.step, x.label) == (1.0, "x")
 
 
 @pytest.mark.parametrize("text,lineno", [("1\nvalue\n2\n", 2),
@@ -355,7 +355,7 @@ def test_reader_timestamps(tmp_path):
                       "timestamp,value\n0.5, 1\n0.75,2\r\n1.0 ,-3e-2\n"))
     x = read_series_csv(path)
     assert x.values.tolist() == [1.0, 2.0, -0.03]
-    assert (x.step, x.origin, x.label) == (0.25, 0.5, "s")
+    assert (x.step, x.label) == (0.25, "s")
     assert x.values.flags.c_contiguous
 
 

@@ -413,13 +413,13 @@ class TestKemenyDistanceCalls:
     @pytest.mark.parametrize("mode,n", [("exact", 8), ("heuristic", 30)])
     def test_at_most_one_call_per_source(self, mode, n, rng, monkeypatch):
         calls = []
-        real = rankfuse.kemeny_distance
+        real = rankfuse._distance
 
-        def counted(r1, r2):
+        def counted(x, y):
             calls.append(1)
-            return real(r1, r2)
+            return real(x, y)
 
-        monkeypatch.setattr(rankfuse, "kemeny_distance", counted)
+        monkeypatch.setattr(rankfuse, "_distance", counted)
         rs = random_profile(rng, n, 5)
         kemeny_median(rs, density_weights(rng, rs), mode=mode)
         assert 0 < len(calls) <= len(rs)

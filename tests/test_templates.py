@@ -308,6 +308,15 @@ class TestScanDetect:
         scores = [d.score for d in out]
         assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 990])
+    def test_scale_free(self, rng, k):
+        """Counts times 2**k, huge or tiny, give the counts' detections."""
+        counts = rng.poisson(3.0, 1024).astype(float)
+        want = scan_detect(TimeSeries(counts), builtin_bank(), range(5, 61), 0.9)
+        assert want
+        assert scan_detect(TimeSeries(np.ldexp(counts, k)), builtin_bank(),
+                           range(5, 61), 0.9) == want
+
 
 def random_bank(seed):
     gen = np.random.default_rng(seed)
