@@ -2,12 +2,13 @@
 time series and source-influence networks.
 
 Submodules: series, correlation, spectral, wavelet, templates, fractal,
-agentsim, netimpact, rankfuse, cli.
+agentsim, netimpact, rankfuse, cli. Importing the package loads none of
+them, and so not numpy either: ``ioscope.cli`` sets numpy's BLAS
+threads before numpy loads.
 """
 
 __version__ = "0.1.0"
 
 from .errors import IoscopeError
-from .series import ScaleField, TimeSeries
 
-__all__ = ["__version__", "IoscopeError", "TimeSeries", "ScaleField"]
+__all__ = ["__version__", "IoscopeError"]

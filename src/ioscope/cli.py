@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import itertools
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +32,22 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-import numpy as np
+# numpy's OpenBLAS starts a worker thread per extra CPU when it loads, and
+# the worker busy-polls after every BLAS call: about 0.1 s of CPU a run on
+# two CPUs, for no wall time on any product the CLI computes. So a CLI run
+# loads it with one thread, unless the caller set a thread count or numpy
+# is already loaded. OpenBLAS reads the variable once, at load, so the
+# environment is put back as the caller left it.
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                              "OMP_NUM_THREADS"))
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from .errors import InvalidArgument, IoscopeError
@@ -153,16 +170,16 @@ def write_matrix_csv(path: Path, fld: ScaleField) -> None:
 
 
 def _read_text(path: Path) -> str:
-    """The UTF-8 text of an input file; a file that cannot be opened or
-    decoded is an InvalidArgument."""
+    """The UTF-8 text of an input file, without a leading byte-order mark;
+    a file that cannot be opened or decoded is an InvalidArgument."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise InvalidArgument(f"{path}: {exc.strerror or exc}") from None
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object: the bytes after the mark
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise InvalidArgument(f"{path}:{lineno}: not UTF-8 text") from None
 
 
@@ -225,9 +242,30 @@ _positive = _converter(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _unit = _converter(float, lambda v: 0 < v <= 1, "in (0, 1]")
 
 
-def read_series_csv(path: Path) -> TimeSeries:
-    """One `value` column, or `timestamp,value` with uniform spacing. The
-    rows stream into one float array; no per-row object outlives its line."""
+def _bulk_column(text: str) -> Optional[np.ndarray]:
+    """The values of a one-column series whose every line, bar a header on
+    line 1, is a finite number, parsed in one pass; None for any other
+    text, which _series_table reads row by row to the same values or to
+    its error."""
+    lines = io.StringIO(text, newline=None)
+    head = next(lines, "")
+    try:
+        values = [float(head.strip())]  # float strips less than str.strip
+    except ValueError:  # a header, or a line that _read_rows must judge
+        if "," in head or len(head.splitlines()) > 1:
+            return None
+        values = []
+    try:
+        values = np.fromiter(itertools.chain(values, map(float, lines)), float)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _series_table(path: Path) -> np.ndarray:
+    """The series' rows, one or two columns, read row by row through
+    _read_rows. The rows stream into one float array; no per-row object
+    outlives its line."""
     rows = (row for _, row in _read_rows(
         path, ",", _fields("value or timestamp,value", _finite, _finite, optional=1)))
     first = next(rows, [])
@@ -242,12 +280,21 @@ def read_series_csv(path: Path) -> TimeSeries:
             yield from row
 
     table = np.fromiter(cells(), float).reshape(-1, max(1, len(first)))
-    if len(table) < 2:
-        raise InvalidArgument(f"{path}: need at least 2 samples")
     if mixed:
         raise InvalidArgument(f"{path}: mixed column counts")
+    return table
+
+
+def read_series_csv(path: Path) -> TimeSeries:
+    """One `value` column, or `timestamp,value` with uniform spacing. A
+    plain column of numbers is parsed in one pass, any other text row by
+    row, which names the line of any error."""
+    values = _bulk_column(_read_text(path))
+    table = _series_table(path) if values is None else values[:, None]
+    if len(table) < 2:
+        raise InvalidArgument(f"{path}: need at least 2 samples")
     step = 1.0
-    if len(first) == 2:
+    if table.shape[1] == 2:
         stamps = table[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
             diffs = np.diff(stamps)

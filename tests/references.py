@@ -37,6 +37,15 @@ def cwt_direct(x: TimeSeries, w: Wavelet, scales: Sequence[float]) -> ScaleField
     return ScaleField(rows=s, cols=t, cells=cells, kind="cwt")
 
 
+def ewma_loop(x: np.ndarray, alpha: float) -> np.ndarray:
+    """EWMA with y0 = x0, one numpy element at a time."""
+    y = np.empty_like(x)
+    y[0] = x[0]
+    for t in range(1, x.size):
+        y[t] = alpha * x[t] + (1.0 - alpha) * y[t - 1]
+    return y
+
+
 def gamma_xy(x: np.ndarray, y: np.ndarray, k: int) -> float:
     """Lag-k cross-covariance estimate with divisor T (as printed), as one
     direct sum: the per-lag loop the FFT lag sums replaced."""

@@ -922,6 +922,55 @@ def test_runtime_loads_only_numpy_and_the_standard_library():
     assert loaded - set(sys.stdlib_module_names) == {"ioscope", "numpy"}
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="no /proc/self/task to count threads")
+
+
+def import_probe(imports, **thread_vars):
+    """Run ``imports`` in a fresh interpreter whose environment holds no
+    BLAS thread variable but ``thread_vars``. Returns its thread count,
+    whether its os.environ still equals the one it started with, and
+    whether numpy is loaded."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(thread_vars, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, os, sys\n"
+             "start = dict(os.environ)\n"
+             f"{imports}\n"
+             "print(json.dumps([len(os.listdir('/proc/self/task')),"
+             " dict(os.environ) == start, 'numpy' in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@needs_proc_tasks
+def test_package_import_loads_no_numpy():
+    assert import_probe("import ioscope") == [1, True, False]
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("imports", ["import ioscope.cli",
+                                     "from ioscope.cli import main"])
+def test_cli_import_starts_no_blas_thread(imports):
+    """``python -m ioscope.cli`` and the console script load numpy's BLAS
+    with one thread, and leave os.environ as the process found it."""
+    assert import_probe(imports) == [1, True, True]
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("thread_vars", [{"OPENBLAS_NUM_THREADS": "2"},
+                                         {"OMP_NUM_THREADS": "2"}, {}],
+                         ids=["openblas", "omp", "numpy-first"])
+def test_cli_import_keeps_the_callers_blas_threads(thread_vars):
+    """With a thread variable set, or numpy loaded first, importing the
+    CLI starts the threads that importing numpy alone starts."""
+    imports = "import ioscope.cli" if thread_vars else "import numpy, ioscope.cli"
+    assert (import_probe(imports, **thread_vars)
+            == import_probe("import numpy", **thread_vars))
+
+
 @pytest.mark.parametrize("module", ["ioscope"] + sorted(
     "ioscope." + m.name for m in pkgutil.iter_modules(ioscope.__path__)))
 def test_public_names_resolve(module):

@@ -3,18 +3,20 @@ and a failure prints one stderr line; a bad row names path:lineno."""
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ioscope.cli import build_parser, main, read_series_csv
+from ioscope.cli import _read_rankings_csv, build_parser, main, read_series_csv
 from ioscope.errors import InvalidArgument
 
 SERIES = "value\n" + "".join(f"{np.sin(0.3 * i) + 0.01 * i:.6f}\n"
@@ -374,6 +376,73 @@ def test_reader_holds_no_per_row_objects(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(x.values, counts)
     assert peak < 4 * x.values.nbytes, peak / x.values.nbytes
+
+
+BOM = "\ufeff"
+
+
+def test_reader_drops_a_byte_order_mark(tmp_path):
+    path = Path(write(tmp_path / "x.csv", BOM + "".join(f"{i}\n" for i in range(1, 9))))
+    assert read_series_csv(path).values.tolist() == list(range(1, 9))
+
+
+def test_rankings_drop_a_byte_order_mark(tmp_path):
+    path = Path(write(tmp_path / "r.csv", BOM + "a,x,1\na,y,2\nb,y,1\nb,x,2\n"))
+    assert [r.source for r in _read_rankings_csv(path)] == ["a", "b"]
+
+
+def test_edges_drop_a_byte_order_mark(tmp_path):
+    out = tmp_path / "out"
+    assert run(["graph", "--edges", write(tmp_path / "e.tsv", BOM + "a\tb\nb\ta\n"),
+                "--ops", "hits", "--out", str(out)]) == (0, "")
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["hits"]["out_degree"] == {"a": 1, "b": 1}
+    # The fingerprint is still taken over the file's bytes, mark included.
+    assert report["input_fingerprint"] == hashlib.sha256(
+        (tmp_path / "e.tsv").read_bytes()).hexdigest()
+
+
+def test_not_utf8_after_a_byte_order_mark_names_the_line(tmp_path):
+    path = Path(write(tmp_path / "x.csv", BOM.encode() + b"1\n\xff\n2\n"))
+    with pytest.raises(InvalidArgument, match=rf"^{re.escape(str(path))}:2: not UTF-8"):
+        read_series_csv(path)
+
+
+def read_outcome(path):
+    """read_series_csv's values and step, or its InvalidArgument message."""
+    try:
+        x = read_series_csv(path)
+    except InvalidArgument as exc:
+        return str(exc)
+    return x.values.tolist(), x.step
+
+
+# Lines of a series file: an optional first line, then numbers only
+# (which the one-pass reader takes) or any mix of lines.
+NUMBER_LINES = st.sampled_from(["1", " 2.5 ", "-3e-2", "1_0", "7\x0c", "\x0c8",
+                                "\x1f9", "\x859", "1e-400"])
+FIRST_LINES = st.sampled_from(["", "#", "value", "1,2", "x,y,z", "nan", "\x0cvalue",
+                               "value\x0c", BOM + "value", "\x85"])
+ANY_LINES = NUMBER_LINES | st.sampled_from(
+    ["", "  ", "# 4", "value", "1,2", "x,1", "nan", "inf", "1e400", "\r", "\x0c",
+     BOM, BOM + "5"]) | st.text(max_size=4)
+SERIES_LINES = st.tuples(st.lists(FIRST_LINES, max_size=1),
+                         st.lists(NUMBER_LINES, max_size=8)
+                         | st.lists(ANY_LINES, max_size=8)).map(lambda t: t[0] + t[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=SERIES_LINES, bom=st.booleans(), end=st.sampled_from(["", "\n"]),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_bulk_series_read_matches_the_row_reader(lines, bom, end, newline):
+    """A series read in one pass gives what the row reader gives: the
+    same values and step, or the same error."""
+    text = (BOM if bom else "") + newline.join(lines) + end
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(write(Path(tmp) / "x.csv", text))
+        bulk = read_outcome(path)
+        with mock.patch("ioscope.cli._bulk_column", return_value=None):
+            assert read_outcome(path) == bulk
 
 
 # Fuzzed file contents: rows of plausible and arbitrary fields in the

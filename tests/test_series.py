@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 from ioscope.errors import InvalidArgument
 from ioscope.series import TimeSeries, _distinct, deseasonalize_weekly, smooth
 
+from references import ewma_loop
+
 finite_arrays = arrays(
     np.float64,
     st.integers(min_value=1, max_value=64),
@@ -61,6 +63,13 @@ class TestSmooth:
         x = TimeSeries([3.0, -1.0, 7.0])
         y = smooth(x, "ewma", 1.0)
         np.testing.assert_array_equal(y.values, x.values)
+
+    @pytest.mark.parametrize("n", [1, 2, 2 ** 14])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.3, 1e-3, 0.1 + 0.2])
+    def test_ewma_matches_loop(self, n, alpha):
+        x = TimeSeries(np.random.default_rng(n).normal(size=n) * 1e3)
+        np.testing.assert_array_equal(smooth(x, "ewma", alpha).values,
+                                      ewma_loop(x.values, alpha))
 
     def test_window_larger_than_series(self):
         with pytest.raises(InvalidArgument):
