@@ -53,7 +53,6 @@ class SimConfig:
     e0: int = 10
     phi: str = "one"
     phi_e_ref: float = 10.0
-    t_max: int = 100
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class SimConfig:
                 raise InvalidArgument(f"{name} must lie in [0, 1]")
         if not 1 <= self.e0 < 2 ** 62:  # energies are int64
             raise InvalidArgument("e0 must be an integer in [1, 2**62)")
-        if self.t_max < 1:
-            raise InvalidArgument("t_max must be >= 1")
         if self.seed is not None and self.seed < 0:
             raise InvalidArgument("seed must be a non-negative integer")
         make_phi(self.phi, self.phi_e_ref)  # validate the tag eagerly
@@ -147,24 +144,21 @@ def lifespan_survival(e0: int, cfg: SimConfig, t: int) -> float:
     return float(live / (live + dead[0]))
 
 
-def simulate_population(cfg: SimConfig, ticks: int,
-                        cap: int = POPULATION_CAP) -> SimOutcome:
+def simulate_population(cfg: SimConfig, ticks: int) -> SimOutcome:
     """Simulate the whole message population.
 
     Starts with one agent. Per tick every live agent loses one energy
     unit, may receive a like (+1), a dislike (-1), a repost (+2, which
     also spawns a fresh agent at e0) and may link to a random other live
     agent (crediting the linked agent +1). Independent self-generation
-    adds a new agent with probability p_s. At most ``cap`` agents are
-    ever born. Deterministic for a given seed.
+    adds a new agent with probability p_s. At most POPULATION_CAP agents
+    are ever born. Deterministic for a given seed.
     """
     if ticks < 1:
         raise InvalidArgument("ticks must be >= 1")
-    if cap < 1:
-        raise InvalidArgument("cap must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     # live agents at most double, plus one, per tick: < 2**(ticks + 1) births
-    size = min(cap, 2 ** (ticks + 1))
+    size = min(POPULATION_CAP, 2 ** (ticks + 1))
     energy = np.zeros(size, dtype=np.int64)
     lifespans = np.zeros(size, dtype=np.int64)
     likes = np.zeros(size, dtype=np.int64)
@@ -194,7 +188,7 @@ def simulate_population(cfg: SimConfig, ticks: int,
         energy[live] = e  # a dead agent's energy is never read again
         survivors = live[e > 0]
         deaths[t] = n_live - survivors.size
-        new = min(spawns, cap - born)
+        new = min(spawns, POPULATION_CAP - born)
         capped |= new < spawns
         energy[born:born + new] = cfg.e0
         live = np.concatenate([survivors, np.arange(born, born + new)])
@@ -207,16 +201,13 @@ def simulate_population(cfg: SimConfig, ticks: int,
                       capped=capped)
 
 
-def like_count_distribution(e0: int, cfg: SimConfig,
-                            t_max: Optional[int] = None) -> np.ndarray:
+def like_count_distribution(e0: int, cfg: SimConfig, t_max: int) -> np.ndarray:
     """Probability mass function of the number of likes an agent collects.
 
     Exact: the forward chain of :func:`lifespan_survival` with a like-count
     axis. ``mass[k]`` is P(exactly k likes before death or the horizon
     t_max); masses total 1.
     """
-    if t_max is None:
-        t_max = cfg.t_max
     live, dead = _forward(e0, cfg, t_max, likes=True)
     return dead + live.sum(axis=0)  # survivors at the horizon keep their count
 

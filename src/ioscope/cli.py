@@ -4,7 +4,9 @@ around the analysis modules.
 Exit codes: 0 success; 2 a usage error, a flag value outside its range
 or an input file that does not parse; 3 an operation whose precondition
 or numeric computation fails on this input. A failure prints one stderr
-line, ``ioscope: [op '<name>': ]<message>``.
+line, ``ioscope: [op '<name>': ]<message>``. When ops of `analyze` or
+`graph` fail, the others still run and the report is written: it lists
+them in ``failed_ops``, and the line names the first and their count.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ EXIT_OPFAIL = 3
 
 Q_MFDFA = np.arange(-5.0, 5.01, 0.5)
 Q_WAVELET = np.arange(-2.0, 4.01, 0.5)
-
-
-class OpFailure(IoscopeError):
-    """An operation's precondition or numeric computation failed."""
-
-    def __init__(self, op: str, cause: Exception):
-        super().__init__(f"op {op!r}: {cause}")
-        self.op = op
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,10 +177,11 @@ def _read_text(path: Path) -> str:
         raise InvalidArgument(f"{path}:{lineno}: not UTF-8 text") from None
 
 
-def _read_rows(path: Path, sep: str,
-               parse: Callable[[List[str]], object]) -> Iterator[Tuple[int, object]]:
+def _read_rows(path: Path, sep: str, parse: Callable[[List[str]], object],
+               text: Optional[str] = None) -> Iterator[Tuple[int, object]]:
     """Yield (lineno, ``parse`` of the row) for every row of a delimited
-    input file, splitting its text into lines one at a time.
+    input file, splitting its text into lines one at a time. ``text`` is
+    the file's text when the caller has already read it.
 
     Lines end where str.splitlines ends them. Blank lines and '#' lines
     are skipped and fields are trimmed. A row that does not parse
@@ -195,7 +190,9 @@ def _read_rows(path: Path, sep: str,
     ArgumentTypeError from a converter) is an error on every line.
     Errors name path:lineno.
     """
-    lines = (line for raw in io.StringIO(_read_text(path), newline=None)
+    if text is None:
+        text = _read_text(path)
+    lines = (line for raw in io.StringIO(text, newline=None)
              for line in raw.splitlines())
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -262,12 +259,13 @@ def _bulk_column(text: str) -> Optional[np.ndarray]:
     return values if np.isfinite(values).all() else None
 
 
-def _series_table(path: Path) -> np.ndarray:
-    """The series' rows, one or two columns, read row by row through
-    _read_rows. The rows stream into one float array; no per-row object
-    outlives its line."""
+def _series_table(path: Path, text: str) -> np.ndarray:
+    """The series' rows, one or two columns, read from its text row by
+    row through _read_rows. The rows stream into one float array; no
+    per-row object outlives its line."""
     rows = (row for _, row in _read_rows(
-        path, ",", _fields("value or timestamp,value", _finite, _finite, optional=1)))
+        path, ",", _fields("value or timestamp,value", _finite, _finite, optional=1),
+        text))
     first = next(rows, [])
     mixed = False
 
@@ -289,8 +287,9 @@ def read_series_csv(path: Path) -> TimeSeries:
     """One `value` column, or `timestamp,value` with uniform spacing. A
     plain column of numbers is parsed in one pass, any other text row by
     row, which names the line of any error."""
-    values = _bulk_column(_read_text(path))
-    table = _series_table(path) if values is None else values[:, None]
+    text = _read_text(path)
+    values = _bulk_column(text)
+    table = _series_table(path, text) if values is None else values[:, None]
     if len(table) < 2:
         raise InvalidArgument(f"{path}: need at least 2 samples")
     step = 1.0
@@ -304,7 +303,7 @@ def read_series_csv(path: Path) -> TimeSeries:
                 or np.max(np.abs(diffs - diffs[0])) > 1e-9 * max(1.0, abs(diffs[0]))):
             raise InvalidArgument(f"{path}: timestamps not uniformly spaced")
         step = float(diffs[0])
-    return TimeSeries(np.ascontiguousarray(table[:, -1]), step=step, label=path.stem)
+    return TimeSeries(np.ascontiguousarray(table[:, -1]), step=step)
 
 
 def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
@@ -345,11 +344,12 @@ def _read_values(path: Path, layout: str,
 class _Run(SimpleNamespace):
     """One invocation's record: its args and output directory, the files
     it read (``inputs``, fingerprinted in order) and wrote (``artifacts``),
-    its warnings and preprocessing, and the state its ops share."""
+    its warnings and preprocessing, the (op, message) of each op that
+    failed (``failures``), and the state its ops share."""
 
     def __init__(self, args, out_dir: Path):
         super().__init__(args=args, out_dir=out_dir, inputs=[], artifacts=[],
-                         warnings=[], preprocessing={"steps": []})
+                         warnings=[], preprocessing={"steps": []}, failures=[])
 
     def input(self, path) -> Path:
         """Record a file the run reads; its Path."""
@@ -394,6 +394,8 @@ def _write_report(run: _Run, command: str, results: Dict) -> Path:
         "warnings": run.warnings,
         "artifacts": run.artifacts,
     }
+    if run.failures:
+        report["failed_ops"] = [op for op, _ in run.failures]
     path = run.out_dir / "report.json"
     with open(path, "w") as fh:
         _dump(report, fh, sort_keys=True)
@@ -552,15 +554,18 @@ ANALYZE_OPS: Dict[str, Callable] = {
 
 
 def _run_ops(run: _Run, table: Dict[str, Callable], ops: Sequence[str]) -> Dict:
-    """Each op's block, by op. A kernel's library error becomes an
-    OpFailure naming the op, and a returned ScaleField is written into
+    """Each op's block, by op. A kernel's library error becomes the op's
+    block, ``{"error": message}``, and is recorded in ``run.failures``;
+    the later ops still run. A returned ScaleField is written into
     ``run.out_dir`` as a matrix artifact."""
     results: Dict = {}
     for op in ops:
         try:
             out = table[op](run)
         except IoscopeError as exc:
-            raise OpFailure(op, exc) from exc
+            results[op] = {"error": str(exc)}
+            run.failures.append((op, results[op]["error"]))
+            continue
         if isinstance(out, ScaleField):
             path = run.artifact(f"{op}.csv")
             write_matrix_csv(path, out)
@@ -618,8 +623,7 @@ def cmd_simulate(run: _Run) -> Dict:
     cfg = agentsim.SimConfig(p_l0=args.pl, p_d0=args.pd, p_r0=args.pr,
                              p_link0=args.plink, p_s=args.ps,
                              e0=args.e0, phi=args.phi,
-                             phi_e_ref=args.phi_e_ref,
-                             t_max=args.ticks, seed=args.seed)
+                             phi_e_ref=args.phi_e_ref, seed=args.seed)
     outcome = agentsim.simulate_population(cfg, args.ticks)
     with open(run.artifact("population.csv"), "w") as fh:
         fh.write("tick,alive,births,deaths\n")
@@ -792,6 +796,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run = _Run(args, Path(args.out))
         run.out_dir.mkdir(parents=True, exist_ok=True)
         _write_report(run, args.command, args.func(run))
+        if run.failures:
+            op, message = run.failures[0]
+            print(f"ioscope: op {op!r}: {message} (failed ops: "
+                  f"{len(run.failures)}; report written)", file=sys.stderr)
+            return EXIT_OPFAIL
         return EXIT_OK
     except SystemExit as exc:  # --help, --version
         return int(exc.code or 0)

@@ -25,9 +25,6 @@ __all__ = [
     "find_skeleton",
     "wtmm",
     "wavelet_leaders",
-    "brownian",
-    "binomial_cascade",
-    "binomial_cascade_tau",
 ]
 
 
@@ -139,11 +136,17 @@ def _fit_lines(x: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return slope, ym[..., 0] - slope * xm[..., 0]
 
 
-def _rs_ladder(n: int, min_window: int, n_scales: int) -> np.ndarray:
-    if n < 2 * min_window:
+# The R/S ladder of a series of t samples: _RS_SCALES log-spaced widths
+# from _RS_MIN_WINDOW samples to t // 2, rounded, repeats dropped.
+_RS_MIN_WINDOW = 8
+_RS_SCALES = 16
+
+
+def _rs_ladder(n: int) -> np.ndarray:
+    if n < 2 * _RS_MIN_WINDOW:
         raise InsufficientScales("series too short for rescaled-range ladder")
-    sizes = _distinct(np.geomspace(min_window, n // 2, n_scales).round().astype(int))
-    return sizes[sizes >= min_window]
+    sizes = _distinct(np.geomspace(_RS_MIN_WINDOW, n // 2, _RS_SCALES).round().astype(int))
+    return sizes[sizes >= _RS_MIN_WINDOW]
 
 
 # Samples gathered per pass of _rs_segments: bounds its temporaries
@@ -192,8 +195,7 @@ def _rs_segments(vals: np.ndarray,
     return ratio, ok, off
 
 
-def hurst_rs(x: TimeSeries, min_window: int = 8,
-             n_scales: int = 16) -> HurstResult:
+def hurst_rs(x: TimeSeries) -> HurstResult:
     """Rescaled-range Hurst exponent of a series of increments.
 
     For each window size the series is cut into non-overlapping segments;
@@ -205,7 +207,7 @@ def hurst_rs(x: TimeSeries, min_window: int = 8,
     vals = _unit_scale(x.values)[0]
     if np.ptp(vals) == 0:
         raise DegenerateVariance("constant series has no rescaled range")
-    sizes = _rs_ladder(vals.size, min_window, n_scales)
+    sizes = _rs_ladder(vals.size)
     if sizes.size < 4:
         raise InsufficientScales("need at least 4 window sizes")
     ratio, ok, off = _rs_segments(vals, sizes)
@@ -218,9 +220,12 @@ def hurst_rs(x: TimeSeries, min_window: int = 8,
     return HurstResult(float(slope), sizes.astype(float), rs, float(intercept))
 
 
-def hurst_profile(x: TimeSeries, min_prefix: int = 32,
-                  min_window: int = 8) -> TimeSeries:
-    """Hurst exponent of every growing prefix x[:t], t >= min_prefix, as
+# hurst_profile's shortest prefix
+_MIN_PREFIX = 32
+
+
+def hurst_profile(x: TimeSeries) -> TimeSeries:
+    """Hurst exponent of every growing prefix x[:t], t >= 32, as
     :func:`hurst_rs` would give it; nan where hurst_rs raises (constant
     prefix, fewer than 4 window sizes, a size whose segments are all
     constant, non-finite slope).
@@ -228,7 +233,7 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
     The segments of x[:t] at width w are the first t // w segments of x,
     so each segment's R/S is computed once, and a prefix's mean R/S per
     width comes from prefix sums over segments. The ladder depends on
-    t // 2 only: all ladders are one (ladders, 16) matrix, and the
+    t // 2 only: all ladders are one (ladders, _RS_SCALES) matrix, and the
     ladders with the same number of distinct widths share one
     closed-form regression. Cost: the segments of all distinct widths
     (about n / 2 of them) go through chunked array passes of bounded
@@ -236,12 +241,12 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
     """
     vals = _unit_scale(x.values)[0]
     n = vals.size
-    if n < min_prefix:
+    if n < _MIN_PREFIX:
         raise InvalidArgument("series shorter than the minimum prefix")
     out = np.full(n, np.nan)
-    hs = np.arange(max(min_prefix // 2, min_window), n // 2 + 1)
-    # hurst_rs's ladder for every t // 2, n_scales = 16
-    ladders = np.geomspace(min_window, hs, 16, axis=-1).round().astype(int)
+    hs = np.arange(max(_MIN_PREFIX // 2, _RS_MIN_WINDOW), n // 2 + 1)
+    # _rs_ladder for every t // 2
+    ladders = np.geomspace(_RS_MIN_WINDOW, hs, _RS_SCALES, axis=-1).round().astype(int)
     fresh = np.diff(ladders, axis=1, prepend=0) > 0  # distinct within a row
     nsizes = fresh.sum(axis=1)
     widths = _distinct(ladders[nsizes >= 4])
@@ -263,11 +268,11 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
             ok[seg].reshape(j - i, m), axis=1)
     nonconst = np.maximum.accumulate(vals) > np.minimum.accumulate(vals)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for size in range(4, 17):
+        for size in range(4, _RS_SCALES + 1):
             rows = np.flatnonzero(nsizes == size)
-            # t = 2h and 2h + 1, within [min_prefix, n], not constant
+            # t = 2h and 2h + 1, within [_MIN_PREFIX, n], not constant
             t = (2 * hs[rows, None] + np.arange(2)).ravel()
-            keep = (t >= min_prefix) & (t <= n) & nonconst[np.minimum(t, n) - 1]
+            keep = (t >= _MIN_PREFIX) & (t <= n) & nonconst[np.minimum(t, n) - 1]
             sizes = ladders[rows][fresh[rows]].reshape(-1, size)
             sizes = np.repeat(sizes, 2, axis=0)[keep]
             t = t[keep]
@@ -276,8 +281,7 @@ def hurst_profile(x: TimeSeries, min_prefix: int = 32,
             slope, _ = _fit_lines(np.log(sizes), np.log(sums[at] / counts[at]))
             good = np.isfinite(slope)  # a size with no counted segment gives 0/0
             out[t[good] - 1] = slope[good]
-    return x.with_values(out, label=f"hurst({x.label})" if x.label else "hurst",
-                         allow_undefined=True)
+    return x.with_values(out, allow_undefined=True)
 
 
 def _direct_rms(vals: np.ndarray, s: int, starts: np.ndarray) -> np.ndarray:
@@ -290,10 +294,10 @@ def _direct_rms(vals: np.ndarray, s: int, starts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(resid * resid, axis=1))
 
 
-def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField:
+def delta_l_field(x: TimeSeries) -> ScaleField:
     """Local linear-trend deviation Delta L(s, l): the RMS residual of a
     least-squares line over the window of length s starting at l, stored
-    at the window centre l + s // 2.
+    at the window centre l + s // 2, for s = 3 .. n // 4.
 
     Cost O(n * S) for S window sizes. A window's residual is unchanged
     when a line is subtracted from the series, so the series v is taken
@@ -307,8 +311,7 @@ def delta_l_field(x: TimeSeries, max_window: Optional[int] = None) -> ScaleField
     """
     vals, e = _unit_scale(x.values)
     n = vals.size
-    if max_window is None:
-        max_window = n // 4
+    max_window = n // 4
     if max_window < 3:
         raise InsufficientScales("series too short for roughness field")
     sizes = np.arange(3, max_window + 1)
@@ -477,21 +480,20 @@ def _l1_modulus_field(x: TimeSeries, wavelet: str, scales: Sequence[float],
     return ScaleField(fld.rows, fld.cols, mod, kind="wtmm-mod")
 
 
-def wtmm(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
-         scales: Optional[Sequence[float]] = None) -> MultifractalResult:
+def wtmm(x: TimeSeries, q: Sequence[float],
+         wavelet: str = "mexican-hat") -> MultifractalResult:
     """Multifractal exponents from wavelet-transform modulus maxima.
 
-    Builds partition functions Z(q, s) over the maxima skeleton (lines
-    spanning at least 5 scales) with the sup-over-finer-scales
-    stabilization and reads tau(q) off the log-log slope, then applies
-    the numerical Legendre transform. Maxima inside the boundary cone of
-    influence (4 scale-widths from either edge) are excluded.
+    The transform runs on 24 log-spaced scales from 2 steps to
+    max(8, n / 33) steps. Builds partition functions Z(q, s) over the
+    maxima skeleton (lines spanning at least 5 scales) with the
+    sup-over-finer-scales stabilization and reads tau(q) off the log-log
+    slope, then applies the numerical Legendre transform. Maxima inside
+    the boundary cone of influence (4 scale-widths from either edge) are
+    excluded.
     """
     qs = _q_grid(q)
-    if scales is None:
-        n = len(x)
-        smax = max(8.0, n / 33.0) * x.step
-        scales = np.geomspace(2.0 * x.step, smax, 24)
+    scales = np.geomspace(2.0 * x.step, max(8.0, len(x) / 33.0) * x.step, 24)
     fld = _l1_modulus_field(x, wavelet, scales, coi=4.0)
     skel = find_skeleton(fld, min_length=5)
     # running supremum of the modulus along each line; a line holds one
@@ -544,40 +546,3 @@ def wavelet_leaders(x: TimeSeries, q: Sequence[float],
     tau, _ = _fit_lines(np.log(np.asarray(scales)[ok]), logZ[:, ok])
     tau, alpha, f_alpha = _legendre(qs, tau - 1.0)
     return MultifractalResult(qs, tau, alpha, f_alpha)
-
-
-def brownian(n: int, seed: Optional[int] = None) -> TimeSeries:
-    """Standard Brownian path: zero start, cumulative sum of unit
-    Gaussian increments."""
-    if n < 2:
-        raise InvalidArgument("need at least 2 samples")
-    rng = np.random.default_rng(seed)
-    incr = rng.standard_normal(n)
-    incr[0] = 0.0
-    return TimeSeries(np.cumsum(incr), label="brownian")
-
-
-def binomial_cascade(levels: int = 14, p: float = 0.3,
-                     seed: Optional[int] = None,
-                     shuffle: bool = False) -> TimeSeries:
-    """Deterministic binomial measure on 2**levels cells: each cell's mass
-    splits into fractions p (left) and 1-p (right) at every level."""
-    if not (0.0 < p < 1.0):
-        raise InvalidArgument("p must lie in (0, 1)")
-    if levels < 4:
-        raise InvalidArgument("need at least 4 levels")
-    mass = np.ones(1)
-    for _ in range(levels):
-        mass = np.concatenate([(mass * p)[:, None],
-                               (mass * (1.0 - p))[:, None]], axis=1).ravel()
-    if shuffle:
-        rng = np.random.default_rng(seed)
-        rng.shuffle(mass)
-    return TimeSeries(mass, label="binomial-cascade")
-
-
-def binomial_cascade_tau(q: Sequence[float], p: float = 0.3) -> np.ndarray:
-    """Closed-form scaling exponents of the binomial measure,
-    tau(q) = -log2(p**q + (1-p)**q)."""
-    qs = np.asarray(q, dtype=float)
-    return -np.log2(p ** qs + (1.0 - p) ** qs)

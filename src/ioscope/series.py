@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class TimeSeries:
 
     values: np.ndarray
     step: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -47,22 +46,21 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return np.arange(self.values.size) * self.step
 
-    def with_values(self, values: np.ndarray, label: Optional[str] = None,
+    def with_values(self, values: np.ndarray,
                     allow_undefined: bool = False) -> "TimeSeries":
         """The same sampling with new values. ``allow_undefined`` lets NaN
         samples mark undefined positions; it is reserved for operator
         outputs (centered smoothing windows), so user input still goes
         through the strict constructor."""
-        label = self.label if label is None else label
         if not allow_undefined:
-            return TimeSeries(values, step=self.step, label=label)
+            return TimeSeries(values, step=self.step)
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise InvalidArgument("series must be a non-empty 1-D sequence")
         if np.any(np.isinf(v)):
             raise InvalidArgument("series contains infinite samples")
         out = object.__new__(TimeSeries)
-        out.__dict__.update(values=v, step=float(self.step), label=label)
+        out.__dict__.update(values=v, step=float(self.step))
         return out
 
 

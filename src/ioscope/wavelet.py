@@ -213,19 +213,12 @@ def _smooth_local(cells: np.ndarray, scales: np.ndarray, step: float,
     return out
 
 
-def wavelet_coherence(wx: ScaleField, wy: ScaleField,
-                      time_widths: Optional[Sequence[int]] = None) -> ScaleField:
-    """Squared wavelet coherence with local boxcar smoothing in time
-    (width ~ scale by default, else ``time_widths``: one width per scale
-    row, each from 1 to the location count) and across 3 adjacent scales."""
+def wavelet_coherence(wx: ScaleField, wy: ScaleField) -> ScaleField:
+    """Squared wavelet coherence with local boxcar smoothing in time (a
+    width of about one scale) and across 3 adjacent scales."""
     if not wx.same_grid(wy):
         raise InvalidArgument("fields are on different (scale, location) grids")
-    tw = None if time_widths is None else np.asarray(time_widths, dtype=int)
-    if tw is not None and (tw.shape != wx.rows.shape or np.any(tw < 1)
-                           or np.any(tw > wx.cols.size)):
-        raise InvalidArgument("time_widths needs one width per scale, each "
-                              "from 1 to the location count")
-    args = (wx.rows, wx.col_step, tw)
+    args = (wx.rows, wx.col_step)
     sx = _smooth_local(np.abs(wx.cells) ** 2, *args)
     sy = _smooth_local(np.abs(wy.cells) ** 2, *args)
     sc = _smooth_local(np.conj(wx.cells) * wy.cells, *args)

@@ -344,6 +344,44 @@ def like_count_distribution_loop(e0: int, cfg: SimConfig, t_max: int) -> np.ndar
     return out
 
 
+def brownian(n: int, seed: Optional[int] = None) -> TimeSeries:
+    """Standard Brownian path: zero start, cumulative sum of unit
+    Gaussian increments. A validation input with H = 1/2 increments."""
+    if n < 2:
+        raise InvalidArgument("need at least 2 samples")
+    rng = np.random.default_rng(seed)
+    incr = rng.standard_normal(n)
+    incr[0] = 0.0
+    return TimeSeries(np.cumsum(incr))
+
+
+def binomial_cascade(levels: int = 14, p: float = 0.3,
+                     seed: Optional[int] = None,
+                     shuffle: bool = False) -> TimeSeries:
+    """Deterministic binomial measure on 2**levels cells: each cell's mass
+    splits into fractions p (left) and 1-p (right) at every level. A
+    validation input with the closed-form spectrum binomial_cascade_tau."""
+    if not (0.0 < p < 1.0):
+        raise InvalidArgument("p must lie in (0, 1)")
+    if levels < 4:
+        raise InvalidArgument("need at least 4 levels")
+    mass = np.ones(1)
+    for _ in range(levels):
+        mass = np.concatenate([(mass * p)[:, None],
+                               (mass * (1.0 - p))[:, None]], axis=1).ravel()
+    if shuffle:
+        rng = np.random.default_rng(seed)
+        rng.shuffle(mass)
+    return TimeSeries(mass)
+
+
+def binomial_cascade_tau(q: Sequence[float], p: float = 0.3) -> np.ndarray:
+    """Closed-form scaling exponents of the binomial measure,
+    tau(q) = -log2(p**q + (1-p)**q)."""
+    qs = np.asarray(q, dtype=float)
+    return -np.log2(p ** qs + (1.0 - p) ** qs)
+
+
 def _segment_rs(vals: np.ndarray, w: int) -> Tuple[np.ndarray, np.ndarray]:
     """R/S of every whole segment of width w in vals, one width at a time
     as a (segments, w) matrix, and whether the segment counts: its max

@@ -17,9 +17,7 @@ from scipy.stats import kendalltau
 from ioscope.agentsim import (SimConfig, like_count_distribution,
                               lifespan_survival, make_phi, weibull_mle)
 from ioscope.cli import main
-from ioscope.fractal import (binomial_cascade, binomial_cascade_tau,
-                             brownian, hurst_rs, mfdfa, wavelet_leaders,
-                             wtmm)
+from ioscope.fractal import hurst_rs, mfdfa, wavelet_leaders, wtmm
 from ioscope.netimpact import build_impact_graph, hits
 from ioscope.rankfuse import (Ranking, borda, condorcet, kemeny_distance,
                               kemeny_median, source_weights)
@@ -29,7 +27,8 @@ from ioscope.templates import io_phase_template, resample_template, scan_detect
 from ioscope.wavelet import cwt, get_wavelet, icwt
 
 from conftest import write_series_csv
-from references import (KuntchenkoBasis, cwt_direct, kuntchenko_efficiency,
+from references import (KuntchenkoBasis, binomial_cascade, binomial_cascade_tau,
+                        brownian, cwt_direct, kuntchenko_efficiency,
                         kuntchenko_fit)
 
 MFDFA_SCALES = np.unique(np.geomspace(20, 120, 25).astype(int))
@@ -348,7 +347,7 @@ class TestAgentModelOracles:
         for tag in ("one", "saturating"):
             cfg = SimConfig(p_l0=0.4, p_r0=0.1, phi=tag)
             surv = lifespan_survival(10, cfg, 15)
-            pmf = like_count_distribution(10, cfg)
+            pmf = like_count_distribution(10, cfg, t_max=100)
             gen = np.random.default_rng(0)
             draws = gen.choice(len(pmf), size=20000, p=pmf / pmf.sum())
             positive = draws[draws > 0].astype(float)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ioscope import agentsim
 from ioscope.agentsim import (SimConfig, _forward, like_count_distribution,
                               lifespan_survival, make_phi,
                               simulate_population, weibull_mle)
@@ -225,17 +226,15 @@ class TestSimulatePopulation:
                                               e_ref, e0, ticks, cap, seed):
         cfg = SimConfig(p_l0=p_l0, p_d0=p_d0, p_r0=p_r0, p_s=p_s, e0=e0,
                         phi=phi, phi_e_ref=e_ref, seed=seed)
-        out = simulate_population(cfg, ticks, cap=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agentsim, "POPULATION_CAP", cap)
+            out = simulate_population(cfg, ticks)
         ref = simulate_population_loop(cfg, ticks, cap)
         for name in ("alive", "births", "deaths", "lifespans", "like_counts"):
             got, want = getattr(out, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
         assert out.capped == ref.capped
-
-    def test_rejects_cap_below_one(self):
-        with pytest.raises(InvalidArgument):
-            simulate_population(BASE_CFG, 5, cap=0)
 
     def test_first_tick_spawn_expectation(self):
         cfg_base = SimConfig(p_l0=0.4, p_r0=0.2, p_s=0.1, e0=10)
@@ -248,20 +247,21 @@ class TestSimulatePopulation:
         sigma = np.sqrt(expect * (1 - expect) / n)  # Bernoulli-ish bound
         assert abs(births / n - expect) <= 4 * sigma
 
-    def test_population_cap_flag(self):
+    def test_population_cap_flag(self, monkeypatch):
+        monkeypatch.setattr(agentsim, "POPULATION_CAP", 500)
         cfg = SimConfig(p_l0=0.9, p_r0=0.9, p_s=0.5, e0=20, seed=1)
-        out = simulate_population(cfg, 200, cap=500)
+        out = simulate_population(cfg, 200)
         assert out.capped
         assert max(out.alive) <= 500 * 2 + 1
 
 
 class TestLikeCountDistribution:
     def test_no_likes_when_p_like_zero(self):
-        pmf = like_count_distribution(5, SimConfig(p_l0=0.0, p_r0=0.1))
+        pmf = like_count_distribution(5, SimConfig(p_l0=0.0, p_r0=0.1), t_max=100)
         assert pmf[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_masses_sum_to_one(self):
-        pmf = like_count_distribution(8, BASE_CFG)
+        pmf = like_count_distribution(8, BASE_CFG, t_max=100)
         assert np.all(pmf >= -1e-12)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 

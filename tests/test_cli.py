@@ -20,11 +20,11 @@ from ioscope.agentsim import SimConfig, lifespan_survival
 from ioscope import cli, spectral, wavelet
 from ioscope.cli import (Q_MFDFA, Q_WAVELET, _CHUNK, _Run, _dump, _json_default,
                          _write_report, main, write_matrix_csv)
-from ioscope.fractal import brownian, delta_l_field, mfdfa, wavelet_leaders
+from ioscope.fractal import delta_l_field, mfdfa, wavelet_leaders
 from ioscope.series import ScaleField, TimeSeries, deseasonalize_weekly, smooth
 
 from conftest import write_series_csv
-from references import json_default_loop
+from references import brownian, json_default_loop
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 SCHEMA_PATH = os.path.join(SRC, "ioscope", "schema", "report.schema.json")
@@ -202,7 +202,8 @@ class TestAnalyze:
     def test_ccf_requires_second_input(self, tmp_path, capsys, brownian_csv):
         assert main(["analyze", "--input", brownian_csv, "--ops", "ccf",
                      "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err == "ioscope: op 'ccf': needs --input2\n"
+        assert capsys.readouterr().err == ("ioscope: op 'ccf': needs --input2 "
+                                           "(failed ops: 1; report written)\n")
 
     @pytest.mark.filterwarnings("error")  # pytest captures warnings, not stderr
     @pytest.mark.parametrize("width", ["1e200", "1e-300"])
@@ -398,9 +399,8 @@ class TestWriteMatrixCsv:
         assert (b",-0," in fast) != complex_cells
 
     def test_writes_one_row_at_a_time(self, tmp_path, rng):
-        fld = delta_l_field(TimeSeries(rng.poisson(4.0, 800).astype(float)),
-                            max_window=202)
-        assert fld.cells.shape == (200, 800)
+        fld = delta_l_field(TimeSeries(rng.poisson(4.0, 808).astype(float)))
+        assert fld.cells.shape == (200, 808)
         tracemalloc.start()
         try:
             write_matrix_csv(tmp_path / "dl.csv", fld)
@@ -848,6 +848,66 @@ class TestGraph:
         results = load_report(out)["results"]
         assert results["hits"]["out_degree"] == {"a": 0, "b": 3000000, "c": 0}
         assert results["dropped_self_loops"] == 7
+
+
+class TestFailedOps:
+    """A failing op of `analyze` or `graph` leaves an error block; the
+    other ops still run, and the report is written before exit 3."""
+
+    def test_graph_keeps_the_blocks_that_ran(self, tmp_path, capsys):
+        epath = write_edges(tmp_path / "e.tsv", [("a", "b"), ("b", "c"), ("c", "a")])
+        rpath = write_ratings(tmp_path / "r.csv", {"a": 5.0})
+        argv = ["graph", "--edges", epath, "--ratings", rpath, "--ops"]
+        assert main(argv + ["stats,hits,ioscore", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert main(argv + ["stats,hits", "--out", str(tmp_path / "ok")]) == 0
+        report, ok = load_report(tmp_path / "out"), load_report(tmp_path / "ok")
+        results = report["results"]
+        message = results["ioscore"]["error"]
+        assert "80%" in message and set(results["ioscore"]) == {"error"}
+        assert err == (f"ioscope: op 'ioscore': {message} "
+                       "(failed ops: 1; report written)\n")
+        assert report["failed_ops"] == ["ioscore"] and "failed_ops" not in ok
+        assert {k: v for k, v in results.items() if k != "ioscore"} == ok["results"]
+        with open(SCHEMA_PATH) as fh:
+            schema = json.load(fh)
+        jsonschema.validate(report, schema)
+        for bad in ({"error": 3}, {"error": message, "score": 0.5}):
+            broken = dict(report, results=dict(results, ioscore=bad))
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(broken, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(dict(report, failed_ops=[]), schema)
+
+    def test_analyze_runs_every_op_and_counts_the_failures(self, tmp_path, capsys):
+        path = write_series_csv(tmp_path / "x.csv", brownian(256, seed=9).values)
+        argv = ["analyze", "--input", path, "--ops"]
+        assert main(argv + ["sma,ccf,dl,wcc,dft", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert main(argv + ["sma,dl,dft", "--out", str(tmp_path / "ok")]) == 0
+        report, ok = load_report(tmp_path / "out"), load_report(tmp_path / "ok")
+        assert err == ("ioscope: op 'ccf': needs --input2 "
+                       "(failed ops: 2; report written)\n")
+        assert report["failed_ops"] == ["ccf", "wcc"]
+        assert report["results"].pop("ccf") == {"error": "needs --input2"}
+        assert report["results"].pop("wcc") == {"error": "needs --input2"}
+        assert report["results"] == ok["results"]
+        assert report["artifacts"] == ok["artifacts"] == ["dl.csv", "dl.gnuplot"]
+        assert ((tmp_path / "out" / "dl.csv").read_bytes()
+                == (tmp_path / "ok" / "dl.csv").read_bytes())
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "{bad}", "--ops", "sma"],
+        ["analyze", "--input", "{good}", "--ops", "sma,fftx"],
+        ["analyze", "--input", "{good}", "--ops", "sma", "--window", "0"],
+    ], ids=["bad-input", "unknown-op", "bad-flag"])
+    def test_exit_2_writes_no_report(self, tmp_path, argv):
+        files = {"bad": tmp_path / "bad.csv", "good": tmp_path / "good.csv"}
+        files["bad"].write_text("value\n1.0\nx\n")
+        write_series_csv(files["good"], np.arange(20.0))
+        out = tmp_path / "out"
+        assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
 
 
 class TestFuse:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ioscope import cli
 from ioscope.cli import _read_rankings_csv, build_parser, main, read_series_csv
 from ioscope.errors import InvalidArgument
 
@@ -299,7 +300,7 @@ def test_reader_skips_blank_and_comment_lines(tmp_path):
     path = Path(write(tmp_path / "x.csv", "value\n\n# c,1\n 4 \n  \n#\n\t5\n#6\n"))
     x = read_series_csv(path)
     assert x.values.tolist() == [4.0, 5.0]
-    assert (x.step, x.label) == (1.0, "x")
+    assert x.step == 1.0
 
 
 @pytest.mark.parametrize("text,lineno", [("1\nvalue\n2\n", 2),
@@ -352,12 +353,30 @@ def test_reader_bad_line_beats_mixed_columns(tmp_path):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("text", ["t,value\n0,1\n1,2\n2,3", "value\n# c\n1\n2\n3\n"],
+                         ids=["timestamps", "comment"])
+def test_series_row_path_decodes_the_file_once(tmp_path, monkeypatch, text):
+    # the one-pass reader refuses these texts; the row reader takes over
+    # from the text already decoded
+    calls = []
+    read_text = cli._read_text
+
+    def counting(path):
+        calls.append(path)
+        return read_text(path)
+
+    monkeypatch.setattr(cli, "_read_text", counting)
+    x = read_series_csv(Path(write(tmp_path / "s.csv", text)))
+    assert x.values.tolist() == [1.0, 2.0, 3.0]
+    assert len(calls) == 1
+
+
 def test_reader_timestamps(tmp_path):
     path = Path(write(tmp_path / "s.csv",
                       "timestamp,value\n0.5, 1\n0.75,2\r\n1.0 ,-3e-2\n"))
     x = read_series_csv(path)
     assert x.values.tolist() == [1.0, 2.0, -0.03]
-    assert (x.step, x.label) == (0.25, "s")
+    assert x.step == 0.25
     assert x.values.flags.c_contiguous
 
 
@@ -502,6 +521,15 @@ def check_contract(argv, d):
     assert code in (0, 2, 3)
     if code:
         assert len(err.splitlines()) == 1, err
+    # exit 2 writes no report; a written report lists failed ops exactly
+    # when the run exits 3
+    report = d / "out" / "report.json"
+    if code == 2:
+        assert not report.exists()
+    elif report.exists():
+        assert ("failed_ops" in json.loads(report.read_text())) == (code == 3)
+    else:
+        assert code == 3
 
 
 def fixture_files(d):

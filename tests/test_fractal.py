@@ -6,15 +6,14 @@ from ioscope import fractal
 from ioscope.errors import (DegenerateSignal, DegenerateVariance,
                             InsufficientScales, InsufficientStructure,
                             InvalidArgument, IoscopeError)
-from ioscope.fractal import (MultifractalResult, binomial_cascade,
-                             binomial_cascade_tau, brownian, delta_l_field,
-                             find_skeleton, hurst_profile, hurst_rs, mfdfa,
-                             wavelet_leaders, wtmm)
+from ioscope.fractal import (MultifractalResult, delta_l_field, find_skeleton,
+                             hurst_profile, hurst_rs, mfdfa, wavelet_leaders,
+                             wtmm)
 from ioscope.series import TimeSeries
 from ioscope.wavelet import cwt, get_wavelet
 
-from references import (_segment_rs, mfdfa_loop, wavelet_leaders_loop,
-                        wtmm_loop)
+from references import (_segment_rs, binomial_cascade, binomial_cascade_tau,
+                        brownian, mfdfa_loop, wavelet_leaders_loop, wtmm_loop)
 
 Q_GRID = np.arange(-4.0, 4.01, 0.5)
 
@@ -73,12 +72,16 @@ class TestHurst:
         assert len(res.rs_values) == len(res.window_sizes)
 
     def test_constant_segments_do_not_count(self):
-        # widths 3, 6, 11, 21 on 42 samples: 3, 6 and 21 divide 42, so a
-        # segment of each holds the 0.9; the three width-11 segments are
-        # all 0.3, whose rounded std is above 0 but whose max is their min
-        vals = np.r_[np.full(41, 0.3), 0.9]
-        with pytest.raises(DegenerateSignal, match="window size 11"):
-            hurst_rs(TimeSeries(vals), min_window=3, n_scales=4)
+        # the ladder on 256 samples is 8, 10, 12, 14, 17, 20, 24, 29, 35,
+        # 42, 51, 61, 74, 88, 106, 128; 29 is a multiple of no other
+        # width, so the step from 0.3 to 0.9 at sample 29 lies inside a
+        # segment of every width but 29. Each width-29 segment is a run
+        # of 0.3 or of 0.9, whose rounded std is above 0 but whose max
+        # is its min
+        vals = np.r_[np.full(29, 0.3), np.full(227, 0.9)]
+        assert np.full(29, 0.3).std() > 0 and np.full(29, 0.9).std() > 0
+        with pytest.raises(DegenerateSignal, match="window size 29"):
+            hurst_rs(TimeSeries(vals))
 
     def test_white_noise_near_half(self):
         hs = [hurst_rs(TimeSeries(
@@ -112,14 +115,14 @@ class TestHurstProfile:
         assert after < before
 
 
-def reference_hurst_profile(x, min_prefix=32, min_window=8):
-    """One full hurst_rs call per prefix, nan where it raises."""
+def reference_hurst_profile(x):
+    """One full hurst_rs call per prefix of 32 samples or more, nan where
+    it raises."""
     vals = np.asarray(x.values, dtype=float)
     out = np.full(vals.size, np.nan)
-    for t in range(min_prefix, vals.size + 1):
+    for t in range(32, vals.size + 1):
         try:
-            out[t - 1] = hurst_rs(TimeSeries(vals[:t]),
-                                  min_window=min_window).exponent
+            out[t - 1] = hurst_rs(TimeSeries(vals[:t])).exponent
         except (InsufficientScales, DegenerateSignal, DegenerateVariance):
             pass
     return out
@@ -175,9 +178,9 @@ def oracle_series(kind, n):
     raise ValueError(kind)
 
 
-def assert_profile_matches_reference(x, *args):
-    want = reference_hurst_profile(x, *args)
-    got = hurst_profile(x, *args).values
+def assert_profile_matches_reference(x):
+    want = reference_hurst_profile(x)
+    got = hurst_profile(x).values
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     ok = ~np.isnan(want)
     assert ok.any()
@@ -191,12 +194,11 @@ class TestHurstProfileOracle:
     def test_matches_per_prefix_hurst_rs(self, kind):
         assert_profile_matches_reference(TimeSeries(oracle_series(kind, 300)))
 
-    @pytest.mark.parametrize("kind,min_prefix,min_window", [
-        ("poisson", 16, 4), ("poisson", 17, 12), ("poisson", 64, 8),
-        ("constant-lead", 16, 10)])
-    def test_other_prefix_and_window(self, kind, min_prefix, min_window):
-        assert_profile_matches_reference(
-            TimeSeries(oracle_series(kind, 150)), min_prefix, min_window)
+    @pytest.mark.parametrize("kind,n", [
+        ("poisson", 32), ("poisson", 47), ("spiky", 150),
+        ("constant-lead", 150)])
+    def test_other_kinds_and_lengths(self, kind, n):
+        assert_profile_matches_reference(TimeSeries(oracle_series(kind, n)))
 
     def test_nan_where_a_window_size_is_all_constant(self):
         # one spike at 45: prefixes from t = 46 on are not constant, but
@@ -218,9 +220,7 @@ class TestHurstProfileOracle:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_reference_on_counts_and_runs(self, data):
-        min_window = data.draw(st.integers(2, 16), label="min_window")
-        min_prefix = data.draw(st.integers(1, 64), label="min_prefix")
-        n = data.draw(st.integers(min_prefix, 400), label="n")
+        n = data.draw(st.integers(32, 400), label="n")
         gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         pieces = []
         while sum(map(len, pieces)) < n:
@@ -233,8 +233,8 @@ class TestHurstProfileOracle:
                     [0.3, 0.1, 1.0 / 3.0, 2.2]))))
         vals = np.concatenate(pieces)[:n]
         x = TimeSeries(vals)
-        want = reference_hurst_profile(x, min_prefix, min_window)
-        got = hurst_profile(x, min_prefix, min_window).values
+        want = reference_hurst_profile(x)
+        got = hurst_profile(x).values
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         ok = ~np.isnan(want)
         np.testing.assert_allclose(got[ok], want[ok], rtol=0, atol=1e-12)
@@ -546,9 +546,11 @@ class TestWtmm:
         assert np.all(fld.cells[0, 8:-8] > 0)
 
     def test_insufficient_structure(self):
+        # 64 samples: the grid runs from 2 to 8 steps, and the cone of
+        # influence covers the whole series from scale 8 on
         x = TimeSeries(np.sin(np.arange(64.0) / 64))
-        with pytest.raises((InsufficientStructure, InsufficientScales)):
-            wtmm(x, [-1.0, 0.0, 1.0], scales=[2.0, 3.0])
+        with pytest.raises(InsufficientStructure):
+            wtmm(x, [-1.0, 0.0, 1.0])
 
 
 class TestWaveletLeaders:

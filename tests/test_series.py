@@ -126,11 +126,10 @@ class TestDeseasonalize:
 
 class TestWithValues:
     def test_undefined_samples_only_when_allowed(self):
-        x = TimeSeries([1.0, 2.0, 3.0], step=0.5, label="x")
+        x = TimeSeries([1.0, 2.0, 3.0], step=0.5)
         y = x.with_values([np.nan, 1.0, np.nan], allow_undefined=True)
-        assert (y.step, y.label) == (0.5, "x")
+        assert y.step == 0.5
         assert np.isnan(y.values[[0, 2]]).all() and y.values[1] == 1.0
-        assert x.with_values([4.0, 5.0], label="y").label == "y"
         with pytest.raises(InvalidArgument):
             x.with_values([np.nan, 1.0])
         for bad in ([np.inf, 1.0], [], [[1.0]]):

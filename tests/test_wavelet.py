@@ -271,9 +271,11 @@ class TestWccMeasure:
 
 
 class TestWaveletCoherence:
-    def test_identical_fields(self, rng):
+    @pytest.mark.parametrize("n,scales", [(128, [4.0, 8.0, 16.0]),
+                                          (64, [2.0, 4.0, 8.0])])
+    def test_identical_fields(self, rng, n, scales):
         w = get_wavelet("morlet")
-        f = cwt(TimeSeries(rng.standard_normal(128)), w, [4.0, 8.0, 16.0])
+        f = cwt(TimeSeries(rng.standard_normal(n)), w, scales)
         out = wavelet_coherence(f, f)
         np.testing.assert_allclose(out.cells[out.mask], 1.0, atol=1e-9)
         assert out.kind == "coherence"
@@ -314,22 +316,3 @@ class TestCoherenceSmoothing:
         got = _smooth_local(cells, scales, 1.0, scale_width=scale_width)
         want = smooth_local_convolve(cells, scales, 1.0, scale_width=scale_width)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("bad", [[4, 4], [4, 0, 4], [4, -2, 4], 4])
-    def test_time_widths_one_positive_width_per_scale(self, rng, bad):
-        w = get_wavelet("morlet")
-        f = cwt(TimeSeries(rng.standard_normal(64)), w, [2.0, 4.0, 8.0])
-        with pytest.raises(InvalidArgument):
-            wavelet_coherence(f, f, time_widths=bad)
-
-    def test_time_widths_wider_than_grid_rejected(self, rng):
-        w = get_wavelet("morlet")
-        f = cwt(TimeSeries(rng.standard_normal(64)), w, [2.0, 4.0, 8.0])
-        with pytest.raises(InvalidArgument):
-            wavelet_coherence(f, f, time_widths=[4, 65, 4])
-
-    def test_explicit_widths_identical_fields(self, rng):
-        w = get_wavelet("morlet")
-        f = cwt(TimeSeries(rng.standard_normal(64)), w, [2.0, 4.0, 8.0])
-        out = wavelet_coherence(f, f, time_widths=[1, 7, 64])
-        np.testing.assert_allclose(out.cells[out.mask], 1.0, atol=1e-9)
