@@ -158,7 +158,7 @@ def simulate_population(cfg: SimConfig, ticks: int) -> SimOutcome:
         raise InvalidArgument("ticks must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     # live agents at most double, plus one, per tick: < 2**(ticks + 1) births
-    size = min(POPULATION_CAP, 2 ** (ticks + 1))
+    size = min(POPULATION_CAP, 2 ** min(ticks + 1, POPULATION_CAP.bit_length()))
     energy = np.zeros(size, dtype=np.int64)
     lifespans = np.zeros(size, dtype=np.int64)
     likes = np.zeros(size, dtype=np.int64)

@@ -3,10 +3,11 @@ around the analysis modules.
 
 Exit codes: 0 success; 2 a usage error, a flag value outside its range
 or an input file that does not parse; 3 an operation whose precondition
-or numeric computation fails on this input. A failure prints one stderr
-line, ``ioscope: [op '<name>': ]<message>``. When ops of `analyze` or
-`graph` fail, the others still run and the report is written: it lists
-them in ``failed_ops``, and the line names the first and their count.
+or numeric computation fails on this input, or that runs out of memory.
+A failure prints one stderr line, ``ioscope: [op '<name>': ]<message>``.
+When ops of `analyze` or `graph` fail, the others still run and the
+report is written: it lists them in ``failed_ops``, and the line names
+the first and their count.
 """
 
 from __future__ import annotations
@@ -163,25 +164,10 @@ def write_matrix_csv(path: Path, fld: ScaleField) -> None:
                  f"splot '{path.name}' nonuniform matrix with image notitle\n")
 
 
-def _read_text(path: Path) -> str:
-    """The UTF-8 text of an input file, without a leading byte-order mark;
-    a file that cannot be opened or decoded is an InvalidArgument."""
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise InvalidArgument(f"{path}: {exc.strerror or exc}") from None
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:  # exc.object: the bytes after the mark
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
-        raise InvalidArgument(f"{path}:{lineno}: not UTF-8 text") from None
-
-
-def _read_rows(path: Path, sep: str, parse: Callable[[List[str]], object],
-               text: Optional[str] = None) -> Iterator[Tuple[int, object]]:
+def _read_rows(path: Path, lines: io.BytesIO, sep: str,
+               parse: Callable[[List[str]], object]) -> Iterator[Tuple[int, object]]:
     """Yield (lineno, ``parse`` of the row) for every row of a delimited
-    input file, splitting its text into lines one at a time. ``text`` is
-    the file's text when the caller has already read it.
+    input file, as _Run.read gives it, decoding its lines one at a time.
 
     Lines end where str.splitlines ends them. Blank lines and '#' lines
     are skipped and fields are trimmed. A row that does not parse
@@ -190,11 +176,8 @@ def _read_rows(path: Path, sep: str, parse: Callable[[List[str]], object],
     ArgumentTypeError from a converter) is an error on every line.
     Errors name path:lineno.
     """
-    if text is None:
-        text = _read_text(path)
-    lines = (line for raw in io.StringIO(text, newline=None)
-             for line in raw.splitlines())
-    for lineno, raw in enumerate(lines, start=1):
+    rows = (line for raw in lines for line in raw.decode().splitlines())
+    for lineno, raw in enumerate(rows, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -239,13 +222,12 @@ _positive = _converter(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _unit = _converter(float, lambda v: 0 < v <= 1, "in (0, 1]")
 
 
-def _bulk_column(text: str) -> Optional[np.ndarray]:
+def _bulk_column(lines: io.BytesIO) -> Optional[np.ndarray]:
     """The values of a one-column series whose every line, bar a header on
-    line 1, is a finite number, parsed in one pass; None for any other
-    text, which _series_table reads row by row to the same values or to
-    its error."""
-    lines = io.StringIO(text, newline=None)
-    head = next(lines, "")
+    line 1, is a finite number, parsed in one pass from the bytes of each
+    line; None for any other text, which _series_table reads row by row
+    to the same values or to its error."""
+    head = next(lines, b"").decode()
     try:
         values = [float(head.strip())]  # float strips less than str.strip
     except ValueError:  # a header, or a line that _read_rows must judge
@@ -259,13 +241,12 @@ def _bulk_column(text: str) -> Optional[np.ndarray]:
     return values if np.isfinite(values).all() else None
 
 
-def _series_table(path: Path, text: str) -> np.ndarray:
-    """The series' rows, one or two columns, read from its text row by
-    row through _read_rows. The rows stream into one float array; no
-    per-row object outlives its line."""
-    rows = (row for _, row in _read_rows(
-        path, ",", _fields("value or timestamp,value", _finite, _finite, optional=1),
-        text))
+def _series_table(path: Path, lines: io.BytesIO) -> np.ndarray:
+    """The series' rows, one or two columns, read row by row through
+    _read_rows. The rows stream into one float array; no per-row object
+    outlives its line."""
+    rows = (row for _, row in _read_rows(path, lines, ",", _fields(
+        "value or timestamp,value", _finite, _finite, optional=1)))
     first = next(rows, [])
     mixed = False
 
@@ -283,13 +264,14 @@ def _series_table(path: Path, text: str) -> np.ndarray:
     return table
 
 
-def read_series_csv(path: Path) -> TimeSeries:
-    """One `value` column, or `timestamp,value` with uniform spacing. A
-    plain column of numbers is parsed in one pass, any other text row by
-    row, which names the line of any error."""
-    text = _read_text(path)
-    values = _bulk_column(text)
-    table = _series_table(path, text) if values is None else values[:, None]
+def read_series_csv(path: Path, lines: io.BytesIO) -> TimeSeries:
+    """One `value` column, or `timestamp,value` with uniform spacing, from
+    the file as _Run.read gives it. A plain column of numbers is parsed in
+    one pass, any other text row by row, which names the line of any error."""
+    start = lines.tell()
+    values = _bulk_column(lines)
+    lines.seek(start)
+    table = _series_table(path, lines) if values is None else values[:, None]
     if len(table) < 2:
         raise InvalidArgument(f"{path}: need at least 2 samples")
     step = 1.0
@@ -306,9 +288,9 @@ def read_series_csv(path: Path) -> TimeSeries:
     return TimeSeries(np.ascontiguousarray(table[:, -1]), step=step)
 
 
-def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
+def _read_rankings_csv(path: Path, lines: io.BytesIO) -> List[rankfuse.Ranking]:
     per_source: Dict[str, Dict[str, int]] = {}
-    for lineno, (src, alt, rank) in _read_rows(path, ",", _fields(
+    for lineno, (src, alt, rank) in _read_rows(path, lines, ",", _fields(
             "source,alternative,rank", str, str, _positive_int)):
         items = per_source.setdefault(src, {})
         if alt in items:
@@ -321,14 +303,14 @@ def _read_rankings_csv(path: Path) -> List[rankfuse.Ranking]:
             for src, items in sorted(per_source.items())]
 
 
-def _read_values(path: Path, layout: str,
+def _read_values(path: Path, lines: io.BytesIO, layout: str,
                  known: Optional[Sequence[str]] = None) -> Dict[str, float]:
     """One row of ``layout`` (`key,value`) for each key; with ``known``,
     one for each known source and none for any other."""
     what = layout.split(",")[0]
     values: Dict[str, float] = {}
-    for lineno, (key, value) in _read_rows(path, ",", _fields(layout, str,
-                                                              _nonnegative)):
+    for lineno, (key, value) in _read_rows(path, lines, ",", _fields(
+            layout, str, _nonnegative)):
         if known is not None and key not in known:
             raise InvalidArgument(f"{path}:{lineno}: {what} {key!r} has no ranking")
         if key in values:
@@ -342,19 +324,34 @@ def _read_values(path: Path, layout: str,
 
 
 class _Run(SimpleNamespace):
-    """One invocation's record: its args and output directory, the files
-    it read (``inputs``, fingerprinted in order) and wrote (``artifacts``),
-    its warnings and preprocessing, the (op, message) of each op that
-    failed (``failures``), and the state its ops share."""
+    """One invocation's record: its args and output directory, the SHA-256
+    of the bytes it read (``fingerprint``), the files it wrote
+    (``artifacts``), its warnings and preprocessing, the (op, message) of
+    each op that failed (``failures``), and the state its ops share."""
 
-    def __init__(self, args, out_dir: Path):
-        super().__init__(args=args, out_dir=out_dir, inputs=[], artifacts=[],
+    def __init__(self, args, out_dir: Optional[Path]):
+        super().__init__(args=args, out_dir=out_dir, fingerprint=sha256(), artifacts=[],
                          warnings=[], preprocessing={"steps": []}, failures=[])
 
-    def input(self, path) -> Path:
-        """Record a file the run reads; its Path."""
-        self.inputs.append(Path(path))
-        return self.inputs[-1]
+    def read(self, path) -> Tuple[Path, io.BytesIO]:
+        """An input file's Path and a stream of its lines after any
+        byte-order mark, from one read of its bytes, which must be UTF-8
+        text and go into ``fingerprint``. The stream shares the bytes. A
+        file that cannot be read or decoded is an InvalidArgument."""
+        path = Path(path)
+        try:
+            data = path.read_bytes()
+            if not data.isascii():
+                data.decode()
+        except OSError as exc:
+            raise InvalidArgument(f"{path}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise InvalidArgument(f"{path}:{lineno}: not UTF-8 text") from None
+        self.fingerprint.update(data)
+        lines = io.BytesIO(data)
+        lines.seek(3 if data.startswith(b"\xef\xbb\xbf") else 0)
+        return path, lines
 
     def artifact(self, name: str) -> Path:
         """Record a file the run writes; its path in ``out_dir``."""
@@ -368,7 +365,7 @@ def _load_template_dir(run: _Run, dir_path: Path) -> List[templates.Template]:
         raise InvalidArgument(f"{dir_path} is not a directory")
     bank = []
     for p in sorted(dir_path.glob("*.csv")):
-        samples = [v for _, (v,) in _read_rows(run.input(p), ",",
+        samples = [v for _, (v,) in _read_rows(*run.read(p), ",",
                                                _fields("one sample", _finite))]
         try:
             bank.append(templates.Template(samples, name=p.stem))
@@ -380,14 +377,11 @@ def _load_template_dir(run: _Run, dir_path: Path) -> List[templates.Template]:
 
 
 def _write_report(run: _Run, command: str, results: Dict) -> Path:
-    fingerprint = sha256()
-    for p in run.inputs:
-        fingerprint.update(p.read_bytes())
     report = {
         "version": __version__,
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "input_fingerprint": fingerprint.hexdigest(),
+        "input_fingerprint": run.fingerprint.hexdigest(),
         "seed": getattr(run.args, "seed", None),
         "preprocessing": run.preprocessing,
         "results": results,
@@ -416,7 +410,8 @@ def _parse_scales(text: str, limit: int) -> range:
 
 
 def _parse_ops(text: str, known) -> List[str]:
-    ops = [op.strip() for op in text.split(",") if op.strip()]
+    """The listed ops in order, each once."""
+    ops = list(dict.fromkeys(op.strip() for op in text.split(",") if op.strip()))
     if not ops:
         raise InvalidArgument("empty ops list")
     for op in ops:
@@ -425,24 +420,21 @@ def _parse_ops(text: str, known) -> List[str]:
     return ops
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """key=value config entries fill in flags still at their defaults,
-    converted and checked as the flag itself would be. Every bad entry is
-    an InvalidArgument, so line 1 is never taken for a header."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace) -> Dict[str, object]:
+    """The subcommand defaults that the --config file's key=value entries
+    set, each converted and checked as the flag itself would be. Every bad
+    entry is an InvalidArgument, so line 1 is never taken for a header.
+    The file is read as an input, but outside the run's fingerprint."""
     actions = {a.dest: a for a in args._subparser._actions if a.dest != "help"}
 
-    def entry(fields: List[str]) -> Optional[Tuple[str, object]]:
-        """(flag, typed value) of an entry; None for a flag already set."""
+    def entry(fields: List[str]) -> Tuple[str, object]:
+        """(flag, typed value) of an entry."""
         if len(fields) < 2:
             raise InvalidArgument("expected key=value")
         key, value = fields[0].replace("-", "_"), "=".join(fields[1:])
         action = actions.get(key)
         if action is None:
             raise InvalidArgument(f"unknown key {key!r}")
-        if getattr(args, key) != action.default:
-            return None
         if isinstance(action.default, bool):
             if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
                 raise InvalidArgument(f"bad value {value!r} for {key}")
@@ -455,9 +447,8 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise InvalidArgument(f"{key} must be one of " + ", ".join(action.choices))
         return key, typed
 
-    for _, setting in _read_rows(Path(args.config), "=", entry):
-        if setting:
-            setattr(args, *setting)
+    return dict(row for _, row in _read_rows(*_Run(args, None).read(args.config),
+                                             "=", entry))
 
 
 def _curve_json(x: TimeSeries) -> Dict:
@@ -553,6 +544,11 @@ ANALYZE_OPS: Dict[str, Callable] = {
 }
 
 
+def _message(exc: Exception) -> str:
+    """An op failure's message; a MemoryError says it ran out of memory."""
+    return f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+
+
 def _run_ops(run: _Run, table: Dict[str, Callable], ops: Sequence[str]) -> Dict:
     """Each op's block, by op. A kernel's library error becomes the op's
     block, ``{"error": message}``, and is recorded in ``run.failures``;
@@ -562,8 +558,8 @@ def _run_ops(run: _Run, table: Dict[str, Callable], ops: Sequence[str]) -> Dict:
     for op in ops:
         try:
             out = table[op](run)
-        except IoscopeError as exc:
-            results[op] = {"error": str(exc)}
+        except (IoscopeError, MemoryError) as exc:
+            results[op] = {"error": _message(exc)}
             run.failures.append((op, results[op]["error"]))
             continue
         if isinstance(out, ScaleField):
@@ -579,8 +575,8 @@ def _run_ops(run: _Run, table: Dict[str, Callable], ops: Sequence[str]) -> Dict:
 def cmd_analyze(run: _Run) -> Dict:
     args = run.args
     ops = _parse_ops(args.ops, ANALYZE_OPS)
-    run.x = read_series_csv(run.input(args.input))
-    run.y = read_series_csv(run.input(args.input2)) if args.input2 else None
+    run.x = read_series_csv(*run.read(args.input))
+    run.y = read_series_csv(*run.read(args.input2)) if args.input2 else None
     run.cwts = {}
     run.preprocessing.update({flag: getattr(args, flag) for flag in (
         "window", "alpha", "bin", "wavelet", "gabor_width", "aggregated",
@@ -594,7 +590,7 @@ def cmd_analyze(run: _Run) -> Dict:
 
 def cmd_scan(run: _Run) -> Dict:
     args = run.args
-    x = read_series_csv(run.input(args.input))
+    x = read_series_csv(*run.read(args.input))
     bank = (templates.builtin_bank() if args.templates == "builtin"
             else _load_template_dir(run, Path(args.templates)))
     k_range = _parse_scales(args.scales, len(x))
@@ -683,9 +679,9 @@ GRAPH_OPS: Dict[str, Callable] = {
 def cmd_graph(run: _Run) -> Dict:
     args = run.args
     ops = _parse_ops(args.ops, GRAPH_OPS)
-    citations = [row for _, row in _read_rows(run.input(args.edges), "\t", _fields(
+    citations = [row for _, row in _read_rows(*run.read(args.edges), "\t", _fields(
         "from<TAB>to[<TAB>count]", str, str, _positive_int, optional=1))]
-    ratings = (_read_values(run.input(args.ratings), "node,rating")
+    ratings = (_read_values(*run.read(args.ratings), "node,rating")
                if args.ratings else None)
     run.g = g = netimpact.build_impact_graph(citations, ratings=ratings)
     return {"n": g.n, "m": g.m, "dropped_self_loops": g.dropped_self_loops,
@@ -694,12 +690,12 @@ def cmd_graph(run: _Run) -> Dict:
 
 def cmd_fuse(run: _Run) -> Dict:
     args = run.args
-    rankings = _read_rankings_csv(run.input(args.rankings))
+    rankings = _read_rankings_csv(*run.read(args.rankings))
     profile = None
     if args.weighting != "none":
         if not args.estimates:
             raise InvalidArgument("weighting needs --estimates")
-        estimates = _read_values(run.input(args.estimates), "source,E",
+        estimates = _read_values(*run.read(args.estimates), "source,E",
                                  [r.source for r in rankings])
         profile = rankfuse.source_weights(
             {r.source: (estimates[r.source], list(r.alternatives)) for r in rankings},
@@ -791,8 +787,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        _apply_config(args)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:  # entries become defaults, so explicit flags beat them
+            args._subparser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         run = _Run(args, Path(args.out))
         run.out_dir.mkdir(parents=True, exist_ok=True)
         _write_report(run, args.command, args.func(run))
@@ -807,8 +806,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidArgument, OSError) as exc:
         print(f"ioscope: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IoscopeError as exc:
-        print(f"ioscope: {exc}", file=sys.stderr)
+    except (IoscopeError, MemoryError) as exc:
+        print(f"ioscope: {_message(exc)}", file=sys.stderr)
         return EXIT_OPFAIL
 
 

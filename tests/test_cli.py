@@ -344,16 +344,31 @@ class TestAnalyze:
         report = load_report(out)
         assert report["preprocessing"]["window"] == 11
 
-    def test_flags_beat_config(self, tmp_path, rng):
+    @pytest.mark.parametrize("window", [5, 7], ids=["other", "the-default"])
+    def test_flags_beat_config(self, tmp_path, rng, window):
         path = write_series_csv(tmp_path / "x.csv",
                                 rng.standard_normal(300))
         cfg = tmp_path / "c.cfg"
         cfg.write_text("window=11\n")
         out = str(tmp_path / "out")
         assert main(["analyze", "--input", path, "--ops", "sma",
-                     "--config", str(cfg), "--window", "5",
+                     "--config", str(cfg), "--window", str(window),
                      "--out", out]) == 0
-        assert load_report(out)["preprocessing"]["window"] == 5
+        assert load_report(out)["preprocessing"]["window"] == window
+
+    def test_repeated_ops_run_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.fractal.delta_l_field
+        monkeypatch.setattr(cli.fractal, "delta_l_field",
+                            lambda x: calls.append(x) or real(x))
+        path = write_series_csv(tmp_path / "x.csv", brownian(64, seed=3).values)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", path, "--ops", "dl,dl,sma,sma",
+                     "--out", str(out)]) == 0
+        report = load_report(out)
+        assert len(calls) == 1
+        assert list(report["results"]) == ["dl", "sma"]
+        assert report["artifacts"] == ["dl.csv", "dl.gnuplot"]
 
 
 def per_cell_write_matrix_csv(path, fld):
@@ -896,6 +911,22 @@ class TestFailedOps:
         assert ((tmp_path / "out" / "dl.csv").read_bytes()
                 == (tmp_path / "ok" / "dl.csv").read_bytes())
 
+    def test_out_of_memory_in_an_op_is_its_failure(self, tmp_path, capsys, monkeypatch):
+        def exhausted(run):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setitem(cli.ANALYZE_OPS, "dl", exhausted)
+        path = write_series_csv(tmp_path / "x.csv", brownian(64, seed=3).values)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", path, "--ops", "dl,sma",
+                     "--out", str(out)]) == 3
+        message = "out of memory: Unable to allocate 8.00 EiB"
+        assert capsys.readouterr().err == (f"ioscope: op 'dl': {message} "
+                                           "(failed ops: 1; report written)\n")
+        report = load_report(out)
+        assert report["failed_ops"] == ["dl"] and "sma" in report["results"]
+        assert report["results"]["dl"] == {"error": message}
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--input", "{bad}", "--ops", "sma"],
         ["analyze", "--input", "{good}", "--ops", "sma,fftx"],
@@ -935,6 +966,18 @@ class TestFuse:
         path = write_rankings(tmp_path / "r.csv", rows)
         assert main(["fuse", "--rankings", path, "--method", "kemeny",
                      "--heuristic", "--out", str(tmp_path / "o")]) == 0
+
+    def test_condorcet_reports_the_cycle(self, tmp_path):
+        rows = [(s, alt, i + 1) for s, order in (("s1", "abc"), ("s2", "bca"),
+                                                 ("s3", "cab"))
+                for i, alt in enumerate(order)]
+        out = str(tmp_path / "out")
+        assert main(["fuse", "--rankings", write_rankings(tmp_path / "r.csv", rows),
+                     "--method", "condorcet", "--out", out]) == 0
+        results = load_report(out)["results"]
+        assert results["method"] == "condorcet"
+        assert results["cycles"] == [["a", "b", "c"]]
+        assert results["ranking"] == {"a": 1, "b": 1, "c": 1}
 
     def test_density_weights_proportional_to_estimates(self, tmp_path):
         rows = []

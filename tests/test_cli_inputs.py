@@ -6,18 +6,25 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ioscope import cli
-from ioscope.cli import _read_rankings_csv, build_parser, main, read_series_csv
+from ioscope.cli import _read_rankings_csv, _Run, build_parser, main, read_series_csv
 from ioscope.errors import InvalidArgument
 
 SERIES = "value\n" + "".join(f"{np.sin(0.3 * i) + 0.01 * i:.6f}\n"
@@ -33,6 +40,20 @@ def run(argv):
     with contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+def run_child(argv, **kwargs):
+    """``python -m ioscope.cli`` with ``argv`` in a child process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ioscope.cli", *argv], env=env,
+                          capture_output=True, **kwargs)
+
+
+def read(reader, path):
+    """``reader``'s result on the file at ``path``, read as a run reads it."""
+    return reader(*_Run(None, None).read(path))
 
 
 def write(path, content):
@@ -233,6 +254,18 @@ FLAG_VALUES = [
      "ioscope: op 'ioscore': ratings present on fewer than 80% of nodes"),
     (["graph", "--edges", "{no_edges}", "--ops", "stats"], 3,
      "ioscope: op 'stats': graph must have at least one node"),
+    (ANALYZE + ["sma", "--window", "5", "--config", "{window_cfg}"], 2,
+     "ioscope: {window_cfg}:1: bad value 'abc' for window"),
+    (["scan", "--input", "{series}", "--scales", "5:x:1"], 2,
+     "ioscope: bad scale range '5:x:1'; want a:b:step"),
+    (["scan", "--input", "{series}", "--scales", "2:10:1"], 2,
+     "ioscope: bad scale range '2:10:1'"),
+    (["scan", "--input", "{series}", "--templates", "{series}"], 2,
+     "ioscope: {series} is not a directory"),
+    (["scan", "--input", "{series}", "--templates", "{empty_dir}"], 2,
+     "ioscope: no template CSV files in {empty_dir}"),
+    (["fuse", "--rankings", "{rankings}", "--weighting", "density"], 2,
+     "ioscope: weighting needs --estimates"),
     (["fuse"], 2, "ioscope: the following arguments are required: --rankings"),
     (["analyze", "--input", "", "--ops", "sma"], 2, "ioscope: .: Is a directory"),
     (["graph", "--edges", ""], 2, "ioscope: .: Is a directory"),
@@ -246,7 +279,11 @@ def test_flag_value_exit_rule(tmp_path, argv, code, line):
              "edges": write(tmp_path / "e.tsv", EDGES),
              "no_edges": write(tmp_path / "none.tsv", "# no edges\n"),
              "alpha_cfg": write(tmp_path / "a.cfg", "alpha=0\n"),
-             "wavelet_cfg": write(tmp_path / "w.cfg", "wavelet=bogus\n")}
+             "wavelet_cfg": write(tmp_path / "w.cfg", "wavelet=bogus\n"),
+             "window_cfg": write(tmp_path / "c.cfg", "window=abc\n"),
+             "rankings": write(tmp_path / "r.csv", RANKINGS),
+             "empty_dir": str(tmp_path / "empty")}
+    (tmp_path / "empty").mkdir()
     got, err = run([a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")])
     assert got == code
     lines = err.splitlines()
@@ -283,6 +320,20 @@ def test_simulate_large_e0_exits_3_at_once(tmp_path, e0):
     assert peak < 2 ** 25
 
 
+@pytest.mark.skipif(resource is None, reason="no resource module")
+def test_out_of_memory_exits_3_with_one_line(tmp_path):
+    # the child alone runs under a 1 GiB address-space limit, where the
+    # per-tick arrays of 2 * 10^8 ticks cannot be allocated
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    done = run_child(["simulate", "--ticks", "200000000", "--out", str(tmp_path / "out")],
+                     text=True, preexec_fn=limit, timeout=120)
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ioscope: out of memory: "), lines
+
+
 # The row reader, pinned through the series format. A line ends at every
 # separator str.splitlines knows, and line numbers count blank, '#' and
 # header lines.
@@ -290,15 +341,15 @@ def test_simulate_large_e0_exits_3_at_once(tmp_path, e0):
                          ids=["lf", "crlf", "cr", "ff", "u2028"])
 def test_reader_line_separators(tmp_path, sep):
     path = Path(write(tmp_path / "x.csv", sep.join(["value", "1", "2", "3", ""])))
-    assert read_series_csv(path).values.tolist() == [1.0, 2.0, 3.0]
+    assert read(read_series_csv, path).values.tolist() == [1.0, 2.0, 3.0]
     write(path, sep.join(["value", "1", "# note", "", "x", "2"]))
     with pytest.raises(InvalidArgument, match=rf"^{re.escape(str(path))}:5: "):
-        read_series_csv(path)
+        read(read_series_csv, path)
 
 
 def test_reader_skips_blank_and_comment_lines(tmp_path):
     path = Path(write(tmp_path / "x.csv", "value\n\n# c,1\n 4 \n  \n#\n\t5\n#6\n"))
-    x = read_series_csv(path)
+    x = read(read_series_csv, path)
     assert x.values.tolist() == [4.0, 5.0]
     assert x.step == 1.0
 
@@ -309,7 +360,7 @@ def test_reader_skips_blank_and_comment_lines(tmp_path):
 def test_reader_skips_a_header_on_line_1_only(tmp_path, text, lineno):
     path = Path(write(tmp_path / "x.csv", text))
     with pytest.raises(InvalidArgument) as err:
-        read_series_csv(path)
+        read(read_series_csv, path)
     assert str(err.value) == (f"{path}:{lineno}: could not convert string "
                               "to float: 'value'")
 
@@ -324,10 +375,10 @@ def test_reader_skips_a_header_on_line_1_only(tmp_path, text, lineno):
 def test_reader_names_the_bad_line(tmp_path, row, message):
     path = Path(write(tmp_path / "x.csv", f"value\n1\n2\n{row}\n3\n"))
     if message is None:
-        assert read_series_csv(path).values.tolist() == [1.0, 2.0, 3.0]
+        assert read(read_series_csv, path).values.tolist() == [1.0, 2.0, 3.0]
         return
     with pytest.raises(InvalidArgument) as err:
-        read_series_csv(path)
+        read(read_series_csv, path)
     assert str(err.value) == f"{path}:4: {message}"
 
 
@@ -343,58 +394,86 @@ def test_reader_names_the_bad_line(tmp_path, row, message):
 def test_reader_file_level_errors(tmp_path, text, message):
     path = Path(write(tmp_path / "x.csv", text))
     with pytest.raises(InvalidArgument) as err:
-        read_series_csv(path)
+        read(read_series_csv, path)
     assert str(err.value) == f"{path}: {message}"
 
 
 def test_reader_bad_line_beats_mixed_columns(tmp_path):
     path = Path(write(tmp_path / "x.csv", "1,1\n2\n3,x\n"))
     with pytest.raises(InvalidArgument, match=r":3: could not convert"):
-        read_series_csv(path)
+        read(read_series_csv, path)
 
 
-@pytest.mark.parametrize("text", ["t,value\n0,1\n1,2\n2,3", "value\n# c\n1\n2\n3\n"],
-                         ids=["timestamps", "comment"])
-def test_series_row_path_decodes_the_file_once(tmp_path, monkeypatch, text):
-    # the one-pass reader refuses these texts; the row reader takes over
-    # from the text already decoded
+# One run per reader; {F} are the files it reads. The second series has
+# timestamps and a comment, which the one-pass reader refuses.
+READ_ONCE = [
+    ["analyze", "--input", "{series}", "--input2", "{stamped}", "--ops", "sma,ccf"],
+    ["scan", "--input", "{series}", "--templates", "{bank}", "--scales", "5:9:2"],
+    ["graph", "--edges", "{edges}", "--ratings", "{ratings}", "--ops", "stats"],
+    ["fuse", "--rankings", "{rankings}", "--estimates", "{estimates}",
+     "--weighting", "density"],
+]
+
+
+@pytest.mark.parametrize("argv", READ_ONCE, ids=lambda a: a[0])
+def test_each_input_is_read_once(tmp_path, monkeypatch, argv):
+    files = fixture_files(tmp_path)
+    files["stamped"] = write(tmp_path / "t.csv", "t,value\n# c\n" + "".join(
+        f"{i},{v}\n" for i, v in enumerate(SERIES.split()[1:])))
+    write(tmp_path / "bank" / "a.csv", "0\n1\n3\n1\n0\n")
+    write(tmp_path / "bank" / "b.csv", "2\n0\n1\n")
     calls = []
-    read_text = cli._read_text
+    read_bytes = Path.read_bytes
 
     def counting(path):
-        calls.append(path)
-        return read_text(path)
+        calls.append(str(path))
+        return read_bytes(path)
 
-    monkeypatch.setattr(cli, "_read_text", counting)
-    x = read_series_csv(Path(write(tmp_path / "s.csv", text)))
-    assert x.values.tolist() == [1.0, 2.0, 3.0]
-    assert len(calls) == 1
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    argv = [a.format(**files) for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == (0, "")
+    inputs = [a for a in argv if a in files.values()]
+    if "scan" in argv:
+        inputs[1:] = [str(tmp_path / "bank" / f) for f in ("a.csv", "b.csv")]
+    assert calls == inputs
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+def test_fingerprint_of_a_pipe_hashes_the_bytes_parsed(tmp_path):
+    data = SERIES.encode()
+    out = tmp_path / "out"
+    done = run_child(["analyze", "--input", "/dev/stdin", "--ops", "sma",
+                      "--out", str(out)], input=data)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["input_fingerprint"] == hashlib.sha256(data).hexdigest()
+    assert len(report["results"]["sma"]["values"]) == 64
 
 
 def test_reader_timestamps(tmp_path):
     path = Path(write(tmp_path / "s.csv",
                       "timestamp,value\n0.5, 1\n0.75,2\r\n1.0 ,-3e-2\n"))
-    x = read_series_csv(path)
+    x = read(read_series_csv, path)
     assert x.values.tolist() == [1.0, 2.0, -0.03]
     assert x.step == 0.25
     assert x.values.flags.c_contiguous
 
 
 def test_reader_holds_no_per_row_objects(tmp_path):
-    """Reading 2^16 daily counts peaks below four times the bytes of the
-    values: the rows stream into one array, and the file's text (about
-    four bytes a row here) is the only other thing held."""
+    """Reading 2^16 daily counts peaks below 2.5 times the bytes of the
+    values: the rows stream into one array, and the file's bytes (about
+    three a row here) are the only other thing held."""
     counts = np.random.default_rng(5).poisson(60.0, 2 ** 16)
     path = Path(write(tmp_path / "x.csv",
                       "value\n" + "".join(f"{c}\n" for c in counts)))
     tracemalloc.start()
     try:
-        x = read_series_csv(path)
+        x = read(read_series_csv, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(x.values, counts)
-    assert peak < 4 * x.values.nbytes, peak / x.values.nbytes
+    assert peak < 2.5 * x.values.nbytes, peak / x.values.nbytes
 
 
 BOM = "\ufeff"
@@ -402,12 +481,12 @@ BOM = "\ufeff"
 
 def test_reader_drops_a_byte_order_mark(tmp_path):
     path = Path(write(tmp_path / "x.csv", BOM + "".join(f"{i}\n" for i in range(1, 9))))
-    assert read_series_csv(path).values.tolist() == list(range(1, 9))
+    assert read(read_series_csv, path).values.tolist() == list(range(1, 9))
 
 
 def test_rankings_drop_a_byte_order_mark(tmp_path):
     path = Path(write(tmp_path / "r.csv", BOM + "a,x,1\na,y,2\nb,y,1\nb,x,2\n"))
-    assert [r.source for r in _read_rankings_csv(path)] == ["a", "b"]
+    assert [r.source for r in read(_read_rankings_csv, path)] == ["a", "b"]
 
 
 def test_edges_drop_a_byte_order_mark(tmp_path):
@@ -424,13 +503,13 @@ def test_edges_drop_a_byte_order_mark(tmp_path):
 def test_not_utf8_after_a_byte_order_mark_names_the_line(tmp_path):
     path = Path(write(tmp_path / "x.csv", BOM.encode() + b"1\n\xff\n2\n"))
     with pytest.raises(InvalidArgument, match=rf"^{re.escape(str(path))}:2: not UTF-8"):
-        read_series_csv(path)
+        read(read_series_csv, path)
 
 
 def read_outcome(path):
     """read_series_csv's values and step, or its InvalidArgument message."""
     try:
-        x = read_series_csv(path)
+        x = read(read_series_csv, path)
     except InvalidArgument as exc:
         return str(exc)
     return x.values.tolist(), x.step
