@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1072,6 +1073,62 @@ def test_cli_import_keeps_the_callers_blas_threads(thread_vars):
     imports = "import ioscope.cli" if thread_vars else "import numpy, ioscope.cli"
     assert (import_probe(imports, **thread_vars)
             == import_probe("import numpy", **thread_vars))
+
+
+def gc_probe(imports):
+    """Run ``imports`` in a fresh interpreter, then make a reference cycle
+    and collect. Returns the freeze count after the imports, whether
+    collection is enabled, and whether the cycle was freed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    probe = ("import gc, json, weakref\n"
+             f"{imports}\n"
+             "frozen = gc.get_freeze_count()\n"
+             "class Node: pass\n"
+             "a, b = Node(), Node()\n"
+             "a.other, b.other = b, a\n"
+             "ref = weakref.ref(a)\n"
+             "del a, b\n"
+             "gc.collect()\n"
+             "print(json.dumps([frozen, gc.isenabled(), ref() is None]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_cli_import_freezes_its_heap():
+    """A CLI run moves the import-time heap out of the collector's reach,
+    and still collects the cycles it makes itself."""
+    frozen, enabled, freed = gc_probe("import ioscope.cli")
+    assert frozen > 0
+    assert enabled and freed
+
+
+def test_cli_import_after_numpy_freezes_nothing():
+    assert gc_probe("import numpy, ioscope.cli") == [0, True, True]
+
+
+def test_frozen_cli_run_writes_the_same_bytes(tmp_path, rng):
+    """``python -m ioscope.cli`` (heap frozen) and main() under pytest
+    (numpy loaded first, nothing frozen) write the same artifacts, and
+    the same report apart from its timestamp."""
+    x = write_series_csv(tmp_path / "x.csv", rng.poisson(3.0, 256))
+    argv = ["analyze", "--input", x, "--ops", "cwt,dl,sma"]
+    frozen, thawed = tmp_path / "frozen", tmp_path / "thawed"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "ioscope.cli", *argv, "--out", str(frozen)],
+                   env=env, capture_output=True, check=True)
+    assert main([*argv, "--out", str(thawed)]) == 0
+    names = sorted(p.name for p in frozen.iterdir())
+    assert names == sorted(p.name for p in thawed.iterdir())
+    assert {"cwt.csv", "dl.csv", "report.json"} <= set(names)
+    assert len(load_report(frozen)["results"]["sma"]["values"]) == 256
+    for name in names:
+        a, b = ((d / name).read_bytes() for d in (frozen, thawed))
+        if name == "report.json":
+            a, b = (re.sub(rb'"timestamp": "[^"]*"', b"", r) for r in (a, b))
+        assert a == b, name
 
 
 @pytest.mark.parametrize("module", ["ioscope"] + sorted(
