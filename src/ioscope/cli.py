@@ -80,40 +80,27 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgument(message)
 
 
-def _json_default(obj):
-    """JSON form of numpy values, each array in one step: real arrays as
-    (nested) lists of floats with null for every non-finite cell, complex
-    arrays as the str of each cell."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "c":
-            return obj.astype(complex).astype(str).tolist()
-        if obj.dtype.kind in "biuf":
-            a = obj.astype(float)
-            finite = np.isfinite(a)
-            return (a if finite.all() else np.where(finite, a, None)).tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        v = obj.item()
-        return None if isinstance(v, float) and not np.isfinite(v) else v
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 # Cells of a 1-D array encoded per json.dumps call: large enough that the
 # C encoder does the work, small enough that a report streams to its file.
 _CHUNK = 4096
 
 
 def _dump(obj, fh, sort_keys: bool, pad: str = "\n") -> None:
-    """Write obj to fh as json.dump(obj, fh, indent=2, sort_keys=sort_keys,
-    default=_json_default) does, except that every non-finite number,
-    scalar or array cell, is null. A 1-D real array is encoded by the C
-    encoder a chunk of cells at a time, each chunk written when built."""
+    """Write obj to fh as json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+    does, except that every non-finite number, scalar or array cell, is
+    null. A 1-D real, integer or bool array is written as floats, by the C
+    encoder a chunk of cells at a time, each chunk written when built; a
+    numpy float or integer scalar as its Python value. Any other value,
+    an n-D or complex array among them, is a TypeError."""
     inner = pad + "  "
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
         if not obj.size:
             fh.write("[]")
             return
         for i in range(0, obj.size, _CHUNK):
-            cells = json.dumps(_json_default(obj[i:i + _CHUNK]))
+            a = obj[i:i + _CHUNK].astype(float)
+            finite = np.isfinite(a)
+            cells = json.dumps((a if finite.all() else np.where(finite, a, None)).tolist())
             fh.write(("[" if i == 0 else ",") + inner
                      + cells[1:-1].replace(", ", "," + inner))
         fh.write(pad + "]")
@@ -142,8 +129,17 @@ def _dump(obj, fh, sort_keys: bool, pad: str = "\n") -> None:
         fh.write("null")
     elif obj is None or isinstance(obj, (str, int, float)):
         fh.write(json.dumps(obj))
+    elif isinstance(obj, (np.floating, np.integer)):
+        _dump(obj.item(), fh, sort_keys, pad)
     else:
-        _dump(_json_default(obj), fh, sort_keys, pad)
+        raise TypeError(f"not serializable: {type(obj)}")
+
+
+def _write_json(path: Path, obj, sort_keys: bool) -> None:
+    """obj as a JSON file, through _dump, ending in a newline."""
+    with open(path, "w") as fh:
+        _dump(obj, fh, sort_keys)
+        fh.write("\n")
 
 
 def write_matrix_csv(path: Path, fld: ScaleField) -> None:
@@ -398,9 +394,7 @@ def _write_report(run: _Run, command: str, results: Dict) -> Path:
     if run.failures:
         report["failed_ops"] = [op for op, _ in run.failures]
     path = run.out_dir / "report.json"
-    with open(path, "w") as fh:
-        _dump(report, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report, sort_keys=True)
     return path
 
 
@@ -614,10 +608,8 @@ def cmd_scan(run: _Run) -> Dict:
         ],
     } for d in hits_found]
     path = run.artifact("detections.json")
-    with open(path, "w") as fh:
-        _dump({"templates": [t.name for t in bank], "detections": detections},
-              fh, sort_keys=False)
-        fh.write("\n")
+    _write_json(path, {"templates": [t.name for t in bank], "detections": detections},
+                sort_keys=False)
     return {"detections": len(detections), "artifact": path.name}
 
 
@@ -628,11 +620,9 @@ def cmd_simulate(run: _Run) -> Dict:
                              e0=args.e0, phi=args.phi,
                              phi_e_ref=args.phi_e_ref, seed=args.seed)
     outcome = agentsim.simulate_population(cfg, args.ticks)
-    with open(run.artifact("population.csv"), "w") as fh:
-        fh.write("tick,alive,births,deaths\n")
-        for t in range(outcome.alive.size):
-            fh.write(f"{t},{outcome.alive[t]},{outcome.births[t]},"
-                     f"{outcome.deaths[t]}\n")
+    np.savetxt(run.artifact("population.csv"), np.column_stack([
+        np.arange(outcome.alive.size), outcome.alive, outcome.births, outcome.deaths]),
+        fmt="%d", delimiter=",", header="tick,alive,births,deaths", comments="")
     likes = outcome.like_counts
     results: Dict = {
         "config": {"p_l0": cfg.p_l0, "p_d0": cfg.p_d0, "p_r0": cfg.p_r0,
@@ -661,23 +651,16 @@ def cmd_simulate(run: _Run) -> Dict:
     return results
 
 
-def _network_stats_json(g: netimpact.ImpactGraph) -> Dict:
-    stats = netimpact.network_stats(g)
-    stats["per_node"] = {str(k): v for k, v in stats["per_node"].items()}
-    return stats
-
-
 def _hits_json(g: netimpact.ImpactGraph) -> Dict:
     auth, hub = netimpact.hits(g)
     out_degree = dict.fromkeys(g.nodes, 0)
     for u, _, c in g.edges:
         out_degree[u] += c
-    return {"authority": auth, "hub": hub,
-            "out_degree": {str(n): d for n, d in out_degree.items()}}
+    return {"authority": auth, "hub": hub, "out_degree": out_degree}
 
 
 GRAPH_OPS: Dict[str, Callable] = {
-    "stats": lambda r: _network_stats_json(r.g),
+    "stats": lambda r: netimpact.network_stats(r.g),
     "hits": lambda r: _hits_json(r.g),
     "ioscore": lambda r: netimpact.io_scenario_score(r.g),
 }

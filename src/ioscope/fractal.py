@@ -33,7 +33,6 @@ class HurstResult:
     exponent: float
     window_sizes: np.ndarray
     rs_values: np.ndarray
-    intercept: float
 
     def __post_init__(self):
         if not np.isfinite(self.exponent):
@@ -142,11 +141,10 @@ _RS_MIN_WINDOW = 8
 _RS_SCALES = 16
 
 
-def _rs_ladder(n: int) -> np.ndarray:
-    if n < 2 * _RS_MIN_WINDOW:
-        raise InsufficientScales("series too short for rescaled-range ladder")
-    sizes = _distinct(np.geomspace(_RS_MIN_WINDOW, n // 2, _RS_SCALES).round().astype(int))
-    return sizes[sizes >= _RS_MIN_WINDOW]
+def _rs_ladders(h) -> np.ndarray:
+    """The rounded widths of the ladder for t // 2 = h, repeats kept: one
+    row of _RS_SCALES for a scalar h, one row per cell of an array h."""
+    return np.geomspace(_RS_MIN_WINDOW, h, _RS_SCALES, axis=-1).round().astype(int)
 
 
 # Samples gathered per pass of _rs_segments: bounds its temporaries
@@ -207,7 +205,9 @@ def hurst_rs(x: TimeSeries) -> HurstResult:
     vals = _unit_scale(x.values)[0]
     if np.ptp(vals) == 0:
         raise DegenerateVariance("constant series has no rescaled range")
-    sizes = _rs_ladder(vals.size)
+    if vals.size < 2 * _RS_MIN_WINDOW:
+        raise InsufficientScales("series too short for rescaled-range ladder")
+    sizes = _distinct(_rs_ladders(vals.size // 2))
     if sizes.size < 4:
         raise InsufficientScales("need at least 4 window sizes")
     ratio, ok, off = _rs_segments(vals, sizes)
@@ -216,8 +216,8 @@ def hurst_rs(x: TimeSeries) -> HurstResult:
         w = sizes[np.argmin(cnt)]
         raise DegenerateSignal(f"all segments constant at window size {w}")
     rs = np.add.reduceat(ratio, off[:-1]) / cnt
-    slope, intercept = _fit_lines(np.log(sizes.astype(float)), np.log(rs))
-    return HurstResult(float(slope), sizes.astype(float), rs, float(intercept))
+    slope, _ = _fit_lines(np.log(sizes.astype(float)), np.log(rs))
+    return HurstResult(float(slope), sizes.astype(float), rs)
 
 
 # hurst_profile's shortest prefix
@@ -245,8 +245,7 @@ def hurst_profile(x: TimeSeries) -> TimeSeries:
         raise InvalidArgument("series shorter than the minimum prefix")
     out = np.full(n, np.nan)
     hs = np.arange(max(_MIN_PREFIX // 2, _RS_MIN_WINDOW), n // 2 + 1)
-    # _rs_ladder for every t // 2
-    ladders = np.geomspace(_RS_MIN_WINDOW, hs, _RS_SCALES, axis=-1).round().astype(int)
+    ladders = _rs_ladders(hs)  # one row per t // 2
     fresh = np.diff(ladders, axis=1, prepend=0) > 0  # distinct within a row
     nsizes = fresh.sum(axis=1)
     widths = _distinct(ladders[nsizes >= 4])

@@ -57,11 +57,11 @@ def gamma_xy(x: np.ndarray, y: np.ndarray, k: int) -> float:
 
 
 def json_default_loop(obj):
-    """The report writer's numpy converter, one cell at a time. It fails on
-    2-D arrays and on complex cells with a zero imaginary part."""
+    """The report writer's numpy values as a json.dumps ``default``, one
+    cell at a time: a 1-D real array is a list of floats, a numpy number
+    its Python value, and each non-finite one null."""
     if isinstance(obj, np.ndarray):
-        return [None if (np.isreal(v) and not np.isfinite(v)) else
-                (float(v) if np.isreal(v) else str(v)) for v in obj.tolist()]
+        return [float(v) if np.isfinite(v) else None for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         v = obj.item()
         return None if isinstance(v, float) and not np.isfinite(v) else v

@@ -18,8 +18,8 @@ import pytest
 
 import ioscope
 from ioscope.agentsim import SimConfig, lifespan_survival
-from ioscope import cli, spectral, wavelet
-from ioscope.cli import (Q_MFDFA, Q_WAVELET, _CHUNK, _Run, _dump, _json_default,
+from ioscope import agentsim, cli, spectral, wavelet
+from ioscope.cli import (Q_MFDFA, Q_WAVELET, _CHUNK, _Run, _dump,
                          _write_report, main, write_matrix_csv)
 from ioscope.fractal import delta_l_field, mfdfa, wavelet_leaders
 from ioscope.series import ScaleField, TimeSeries, deseasonalize_weekly, smooth
@@ -426,65 +426,54 @@ class TestWriteMatrixCsv:
         assert peak < 0.1 * fld.cells.nbytes
 
 
-class TestJsonDefault:
+class TestJsonValues:
     def test_real_arrays(self):
         a = np.array([1.5, np.nan, np.inf, -np.inf, -0.0, 5e-324,
                       1.7976931348623157e308])
-        got = _json_default(a)
+        text = dumped(a)
+        got = json.loads(text)
         assert got == [1.5, None, None, None, -0.0, 5e-324,
                        1.7976931348623157e308]
         assert [type(v) for v in got] == [float, type(None), type(None),
                                           type(None), float, float, float]
-        assert json.dumps(got) == json.dumps(json_default_loop(a))
+        assert text == json.dumps(json_default_loop(a), indent=2)
 
     def test_integer_and_bool_arrays_print_as_floats(self):
-        assert json.dumps(_json_default(np.arange(3))) == "[0.0, 1.0, 2.0]"
-        assert json.dumps(_json_default(np.array([2 ** 60 + 1]))) \
-            == json.dumps(json_default_loop(np.array([2 ** 60 + 1])))
-        assert _json_default(np.array([True, False])) == [1.0, 0.0]
-        assert _json_default(np.array([0.25], dtype=np.float32)) == [0.25]
+        assert dumped(np.arange(3)) == json.dumps([0.0, 1.0, 2.0], indent=2)
+        assert dumped(np.array([2 ** 60 + 1])) \
+            == json.dumps(json_default_loop(np.array([2 ** 60 + 1])), indent=2)
+        assert dumped(np.array([True, False])) == json.dumps([1.0, 0.0], indent=2)
+        assert dumped(np.array([0.25], dtype=np.float32)) == json.dumps([0.25], indent=2)
 
     def test_empty_arrays(self):
-        assert _json_default(np.array([])) == []
-        assert _json_default(np.array([], dtype=int)) == []
-        assert _json_default(np.zeros((2, 0))) == [[], []]
+        assert dumped(np.array([])) == "[]"
+        assert dumped(np.array([], dtype=int)) == "[]"
 
-    def test_two_dimensional_array_is_nested(self):
-        a = np.array([[1.0, np.nan], [np.inf, 2.0]])
-        assert _json_default(a) == [[1.0, None], [None, 2.0]]
-        with pytest.raises((TypeError, ValueError)):
-            json_default_loop(a)  # the per-cell converter failed here
+    def test_arrays_not_one_dimensional_rejected(self):
+        for a in (np.array([[1.0, np.nan], [np.inf, 2.0]]), np.zeros((2, 0)),
+                  np.zeros((0, 2)), np.ones(())):
+            with pytest.raises(TypeError):
+                dumped(a)
 
-    def test_complex_cell_with_zero_imaginary_part(self):
-        a = np.array([1 + 2j, 3 + 0j])
-        assert _json_default(a) == ["(1+2j)", "(3+0j)"]
-        with pytest.raises(TypeError):
-            json_default_loop(a)  # the per-cell converter failed here
-
-    def test_complex_arrays_are_str_cells(self):
-        a = np.array([1 + 2j, -0.5 - 1e-300j, complex(np.nan, 1.0),
-                      complex(np.inf, -np.inf), 0.1 + 0.2j])
-        got = _json_default(a)
-        assert got == ["(1+2j)", "(-0.5-1e-300j)", "(nan+1j)", "(inf-infj)",
-                       "(0.1+0.2j)"]
-        assert got == json_default_loop(a)
-        c64 = np.array([0.1 + 0.2j], dtype=np.complex64)
-        assert _json_default(c64) == json_default_loop(c64)
-        assert _json_default(np.array([[1j], [2 + 0j]])) == [["1j"], ["(2+0j)"]]
+    def test_complex_arrays_rejected(self):
+        for a in (np.array([1 + 2j, 3 + 0j]), np.array([0.1 + 0.2j], dtype=np.complex64),
+                  np.array([[1j], [2 + 0j]]), np.array([], dtype=complex)):
+            with pytest.raises(TypeError):
+                dumped(a)
 
     def test_numpy_scalars(self):
-        assert _json_default(np.float64(np.nan)) is None
-        assert _json_default(np.float64(-np.inf)) is None
-        assert _json_default(np.float32(0.5)) == 0.5
-        got = _json_default(np.int64(3))
-        assert got == 3 and type(got) is int
-        assert json.dumps({"a": None, "b": np.float32(np.inf), "c": np.int32(7)},
-                          default=_json_default) == '{"a": null, "b": null, "c": 7}'
+        assert dumped(np.float64(np.nan)) == "null"
+        assert dumped(np.float64(-np.inf)) == "null"
+        assert dumped(np.float32(0.5)) == "0.5"
+        assert dumped(np.int64(3)) == "3"
+        assert dumped({"a": None, "b": np.float32(np.inf), "c": np.int32(7)}) \
+            == json.dumps({"a": None, "b": None, "c": 7}, indent=2)
 
     def test_other_objects_rejected(self):
-        for obj in (object(), np.array(["a"]), np.array([None])):
+        for obj in (object(), np.array(["a"]), np.array([None]), np.bool_(True),
+                    1 + 2j):
             with pytest.raises(TypeError):
-                _json_default(obj)
+                dumped(obj)
 
 
 def six_long_arrays(rng, n=2 ** 14):
@@ -513,8 +502,9 @@ class TestWriteReport:
         }
         want = json.dumps(report, indent=2, sort_keys=True,
                           default=json_default_loop)
-        assert json.dumps(report, indent=2, sort_keys=True,
-                          default=_json_default) == want
+        # json.dumps writes the float64 nan scalar as NaN, the writer as null
+        assert want.count("NaN") == 1
+        assert dumped(report) == want.replace("NaN", "null")
         assert "null" in want and "0.0" in want
 
     def test_streams_to_the_file(self, tmp_path, rng):
@@ -593,15 +583,12 @@ class TestDump:
         assert dumped(obj) == json.dumps(obj, indent=2, sort_keys=True,
                                          default=json_default_loop)
 
-    def test_two_dimensional_and_complex_arrays(self):
-        obj = {"m": np.array([[1.0, np.nan], [np.inf, 2.0]]),
-               "e": np.zeros((2, 0)),
-               "c": np.array([1 + 2j, 3 + 0j, complex(np.nan, 1.0)]),
-               "c2": np.array([[1j], [2 + 0j]])}
-        text = dumped(obj)
-        assert text == json.dumps(obj, indent=2, sort_keys=True,
-                                  default=_json_default)
-        assert json.loads(text)["m"] == [[1.0, None], [None, 2.0]]
+    def test_two_dimensional_and_complex_arrays_rejected(self):
+        for a in (np.array([[1.0, np.nan], [np.inf, 2.0]]), np.zeros((2, 0)),
+                  np.array([1 + 2j, 3 + 0j, complex(np.nan, 1.0)]),
+                  np.array([[1j], [2 + 0j]])):
+            with pytest.raises(TypeError):
+                dumped({"m": [{"a": a}]})
 
     def test_non_finite_scalars_are_null(self, tmp_path):
         results = {"a": np.float64(np.inf), "b": float("nan"),
@@ -616,7 +603,7 @@ class TestDump:
         obj = {"z": 1, "a": [{"y": np.arange(3), "b": None}], 1: "k",
                2.5: "f", False: "n", None: "v"}
         assert dumped(obj, sort_keys=False) == json.dumps(
-            obj, indent=2, default=_json_default)
+            obj, indent=2, default=json_default_loop)
 
     def test_unserializable_objects_rejected(self):
         for obj in ({"a": object()}, [np.array(["a"])], np.bool_(True)):
@@ -640,7 +627,7 @@ class TestDump:
         assert not sort_keys and payload["detections"]
         text = (out / "detections.json").read_text()
         assert text == json.dumps(payload, indent=2,
-                                  default=_json_default) + "\n"
+                                  default=json_default_loop) + "\n"
         first = json.loads(text)["detections"][0]
         assert list(first) == ["template", "scale", "location", "score",
                                "phase_marks"]
@@ -809,6 +796,31 @@ class TestSimulate:
             report.pop("timestamp")
             outs.append(json.dumps(report, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+    @pytest.mark.parametrize("cfg, ticks, cap", [
+        (SimConfig(p_r0=1.0, seed=3), 8, 40),
+        (SimConfig(p_l0=0.0, p_r0=0.0, e0=3, seed=3), 9, None)], ids=["capped", "dies-out"])
+    def test_population_csv_rows(self, tmp_path, monkeypatch, cfg, ticks, cap):
+        """population.csv is the header, then one tick,alive,births,deaths
+        row per tick 0..--ticks; after the population dies out the rows
+        are zeros."""
+        if cap is not None:
+            monkeypatch.setattr(agentsim, "POPULATION_CAP", cap)
+        out = tmp_path / "out"
+        assert main(["simulate", "--pl", repr(cfg.p_l0), "--pr", repr(cfg.p_r0),
+                     "--e0", str(cfg.e0), "--seed", str(cfg.seed),
+                     "--ticks", str(ticks), "--out", str(out)]) == 0
+        sim = agentsim.simulate_population(cfg, ticks)
+        rows = zip(range(ticks + 1), sim.alive, sim.births, sim.deaths)
+        want = "tick,alive,births,deaths\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows)
+        assert (out / "population.csv").read_text() == want
+        assert load_report(out)["results"]["capped"] == (cap is not None)
+        if cap is None:
+            assert want.endswith("3,0,0,1\n" + "".join(f"{t},0,0,0\n" for t in range(4, 10)))
+        else:
+            assert sum(sim.births) == cap
 
 
 class TestGraph:
@@ -1239,3 +1251,79 @@ def test_ops_load_no_numpy_ma(tmp_path, rng):
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == [[0] * len(runs), False]
+
+
+# A run of every analyze op under both wavelets, every graph op, every
+# fuse method under both weightings, scan with the builtin bank and with a
+# template directory, and a simulate run whose Weibull fit is an error
+# block; "{name}" stands for an input that every_op_inputs writes.
+EVERY_OP_RUNS = {
+    **{f"analyze-{w}": ["analyze", "--input", "{x}", "--input2", "{y}", "--wavelet", w,
+                        "--ops", ",".join(cli.ANALYZE_OPS)]
+       for w in ("mexican-hat", "morlet")},
+    "graph": ["graph", "--edges", "{edges}", "--ratings", "{ratings}",
+              "--ops", "stats,hits,ioscore"],
+    **{f"fuse-{m}{'-heuristic' * h}-{w}": [
+        "fuse", "--rankings", "{ranks}", "--estimates", "{est}", "--weighting", w,
+        "--method", m] + ["--heuristic"] * h
+       for w in ("density", "dispersion")
+       for m, h in (("borda", 0), ("condorcet", 0), ("kemeny", 0), ("kemeny", 1))},
+    "scan-builtin": ["scan", "--input", "{x}", "--threshold", "0.5"],
+    "scan-templates": ["scan", "--input", "{x}", "--templates", "{bank}",
+                       "--threshold", "0.5"],
+    "simulate": ["simulate", "--ticks", "5", "--seed", "1"],
+}
+
+
+def every_op_inputs(tmp_path, rng) -> dict:
+    """The input files of EVERY_OP_RUNS, by name."""
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    (bank / "sine.csv").write_text(
+        "".join(f"{v!r}\n" for v in np.sin(np.arange(16.0)).tolist()))
+    est = tmp_path / "est.csv"
+    est.write_text("source,E\ns1,2\ns2,0.5\ns3,1\n")
+    return {
+        "x": write_series_csv(tmp_path / "x.csv", rng.poisson(3.0, 512)),
+        "y": write_series_csv(tmp_path / "y.csv", rng.poisson(3.0, 512)),
+        "bank": str(bank),
+        "ranks": write_rankings(tmp_path / "r.csv", [
+            (s, alt, i + 1) for s, order in (("s1", "abcd"), ("s2", "bcad"),
+                                             ("s3", "cabd"))
+            for i, alt in enumerate(order)]),
+        "est": str(est),
+        "edges": write_edges(tmp_path / "e.tsv", [("a", "b", 2), ("b", "c", 1),
+                                                  ("c", "a", 1), ("a", "c", 1),
+                                                  ("d", "a", 3)]),
+        "ratings": write_ratings(tmp_path / "ratings.csv",
+                                 {"a": 1.0, "b": 2.0, "c": 3.0, "d": 0.5}),
+    }
+
+
+def plain_json_values(obj):
+    """Every value in obj, depth first, dict keys left out."""
+    yield obj
+    for v in (obj.values() if isinstance(obj, dict)
+              else obj if isinstance(obj, list) else ()):
+        yield from plain_json_values(v)
+
+
+@pytest.mark.parametrize("name", EVERY_OP_RUNS)
+def test_every_op_report_is_plain_json(tmp_path, rng, name):
+    """Each run's report.json and detections.json load without NaN or
+    Infinity constants and hold only dicts, lists, strings, numbers,
+    booleans and nulls."""
+    inputs = every_op_inputs(tmp_path, rng)
+    out = tmp_path / "out"
+    assert main([a.format(**inputs) for a in EVERY_OP_RUNS[name]]
+                + ["--out", str(out)]) == 0
+    paths = [out / "report.json"]
+    if name.startswith("scan"):
+        paths.append(out / "detections.json")
+    for path in paths:
+        with open(path) as fh:
+            back = json.load(fh, parse_constant=reject_constant)
+        for v in plain_json_values(back):
+            assert type(v) in (dict, list, str, int, float, bool, type(None)), v
+    if name == "simulate":
+        assert set(load_report(out)["results"]["weibull_fit"]) == {"error"}
