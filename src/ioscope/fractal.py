@@ -17,12 +17,10 @@ from .wavelet import cwt, get_wavelet
 __all__ = [
     "HurstResult",
     "MultifractalResult",
-    "Skeleton",
     "hurst_rs",
     "hurst_profile",
     "delta_l_field",
     "mfdfa",
-    "find_skeleton",
     "wtmm",
     "wavelet_leaders",
 ]
@@ -399,19 +397,6 @@ def mfdfa(x: TimeSeries, q: Sequence[float],
                               h=_chord_hurst(qs, tau, hq))
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Chained modulus-maxima lines of a wavelet transform field."""
-
-    scales: np.ndarray
-    lines: Tuple[Tuple[Tuple[int, int], ...], ...]  # each: ((row, col), ...)
-    moduli: Tuple[np.ndarray, ...]
-
-    @property
-    def n_lines(self) -> int:
-        return len(self.lines)
-
-
 def _modulus_maxima(row: np.ndarray) -> np.ndarray:
     """Indices l with |W(l-1)| < |W(l)| >= |W(l+1)| (or the mirrored
     strictness), the standard plateau-safe local-maximum test."""
@@ -424,47 +409,40 @@ def _modulus_maxima(row: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[0] + 1
 
 
-def find_skeleton(fld: ScaleField, min_length: int = 3) -> Skeleton:
-    """Chain modulus maxima across scales into maxima lines.
+def _maxima_lines(mod: np.ndarray, radius: np.ndarray) -> List[Tuple[int, List[int]]]:
+    """Chain the modulus maxima of the rows of mod into maxima lines,
+    each as (first row, [column on each row]).
 
-    Lines start from maxima at the smallest scale and, row by row, link
-    to the nearest maximum of the next scale within one scale-width;
-    lines spanning fewer than ``min_length`` rows are discarded.
+    Lines start from the maxima of row 0 and, row by row, link to the
+    nearest maximum of the next row r within radius[r] columns that no
+    line before them took; a line that links to none ends, and a
+    maximum that no line takes starts a line.
     """
-    mod = np.abs(fld.cells)
-    step = fld.col_step
-    maxima = [_modulus_maxima(mod[r]) for r in range(fld.rows.size)]
-    lines: List[List[Tuple[int, int]]] = [[(0, int(c))] for c in maxima[0]]
-    open_lines = list(range(len(lines)))
-    for r in range(1, fld.rows.size):
+    maxima = [_modulus_maxima(row) for row in mod]
+    lines = [(0, [c]) for c in maxima[0].tolist()]
+    open_lines = lines
+    for r in range(1, mod.shape[0]):
         cand = maxima[r]
-        radius = max(1.0, fld.rows[r] / step)
         taken = set()
         still_open = []
-        for li in open_lines:
-            _, last_c = lines[li][-1]
-            if cand.size == 0:
-                continue
-            j = int(np.argmin(np.abs(cand - last_c)))
-            c = int(cand[j])
-            if abs(c - last_c) <= radius and c not in taken:
-                lines[li].append((r, c))
+        for line in open_lines if cand.size else ():
+            last_c = line[1][-1]
+            c = int(cand[np.argmin(np.abs(cand - last_c))])
+            if abs(c - last_c) <= radius[r] and c not in taken:
+                line[1].append(c)
                 taken.add(c)
-                still_open.append(li)
-        for c in cand:
-            if int(c) not in taken:
-                lines.append([(r, int(c))])
-                still_open.append(len(lines) - 1)
+                still_open.append(line)
+        for c in cand.tolist():
+            if c not in taken:
+                lines.append((r, [c]))
+                still_open.append(lines[-1])
         open_lines = still_open
-    kept = [ln for ln in lines if len(ln) >= min_length]
-    if not kept:
-        raise InsufficientStructure("no maxima lines of the required length")
-    moduli = tuple(np.array([mod[r, c] for r, c in ln]) for ln in kept)
-    return Skeleton(fld.rows.copy(), tuple(tuple(ln) for ln in kept), moduli)
+    return lines
 
 
 def _l1_modulus_field(x: TimeSeries, wavelet: str, scales: Sequence[float],
-                      coi: float = 0.0) -> ScaleField:
+                      coi: float = 0.0) -> np.ndarray:
+    """The transform's modulus, one row per scale."""
     fld = cwt(x, get_wavelet(wavelet), scales)
     # renormalize from energy (1/sqrt(s)) to amplitude (1/s) convention so
     # a pure singularity of exponent h scales as s**h along its line
@@ -476,7 +454,7 @@ def _l1_modulus_field(x: TimeSeries, wavelet: str, scales: Sequence[float],
         pad = np.minimum(n // 2, np.ceil(coi * fld.rows / x.step))[:, None]
         cols = np.arange(n)
         mod[(cols < pad) | (cols >= n - pad)] = 0.0
-    return ScaleField(fld.rows, fld.cols, mod, kind="wtmm-mod")
+    return mod
 
 
 def wtmm(x: TimeSeries, q: Sequence[float],
@@ -485,28 +463,32 @@ def wtmm(x: TimeSeries, q: Sequence[float],
 
     The transform runs on 24 log-spaced scales from 2 steps to
     max(8, n / 33) steps. Builds partition functions Z(q, s) over the
-    maxima skeleton (lines spanning at least 5 scales) with the
-    sup-over-finer-scales stabilization and reads tau(q) off the log-log
-    slope, then applies the numerical Legendre transform. Maxima inside
-    the boundary cone of influence (4 scale-widths from either edge) are
-    excluded.
+    maxima lines spanning at least 5 scales (each scale links maxima
+    within one scale-width) with the sup-over-finer-scales stabilization
+    and reads tau(q) off the log-log slope, then applies the numerical
+    Legendre transform. Maxima inside the boundary cone of influence
+    (4 scale-widths from either edge) are excluded.
     """
     qs = _q_grid(q)
     scales = np.geomspace(2.0 * x.step, max(8.0, len(x) / 33.0) * x.step, 24)
-    fld = _l1_modulus_field(x, wavelet, scales, coi=4.0)
-    skel = find_skeleton(fld, min_length=5)
+    mod = _l1_modulus_field(x, wavelet, scales, coi=4.0)
+    lines = [ln for ln in _maxima_lines(mod, np.maximum(1.0, scales / x.step))
+             if len(ln[1]) >= 5]
+    if not lines:
+        raise InsufficientStructure("no maxima lines of the required length")
     # running supremum of the modulus along each line; a line holds one
     # maximum on every row from its first to its last, and counts only there
-    sup_at_row = np.full((skel.n_lines, fld.rows.size), np.nan)
-    for i, (ln, mods) in enumerate(zip(skel.lines, skel.moduli)):
-        sup_at_row[i, ln[0][0]: ln[0][0] + len(ln)] = np.maximum.accumulate(mods)
+    sup_at_row = np.full((len(lines), scales.size), np.nan)
+    for i, (r0, cols) in enumerate(lines):
+        rows = np.arange(r0, r0 + len(cols))
+        sup_at_row[i, rows] = np.maximum.accumulate(mod[rows, cols])
     good = np.isfinite(sup_at_row) & (sup_at_row > 0)
     usable = np.count_nonzero(good, axis=0) >= 3
     if np.count_nonzero(usable) < 4:
         raise InsufficientStructure("too few scales carry maxima lines")
     logZ = np.stack([_log_moments(qs, np.log(sup_at_row[good[:, r], r]))
                      for r in np.flatnonzero(usable)], axis=1)
-    tau, _ = _fit_lines(np.log(fld.rows[usable]), logZ)
+    tau, _ = _fit_lines(np.log(scales[usable]), logZ)
     tau, alpha, f_alpha = _legendre(qs, tau)
     return MultifractalResult(qs, tau, alpha, f_alpha)
 
@@ -529,9 +511,8 @@ def wavelet_leaders(x: TimeSeries, q: Sequence[float],
         s *= 2.0
     if len(scales) < 4:
         raise InsufficientScales("series too short for dyadic leader scales")
-    fld = _l1_modulus_field(x, wavelet, scales)
     # a leader is one window maximum of the modulus maxed over finer scales
-    finest = np.maximum.accumulate(fld.cells, axis=0)
+    finest = np.maximum.accumulate(_l1_modulus_field(x, wavelet, scales), axis=0)
     logZ = np.empty((qs.size, len(scales)))
     for j, sj in enumerate(scales):
         half = max(1, int(round(sj / x.step)))

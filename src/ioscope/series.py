@@ -70,8 +70,7 @@ class ScaleField:
 
     A NaN cell is undefined (a window that does not fit, a zero
     denominator); every other cell is defined. ``kind`` tags the producing
-    operation (cwt | scalogram | coherence | gabor | deltaL | wtmm-mod |
-    corr-diagram).
+    operation (cwt | scalogram | coherence | gabor | deltaL | corr-diagram).
     """
 
     rows: np.ndarray

@@ -11,8 +11,8 @@ from ioscope.errors import (DegenerateSignal, InsufficientScales,
                             InsufficientStructure, InvalidArgument,
                             NoConvergence, NoEdges)
 from ioscope.fractal import (MultifractalResult, _chord_hurst, _legendre,
-                             _log_moments, _mfdfa_scales, _q_grid,
-                             find_skeleton)
+                             _log_moments, _maxima_lines, _mfdfa_scales,
+                             _q_grid)
 from ioscope.netimpact import ImpactGraph
 from ioscope.rankfuse import Ranking, unify
 from ioscope.series import ScaleField, TimeSeries
@@ -442,7 +442,7 @@ def mfdfa_loop(x: TimeSeries, q: Sequence[float],
 
 def l1_modulus_field_loop(x: TimeSeries, wavelet: str,
                           scales: Optional[Sequence[float]],
-                          coi: float = 0.0) -> ScaleField:
+                          coi: float = 0.0) -> np.ndarray:
     """``fractal._l1_modulus_field`` zeroing the cone of influence one
     row at a time."""
     if scales is None:
@@ -455,7 +455,7 @@ def l1_modulus_field_loop(x: TimeSeries, wavelet: str,
             pad = min(n // 2, int(np.ceil(coi * sc / x.step)))
             mod[r, :pad] = 0.0
             mod[r, n - pad:] = 0.0
-    return ScaleField(fld.rows, fld.cols, mod, kind="wtmm-mod")
+    return mod
 
 
 def wtmm_loop(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
@@ -468,16 +468,21 @@ def wtmm_loop(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
         n = len(x)
         smax = max(8.0, n / 33.0) * x.step
         scales = np.geomspace(2.0 * x.step, smax, 24)
-    fld = l1_modulus_field_loop(x, wavelet, scales, coi=coi)
-    skel = find_skeleton(fld, min_length=min_line_length)
-    nr = fld.rows.size
-    sup_at_row = np.full((skel.n_lines, nr), np.nan)
-    for i, (ln, mods) in enumerate(zip(skel.lines, skel.moduli)):
+    scales = np.asarray(scales, dtype=float)
+    mod = l1_modulus_field_loop(x, wavelet, scales, coi=coi)
+    lines = [[(r0 + k, c) for k, c in enumerate(cols)]
+             for r0, cols in _maxima_lines(mod, np.maximum(1.0, scales / x.step))
+             if len(cols) >= min_line_length]
+    if not lines:
+        raise InsufficientStructure("no maxima lines of the required length")
+    nr = scales.size
+    sup_at_row = np.full((len(lines), nr), np.nan)
+    for i, ln in enumerate(lines):
         running = -np.inf
         k = 0
         for r in range(ln[0][0], ln[-1][0] + 1):
             while k < len(ln) and ln[k][0] <= r:
-                running = max(running, mods[k])
+                running = max(running, mod[ln[k]])
                 k += 1
             sup_at_row[i, r] = running
     logZ = np.full((qs.size, nr), np.nan)
@@ -492,7 +497,7 @@ def wtmm_loop(x: TimeSeries, q: Sequence[float], wavelet: str = "mexican-hat",
     usable = counts >= 3
     if np.count_nonzero(usable) < 4:
         raise InsufficientStructure("too few scales carry maxima lines")
-    ls = np.log(fld.rows[usable])
+    ls = np.log(scales[usable])
     tau = np.empty(qs.size)
     for i in range(qs.size):
         tau[i] = np.polyfit(ls, logZ[i, usable], 1)[0]
@@ -514,8 +519,7 @@ def wavelet_leaders_loop(x: TimeSeries, q: Sequence[float],
         s *= 2.0
     if len(scales) < 4:
         raise InsufficientScales("series too short for dyadic leader scales")
-    fld = l1_modulus_field_loop(x, wavelet, scales)
-    mod = fld.cells
+    mod = l1_modulus_field_loop(x, wavelet, scales)
     tau = np.empty(qs.size)
     logZ = np.empty((qs.size, len(scales)))
     for j, sj in enumerate(scales):

@@ -6,7 +6,7 @@ from ioscope import fractal
 from ioscope.errors import (DegenerateSignal, DegenerateVariance,
                             InsufficientScales, InsufficientStructure,
                             InvalidArgument, IoscopeError)
-from ioscope.fractal import (MultifractalResult, delta_l_field, find_skeleton,
+from ioscope.fractal import (MultifractalResult, delta_l_field,
                              hurst_profile, hurst_rs, mfdfa, wavelet_leaders,
                              wtmm)
 from ioscope.series import TimeSeries
@@ -494,15 +494,23 @@ def test_estimators_raise_no_floating_point_error(kind, name):
             assert_same_bits(got, want, SCALED_BROWNIAN[kind])
 
 
+def skeleton(fld):
+    """The maxima lines of a transform field's modulus that span 3 rows or
+    more, each linking within one scale-width, as (first row, columns)."""
+    radius = np.maximum(1.0, fld.rows / fld.col_step)
+    return [ln for ln in fractal._maxima_lines(np.abs(fld.cells), radius)
+            if len(ln[1]) >= 3]
+
+
 class TestSkeleton:
     def test_points_are_row_maxima(self, rng):
         x = TimeSeries(rng.standard_normal(256))
         fld = cwt(x, get_wavelet("mexican-hat"), np.geomspace(2, 16, 8))
         mod = np.abs(fld.cells)
-        sk = find_skeleton(fld)
-        assert sk.lines
-        for line in sk.lines:
-            for row, col in line:
+        lines = skeleton(fld)
+        assert lines
+        for first, cols in lines:
+            for row, col in enumerate(cols, first):
                 if 0 < col < mod.shape[1] - 1:
                     assert (mod[row, col] >= mod[row, col - 1]
                             and mod[row, col] >= mod[row, col + 1])
@@ -512,10 +520,9 @@ class TestSkeleton:
         vals[128] = 1.0
         fld = cwt(TimeSeries(vals), get_wavelet("mexican-hat"),
                   np.geomspace(2, 8, 6))
-        sk = find_skeleton(fld)
-        first_row_lines = [ln for ln in sk.lines if ln[0][0] == 0]
-        at_peak = [ln for ln in first_row_lines
-                   if abs(ln[0][1] - 128) <= 2]
+        first_row_lines = [cols for first, cols in skeleton(fld) if first == 0]
+        at_peak = [cols for cols in first_row_lines
+                   if abs(cols[0] - 128) <= 2]
         assert len(at_peak) == 1
 
     def test_sinusoid_line_count(self):
@@ -523,9 +530,8 @@ class TestSkeleton:
         period = 32
         x = TimeSeries(np.sin(2 * np.pi * t / period))
         fld = cwt(x, get_wavelet("mexican-hat"), np.geomspace(2, 16, 8))
-        sk = find_skeleton(fld)
         n_extrema = 2 * 512 // period
-        first_row = sum(1 for ln in sk.lines if ln[0][0] == 0)
+        first_row = sum(1 for first, _ in skeleton(fld) if first == 0)
         assert abs(first_row - n_extrema) <= 4
 
 
@@ -539,11 +545,11 @@ class TestWtmm:
     def test_cone_of_influence_is_zero_not_undefined(self):
         # the cone's cells are 0.0, not NaN: a maximum test against NaN is
         # False, which would drop the maxima beside the cone
-        fld = fractal._l1_modulus_field(brownian(256, seed=22), "mexican-hat",
+        mod = fractal._l1_modulus_field(brownian(256, seed=22), "mexican-hat",
                                         [2.0, 8.0, 32.0], coi=4.0)
-        assert not np.isnan(fld.cells).any()
-        np.testing.assert_array_equal(fld.cells[2, :128], 0.0)
-        assert np.all(fld.cells[0, 8:-8] > 0)
+        assert not np.isnan(mod).any()
+        np.testing.assert_array_equal(mod[2, :128], 0.0)
+        assert np.all(mod[0, 8:-8] > 0)
 
     def test_insufficient_structure(self):
         # 64 samples: the grid runs from 2 to 8 steps, and the cone of
