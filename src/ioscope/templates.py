@@ -40,7 +40,7 @@ class Template:
             raise InvalidArgument("template needs at least 3 samples")
         if not np.all(np.isfinite(s)):
             raise InvalidArgument("template samples must be finite")
-        if np.ptp(s) == 0:
+        if s.max() == s.min():  # np.ptp overflows on samples of both signs
             raise InvalidArgument("template must not be constant")
         object.__setattr__(self, "samples", s)
         for idx, label in self.phase_marks:
@@ -115,13 +115,18 @@ def _resample(samples: np.ndarray, k: int) -> np.ndarray:
 
 def resample_template(t: Template, k: int) -> Template:
     """The template resampled by :func:`_resample` onto k >= 3 points,
-    with its phase marks moved to the nearest new index."""
+    with its phase marks moved to the nearest new index. The samples are
+    interpolated scaled by a power of two, then scaled back: ordinary
+    samples resample bit for bit as they would unscaled, and the slopes
+    between huge ones stay finite."""
     if k < 3:
         raise InvalidArgument("resampled length must be >= 3")
     L = len(t)
     marks = tuple((int(round(idx * (k - 1) / (L - 1))), label)
                   for idx, label in t.phase_marks)
-    return Template(_resample(t.samples, k), name=t.name, phase_marks=marks)
+    samples, e = _unit_scale(t.samples)
+    return Template(np.ldexp(_resample(samples, k), e), name=t.name,
+                    phase_marks=marks)
 
 
 def correlation_diagram(x: TimeSeries, t: Template,
@@ -129,24 +134,25 @@ def correlation_diagram(x: TimeSeries, t: Template,
     """Correlation C(l, k) between each series window of length k
     starting at l and the template resampled to k, k in ``k_range``.
 
-    The series is first scaled by a power of two, which leaves every
-    correlation as it is and keeps the window norms from overflowing or
-    underflowing. Cells are undefined where the window overruns the
-    series or either side is constant; a whole row is undefined where
-    the template resamples to a constant.
+    The series and the template are first scaled by powers of two, which
+    leaves every correlation as it is and keeps the window norms from
+    overflowing or underflowing. Cells are undefined where the window
+    overruns the series or either side is constant; a whole row is
+    undefined where the template resamples to a constant.
     """
     ks = sorted({int(k) for k in k_range})
     if not ks:
         raise InvalidArgument("empty window-length range")
     T = len(x)
     xs = _unit_scale(x.values)[0]
+    samples = _unit_scale(t.samples)[0]
     cells = np.full((len(ks), T), np.nan)
     for r, k in enumerate(ks):
         if k < 3:
             raise InvalidArgument("window length must be >= 3")
         if k > T:
             continue
-        p = _resample(t.samples, k)
+        p = _resample(samples, k)
         if np.ptp(p) == 0:
             continue
         pm = p - p.mean()

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from argparse import Namespace
 from pathlib import Path
 
@@ -744,6 +745,20 @@ class TestScan:
         with open(os.path.join(out, "detections.json")) as fh:
             scales = {d["scale"] for d in json.load(fh)["detections"]}
         assert scales and 5 not in scales
+
+    def test_huge_template_of_both_signs_exit_0_without_warnings(self, tmp_path):
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        (bank / "big.csv").write_text("1\n2\n1e308\n-1e308\n")
+        counts = np.random.default_rng(2).poisson(3.0, 300)
+        path = write_series_csv(tmp_path / "x.csv", counts)
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["scan", "--input", path, "--templates", str(bank),
+                         "--out", out]) == 0
+        assert not caught
+        assert load_report(out)["results"]["detections"] > 0
 
 
 class TestSimulate:

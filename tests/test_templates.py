@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,16 @@ class TestIoPhaseTemplate:
 
 
 class TestResample:
+    @pytest.mark.parametrize("length, variant", [(45, "attack-front"),
+                                                 (45, "full-lifecycle")])
+    @pytest.mark.parametrize("k", [3, 17, 44, 45, 60])
+    def test_bits_unchanged_by_the_scaling(self, length, variant, k):
+        t = io_phase_template(length, variant)
+        n = t.samples.size
+        want = np.interp(np.linspace(0.0, n - 1.0, k), np.arange(n, dtype=float),
+                         t.samples)
+        np.testing.assert_array_equal(resample_template(t, k).samples, want)
+
     def test_same_length_is_identity(self):
         t = io_phase_template(30)
         np.testing.assert_array_equal(resample_template(t, 30).samples,
@@ -316,6 +328,27 @@ class TestScanDetect:
         assert want
         assert scan_detect(TimeSeries(np.ldexp(counts, k)), builtin_bank(),
                            range(5, 61), 0.9) == want
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_template_scale_free(self, k):
+        """A template times 2**k, huge or tiny, gives the template's
+        detections."""
+        x = TimeSeries(np.random.default_rng(2).poisson(3.0, 300).astype(float))
+        base = np.array([1.0, 2.0, 3.0, -1.0, 0.5])
+        want = scan_detect(x, [Template(base, "t")], range(5, 40), 0.9)
+        assert want
+        assert scan_detect(x, [Template(base * 2.0 ** k, "t")],
+                           range(5, 40), 0.9) == want
+
+    def test_huge_template_of_both_signs(self):
+        t = Template([1.0, 2.0, 1e308, -1e308], "big")
+        x = TimeSeries(np.random.default_rng(2).poisson(3.0, 300).astype(float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            found = scan_detect(x, [t], range(5, 40), 0.9)
+            assert found
+            for d in found:
+                assert np.all(np.isfinite(resample_template(t, d.scale).samples))
 
 
 def random_bank(seed):
