@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (DegenerateEstimates, DimensionalityExceeded, InvalidArgument,
                      InvalidRanking)
-from .series import _BLOCK_CELLS, _distinct
+from .series import _BLOCK_CELLS, _distinct, _unit_scale
 
 __all__ = [
     "Ranking",
@@ -300,7 +300,10 @@ def source_weights(sources: Dict[str, Tuple[float, Sequence[str]]],
     alternatives overall) and volume share V_i = m_i / sum(m) as
     w*_i = E_i (x1 O_i + x2 V_i), normalized to total 1. Density mode
     sets x2 to the representation density rho; dispersion mode sets x1
-    to the population variance of V (clipped to [0, 1]).
+    to the population variance of V (clipped to [0, 1]). The weights
+    depend only on the ratios of the E_i, which are first scaled by a
+    power of two, so huge or tiny estimates neither overflow nor lose
+    bits.
     """
     if not sources:
         raise InvalidArgument("need at least one source")
@@ -329,7 +332,7 @@ def source_weights(sources: Dict[str, Tuple[float, Sequence[str]]],
         x2 = 1.0 - x1
     else:
         raise InvalidArgument(f"unknown mode {mode!r}")
-    w_star = e * (x1 * o + x2 * v)
+    w_star = _unit_scale(e)[0] * (x1 * o + x2 * v)
     total = float(w_star.sum())
     if total <= 0:
         raise DegenerateEstimates("weight mass vanished")

@@ -1007,6 +1007,20 @@ class TestFuse:
         assert results["cycles"] == [["a", "b", "c"]]
         assert results["ranking"] == {"a": 1, "b": 1, "c": 1}
 
+    def test_huge_estimates_exit_0(self, tmp_path):
+        path = write_rankings(tmp_path / "r.csv", [("s1", "a", 1), ("s1", "b", 2),
+                                                   ("s2", "a", 1), ("s3", "b", 1)])
+        est = tmp_path / "e.csv"
+        est.write_text("source,E\ns1,1.5e308\ns2,1.5e308\ns3,1.5e308\n")
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fuse", "--rankings", path, "--estimates", str(est),
+                         "--weighting", "density", "--out", out]) == 0
+        assert not caught
+        assert load_report(out)["results"]["weights"] == {"s1": 0.5, "s2": 0.25,
+                                                         "s3": 0.25}
+
     def test_density_weights_proportional_to_estimates(self, tmp_path):
         rows = []
         for s in ("s1", "s2"):

@@ -208,6 +208,18 @@ class TestSourceWeights:
                 assert abs(sum(prof.w) - 1.0) <= 1e-12
                 assert prof.x1 + prof.x2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["density", "dispersion"])
+    @pytest.mark.parametrize("k", [-1060, 1000])
+    @pytest.mark.parametrize("e, lists", [
+        ((1.5, 1.5, 1.5), (["a", "b"], ["a"], ["b"])),
+        ((2.0, 3.0), (["a", "b"], ["b", "c"])),
+        ((3.0, 0.5, 1.25, 0.0), (["a", "b", "c"], ["b"], ["c", "d", "e"], ["a"]))])
+    def test_scale_free_in_the_estimates(self, mode, k, e, lists):
+        def weights(scale):
+            return source_weights({f"s{i}": (ei * scale, lst) for i, (ei, lst)
+                                   in enumerate(zip(e, lists))}, mode=mode).w
+        np.testing.assert_array_equal(weights(2.0 ** k), weights(1.0))
+
     def test_all_zero_estimates_rejected(self):
         with pytest.raises(DegenerateEstimates):
             source_weights({"s1": (0.0, ["a"]), "s2": (0.0, ["b"])})
