@@ -34,12 +34,9 @@ from pathlib import Path
 # threads as they are, so both run the same arithmetic
 import numpy as np
 
+from ioscope import cli
+
 HERE = Path(__file__).resolve().parent
-if __name__ == "__main__":
-    sys.path.insert(0, str(HERE.parent.parent / "src"))
-
-from ioscope import cli  # noqa: E402
-
 INPUTS = HERE / "inputs"
 EXPECTED = HERE / "expected"
 MANIFEST = HERE / "manifest.json"

@@ -11,14 +11,11 @@ max to a relative 1e-6; any other file byte for byte.
 
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
-import regen  # noqa: E402
+from golden import regen
 
 MANIFEST = json.loads(regen.MANIFEST.read_text())
 SAME_PLATFORM = (MANIFEST["numpy"] == np.__version__
