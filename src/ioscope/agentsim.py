@@ -156,6 +156,9 @@ def simulate_population(cfg: SimConfig, ticks: int) -> SimOutcome:
     """
     if ticks < 1:
         raise InvalidArgument("ticks must be >= 1")
+    if (ticks + 1) * 8 > np.iinfo(np.intp).max:  # bytes of one per-tick array
+        raise DimensionalityExceeded(f"per-tick arrays of {ticks} ticks exceed "
+                                     "the address space")
     rng = np.random.default_rng(cfg.seed)
     # live agents at most double, plus one, per tick: < 2**(ticks + 1) births
     size = min(POPULATION_CAP, 2 ** min(ticks + 1, POPULATION_CAP.bit_length()))

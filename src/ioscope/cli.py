@@ -219,6 +219,7 @@ def _converter(convert: Callable, ok: Callable, what: str) -> Callable:
 
 
 _positive_int = _converter(int, lambda v: v >= 1, "a positive integer")
+_rank = _converter(int, lambda v: 1 <= v <= rankfuse.MAX_RANK, "a rank from 1 to 2**53")
 _finite = _converter(float, math.isfinite, "a finite number")
 _nonnegative = _converter(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _positive = _converter(float, lambda v: 0 < v < math.inf, "a finite number > 0")
@@ -294,7 +295,7 @@ def read_series_csv(path: Path, lines: io.BytesIO) -> TimeSeries:
 def _read_rankings_csv(path: Path, lines: io.BytesIO) -> List[rankfuse.Ranking]:
     per_source: Dict[str, Dict[str, int]] = {}
     for lineno, (src, alt, rank) in _read_rows(path, lines, ",", _fields(
-            "source,alternative,rank", str, str, _positive_int)):
+            "source,alternative,rank", str, str, _rank)):
         items = per_source.setdefault(src, {})
         if alt in items:
             raise InvalidArgument(f"{path}:{lineno}: alternative {alt!r} "

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (InsufficientRatings, InvalidArgument, NoConvergence,
                      NoEdges)
-from .series import _BLOCK_CELLS, _distinct
+from .series import _BLOCK_CELLS, _distinct, _unit_scale
 
 __all__ = [
     "ImpactGraph",
@@ -25,7 +25,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ImpactGraph:
-    """Directed influence graph: an edge u -> v means u impacts v."""
+    """Directed influence graph: an edge u -> v means u impacts v.
+
+    Construction checks each edge's endpoints, self-loop and multiplicity
+    (>= 1, a finite float), then each rating, in that order, and indexes
+    the graph once for every op. ``_weight`` holds the multiplicities
+    scaled by a power of two (ops read only their ratios); ``_rating`` is
+    NaN where a node is unrated."""
 
     nodes: Tuple[Hashable, ...]
     edges: Tuple[Tuple[Hashable, Hashable, int], ...]  # (from, to, multiplicity)
@@ -33,28 +39,35 @@ class ImpactGraph:
     dropped_self_loops: int = 0
 
     def __post_init__(self):
-        node_set = set(self.nodes)
-        for u, v, c in self.edges:
-            if u == v:
-                raise InvalidArgument("self-loop in impact graph")
-            if u not in node_set or v not in node_set:
-                raise InvalidArgument("edge endpoint missing from node set")
-            if c < 1:
-                raise InvalidArgument("edge multiplicity must be >= 1")
+        n, m = len(self.nodes), len(self.edges)
+        pos = {node: i for i, node in enumerate(self.nodes)}
+        src = np.fromiter((pos.get(u, -1) for u, _, _ in self.edges), np.int64, m)
+        dst = np.fromiter((pos.get(v, -1) for _, v, _ in self.edges), np.int64, m)
+        if np.any((src < 0) | (dst < 0)):
+            raise InvalidArgument("edge endpoint missing from node set")
+        if np.any(src == dst):
+            raise InvalidArgument("self-loop in impact graph")
+        try:
+            weight = np.fromiter((c for _, _, c in self.edges), float, m)
+        except OverflowError:  # an int beyond the float range
+            weight = np.array([np.inf])
+        if not np.all(weight >= 1):
+            raise InvalidArgument("edge multiplicity must be >= 1")
+        if np.any(weight == np.inf):
+            raise InvalidArgument("edge multiplicity must be a finite float")
+        rating = np.full(n, np.nan)
         if self.ratings is not None:
-            for node, r in self.ratings.items():
-                if node not in node_set:
+            for node in self.ratings:
+                if node not in pos:
                     raise InvalidArgument(f"rating for unknown node {node!r}")
-                if not np.isfinite(r) or r < 0:
-                    raise InvalidArgument("ratings must be finite and >= 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+            values = np.fromiter(self.ratings.values(), float, len(self.ratings))
+            if not np.all((values >= 0) & (values < np.inf)):
+                raise InvalidArgument("ratings must be finite and >= 0")
+            rating[[pos[node] for node in self.ratings]] = values
+        self.__dict__.update(  # past the frozen __setattr__, and no fields
+            n=n, m=m, _src=src, _dst=dst, _weight=_unit_scale(weight)[0],
+            _rating=rating, _out=_adjacency(n, src, dst),
+            _und=_adjacency(n, np.r_[src, dst], np.r_[dst, src]))
 
 
 def build_impact_graph(citations: Sequence[Tuple[Hashable, ...]],
@@ -88,16 +101,6 @@ def build_impact_graph(citations: Sequence[Tuple[Hashable, ...]],
 # An adjacency in compressed-row form: (indptr, indices), the distinct
 # neighbours of node i being indices[indptr[i]:indptr[i + 1]], ascending.
 Adjacency = Tuple[np.ndarray, np.ndarray]
-
-
-def _edge_index(g: ImpactGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions in ``g.nodes`` of the source and target of every edge,
-    and its multiplicity as a float (a count need not fit in int64)."""
-    pos = {node: i for i, node in enumerate(g.nodes)}
-    src = np.fromiter((pos[u] for u, _, _ in g.edges), dtype=np.int64, count=g.m)
-    dst = np.fromiter((pos[v] for _, v, _ in g.edges), dtype=np.int64, count=g.m)
-    count = np.fromiter((c for _, _, c in g.edges), dtype=float, count=g.m)
-    return src, dst, count
 
 
 def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> Adjacency:
@@ -216,10 +219,7 @@ def network_stats(g: ImpactGraph) -> Dict[str, object]:
     """
     if g.n < 1:
         raise InvalidArgument("graph must have at least one node")
-    n, m = g.n, g.m
-    src, dst, _ = _edge_index(g)
-    out_adj = _adjacency(n, src, dst)
-    und_adj = _adjacency(n, np.r_[src, dst], np.r_[dst, src])
+    n, m, out_adj, und_adj = g.n, g.m, g._out, g._und
     # sources per block: its B x n and B x nnz arrays stay near _BLOCK_CELLS
     block = max(1, _BLOCK_CELLS // max(n, und_adj[1].size))
     ecc = np.zeros(n, dtype=np.int64)
@@ -281,7 +281,7 @@ def hits(g: ImpactGraph, tol: float = 1e-9,
     if g.m == 0:
         raise NoEdges("hub/authority scores need at least one edge")
     n = g.n
-    src, dst, count = _edge_index(g)
+    src, dst, count = g._src, g._dst, g._weight
     hub = np.ones(n) / np.sqrt(n)
     auth = np.ones(n) / np.sqrt(n)
     for _ in range(max_iter):
@@ -323,12 +323,11 @@ def io_scenario_score(g: ImpactGraph) -> Dict[str, object]:
     """
     if g.m == 0:
         raise NoEdges("scenario scoring needs at least one edge")
-    ratings = g.ratings or {}
-    r = np.array([ratings.get(node, np.nan) for node in g.nodes], dtype=float)
+    r = g._rating
     rated = ~np.isnan(r)
     if np.count_nonzero(rated) < 0.8 * g.n:
         raise InsufficientRatings("ratings present on fewer than 80% of nodes")
-    src, dst, count = _edge_index(g)
+    src, dst, count = g._src, g._dst, g._weight
     ru, rv = r[src], r[dst]
     rising = rv > ru  # False where either end is unrated (nan)
     ratio = np.divide(rv, ru, out=np.full(g.m, np.inf), where=ru > 0)
@@ -337,7 +336,7 @@ def io_scenario_score(g: ImpactGraph) -> Dict[str, object]:
     # cumsum and bincount both add in edge order
     up, tot = np.cumsum([w_up, w_tot], axis=1)[:, -1].tolist()
     total_score = up / tot if tot > 0 else 0.0
-    comp = _components(_adjacency(g.n, np.r_[src, dst], np.r_[dst, src]))
+    comp = _components(g._und)
     comp_up = np.bincount(comp[src], weights=w_up, minlength=comp.max() + 1)
     comp_tot = np.bincount(comp[src], weights=w_tot, minlength=comp.max() + 1)
     members: List[List[str]] = [[] for _ in range(comp_up.size)]
@@ -353,7 +352,7 @@ def io_scenario_score(g: ImpactGraph) -> Dict[str, object]:
         }
     # bottom-quartile nodes with at least one target, grouped by their
     # row of distinct targets
-    indptr, indices = _adjacency(g.n, src, dst)
+    indptr, indices = g._out
     low = np.flatnonzero((r <= _lower_quartile(r[rated])) & (np.diff(indptr) > 0))
     groups = Counter(indices[indptr[i]:indptr[i + 1]].tobytes() for i in low.tolist())
     return {

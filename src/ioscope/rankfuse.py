@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 KEMENY_EXACT_LIMIT = 8
+MAX_RANK = 2 ** 53  # every int up to it is a distinct float
 _TIE_RTOL = 1e-9  # relative cost gap below which two orders tie
 
 
@@ -43,6 +44,8 @@ class Ranking:
             seen.add(alt)
             if rank < 1:
                 raise InvalidRanking("ranks must start at 1")
+            if rank > MAX_RANK:
+                raise InvalidRanking("ranks must be <= 2**53")
 
     @classmethod
     def from_order(cls, order: Sequence[str], source: str = "") -> "Ranking":

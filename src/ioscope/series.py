@@ -113,9 +113,10 @@ _BLOCK_CELLS = 2 ** 20
 
 def _unit_scale(xs: np.ndarray) -> Tuple[np.ndarray, int]:
     """xs times the power of two 2**-e that brings max |xs| into [0.5, 1),
-    and e: exact, and it keeps the products and squares of huge or tiny
-    values in range, so the estimators that use it are scale-free."""
-    e = int(np.frexp(np.max(np.abs(xs)))[1])
+    and e (0 for no values): exact, and it keeps the products and squares
+    of huge or tiny values in range, so the estimators that use it are
+    scale-free."""
+    e = int(np.frexp(np.max(np.abs(xs), initial=0.0))[1])
     return np.ldexp(xs, -e), e
 
 

@@ -776,6 +776,13 @@ class TestSimulate:
         assert len(err.splitlines()) == 1 and "e_ref" in err
         assert not (tmp_path / "o" / "population.csv").exists()
 
+    def test_ticks_beyond_the_address_space_exit_3(self, tmp_path, capsys):
+        assert main(["simulate", "--ticks", str(2 ** 60),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"ioscope: per-tick arrays of {2 ** 60} ticks exceed the address space\n")
+        assert not (tmp_path / "o" / "population.csv").exists()
+
     def test_reference_config_report(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["simulate", "--pl", "0.4", "--pr", "0.1",
@@ -893,6 +900,26 @@ class TestGraph:
         assert results["dropped_self_loops"] == 7
 
 
+    @pytest.mark.parametrize("op", ["stats", "hits", "ioscore"])
+    def test_multiplicity_beyond_floats_exit_2(self, tmp_path, capsys, op):
+        epath = write_edges(tmp_path / "e.tsv", [("a", "b", 10 ** 400), ("b", "c")])
+        rpath = write_ratings(tmp_path / "r.csv", {"a": 1.0, "b": 2.0, "c": 3.0})
+        assert main(["graph", "--edges", epath, "--ratings", rpath, "--ops", op,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "ioscope: edge multiplicity must be a finite float\n"
+
+    def test_hits_on_a_multiplicity_of_1e160(self, tmp_path):
+        path = write_edges(tmp_path / "e.tsv", [("a", "b", 10 ** 160), ("b", "c")])
+        out = str(tmp_path / "out")
+        assert main(["graph", "--edges", path, "--ops", "hits", "--out", out]) == 0
+        block = load_report(out)["results"]["hits"]
+        # impact edges b -> a (1e160) and c -> b (1)
+        assert block["authority"]["a"] == pytest.approx(1.0)
+        assert block["hub"]["b"] == pytest.approx(1.0)
+        assert block["out_degree"]["b"] == 10 ** 160
+
+
 class TestFailedOps:
     """A failing op of `analyze` or `graph` leaves an error block; the
     other ops still run, and the report is written before exit 3."""
@@ -980,6 +1007,28 @@ class TestFuse:
         order = [alt for alt, _ in sorted(ranking.items(),
                                           key=lambda kv: (kv[1], kv[0]))]
         assert order == ["c", "a", "b"]
+
+    @pytest.mark.parametrize("method", ["borda", "condorcet", "kemeny"])
+    @pytest.mark.parametrize("rank", [2 ** 53 + 1, 10 ** 400], ids=["2**53+1", "1e400"])
+    def test_rank_above_2_53_exit_2(self, tmp_path, capsys, method, rank):
+        path = write_rankings(tmp_path / "r.csv", [
+            ("s1", "a", 2 ** 53), ("s1", "b", rank), ("s2", "a", 1), ("s2", "b", 2)])
+        assert main(["fuse", "--rankings", path, "--method", method,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ioscope: {path}:3: {rank} is not a rank from 1 to 2**53\n"
+
+    def test_ranks_up_to_2_53_stay_apart(self, tmp_path):
+        path = write_rankings(tmp_path / "r.csv", [
+            (s, alt, rank) for s in ("s1", "s2")
+            for alt, rank in (("a", 2 ** 53 - 1), ("b", 2 ** 53))])
+        for method in ("borda", "kemeny"):
+            out = str(tmp_path / method)
+            assert main(["fuse", "--rankings", path, "--method", method,
+                         "--out", out]) == 0
+            results = load_report(out)["results"]
+            assert results["ranking"] == {"a": 1, "b": 2}
+        assert results["objective"] == 0.0
 
     def test_kemeny_exact_bound_exit_3(self, tmp_path, capsys):
         rows = [("s1", f"x{i:02d}", i + 1) for i in range(12)]

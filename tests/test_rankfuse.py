@@ -28,6 +28,13 @@ class TestRankingType:
         with pytest.raises(InvalidRanking):
             Ranking((("a", 0),), "s")
 
+    def test_rank_above_2_53_rejected(self):
+        # 2**53 + 1 is no float: it would tie with 2**53
+        assert Ranking((("a", 2 ** 53),), "s").ranks == {"a": 2 ** 53}
+        for rank in (2 ** 53 + 1, 10 ** 400):
+            with pytest.raises(InvalidRanking, match="2\\*\\*53"):
+                Ranking((("a", 1), ("b", rank)), "s")
+
     def test_ties_allowed(self):
         r = Ranking((("a", 1), ("b", 1), ("c", 2)), "s")
         assert r.ranks["a"] == r.ranks["b"] == 1
