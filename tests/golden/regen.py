@@ -12,9 +12,10 @@ manifest diff names every output that changed.
 For each invocation the manifest records the exit code, stderr, the
 files the run wrote and the SHA-256 of each, with the report's
 ``timestamp`` blanked. A matrix or population CSV also gets its shape,
-its empty-cell count and the sum, min and max of its numbers; a JSON
-output is committed under expected/<invocation>/. Digests hold only for
-the numpy version and machine recorded at the top of the manifest.
+its empty-cell count, the most digits written in any of its numbers, and
+the sum, min and max of its numbers; a JSON output is committed under
+expected/<invocation>/. Digests hold only for the numpy version and
+machine recorded at the top of the manifest.
 """
 
 import contextlib
@@ -127,17 +128,23 @@ def blanked(path: Path) -> bytes:
 
 
 def csv_summary(data: bytes) -> dict:
-    """Shape, empty cells, and the sum of |v|, min and max of the numbers
-    of a CSV; a cell that is text (a header) is not a number."""
+    """Shape, empty cells, the most significant digits written in any
+    number (its mantissa's digits, leading zeros dropped: the number
+    format's precision, which a last-bit difference does not change), and
+    the sum of |v|, min and max of the numbers of a CSV; a cell that is
+    text (a header) is not a number."""
     rows = [line.split(",") for line in data.decode().splitlines()]
-    nums = []
+    nums, digits = [], 0
     for cell in (c for row in rows for c in row if c):
         try:
             nums.append(float(cell))
         except ValueError:
-            pass
+            continue
+        mantissa = cell.lower().split("e")[0].lstrip("+-0.")
+        digits = max(digits, sum(ch.isdigit() for ch in mantissa))
     return {"shape": [len(rows), max(map(len, rows), default=0)],
             "empty": sum(c == "" for row in rows for c in row),
+            "mantissa_digits": digits,
             "abs_sum": math.fsum(map(abs, nums)),
             "min": min(nums, default=None), "max": max(nums, default=None)}
 

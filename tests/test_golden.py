@@ -5,8 +5,9 @@ Where numpy's version and the machine match the manifest's, every output
 must match its SHA-256 exactly. Everywhere, the portable fields must
 match: exit code, stderr and the files written exactly; JSON keys,
 strings, integers and nulls exactly, and its floats to a relative 1e-6;
-a CSV's shape and empty-cell count exactly, and its sum of |v|, min and
-max to a relative 1e-6; any other file byte for byte.
+a CSV's shape, empty-cell count and most digits written in a number
+exactly, and its sum of |v|, min and max to a relative 1e-6; any other
+file byte for byte.
 """
 
 import json
