@@ -29,9 +29,9 @@ class ImpactGraph:
 
     Construction checks each edge's endpoints, self-loop and multiplicity
     (>= 1, a finite float), then each rating, in that order, and indexes
-    the graph once for every op. ``_weight`` holds the multiplicities
-    scaled by a power of two (ops read only their ratios); ``_rating`` is
-    NaN where a node is unrated."""
+    the graph once for every op: ``n`` and ``m`` count nodes and edges,
+    ``_weight`` holds the multiplicities scaled by a power of two (ops
+    read only their ratios) and ``_rating`` is NaN where a node is unrated."""
 
     nodes: Tuple[Hashable, ...]
     edges: Tuple[Tuple[Hashable, Hashable, int], ...]  # (from, to, multiplicity)

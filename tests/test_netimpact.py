@@ -65,18 +65,15 @@ class TestBuildImpactGraph:
         with pytest.raises(InvalidArgument):
             build_impact_graph([("A", "B")], ratings={"A": -1.0})
 
-    @pytest.mark.parametrize("count", [10 ** 400, float("inf")], ids=["1e400", "inf"])
-    def test_multiplicity_beyond_floats_rejected(self, count):
-        with pytest.raises(InvalidArgument, match="finite float"):
-            build_impact_graph([("A", "B", count), ("B", "C")])
-
     @pytest.mark.parametrize("edges, ratings, message", [
         ([("a", "a", 0), ("a", "x", 1)], {"a": -1.0}, "endpoint missing"),
         ([("a", "b", 1), ("b", "b", 0)], {"x": 1.0}, "self-loop"),
         ([("a", "b", 1), ("b", "a", 0)], {"x": 1.0}, ">= 1"),
         ([("a", "b", 10 ** 400), ("b", "a", 0)], {"x": 1.0}, "finite float"),
+        ([("a", "b", np.inf)], {"x": 1.0}, "finite float"),
         ([("a", "b", 1)], {"a": np.nan, "x": 1.0}, "unknown node 'x'"),
-        ([("a", "b", 1)], {"a": 1.0, "b": np.nan}, "finite and >= 0")])
+        ([("a", "b", 1)], {"a": 1.0, "b": np.nan}, "finite and >= 0")],
+        ids=["endpoint", "self-loop", "below-1", "1e400", "inf", "node", "rating"])
     def test_checks_run_in_their_stated_order(self, edges, ratings, message):
         """Endpoint, then self-loop, then multiplicity, then rating: each
         graph breaks its own check and every later one."""
@@ -171,12 +168,6 @@ class TestHits:
     def test_no_edges(self):
         with pytest.raises(NoEdges):
             hits(build_impact_graph([], ratings={"A": 1.0}))
-
-    def test_multiplicity_past_the_square_root_of_float_max(self):
-        # 1e160 squared overflows an unscaled L2 norm
-        auth, hub = hits(build_impact_graph([("a", "b", 10 ** 160), ("b", "c")]))
-        assert auth["a"] == pytest.approx(1.0) and hub["b"] == pytest.approx(1.0)
-        assert auth["b"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestIoScenarioScore:
